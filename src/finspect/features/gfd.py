@@ -16,8 +16,8 @@ magnitudes are divided by |S(0, 0)|, which makes feature 0 exactly 1.
 from __future__ import annotations
 
 import numpy as np
+import scipy.ndimage
 
-from .._kernels import polar_resample_core
 from ..errors import ParameterError, ZeroMassError
 from ..raster import GrayImage, as_pixels
 from . import FeatureVector
@@ -33,11 +33,13 @@ def polar_samples(img: GrayImage | np.ndarray) -> np.ndarray:
     if g.sum() <= 0.0:
         raise ZeroMassError("polar resampling undefined for a zero-mass image")
     xc, yc = centroid(img)
-    ys, xs = np.nonzero(g)
-    r_max = float(np.sqrt((xs - xc) ** 2 + (ys - yc) ** 2).max())
+    rows, cols = np.nonzero(g)
+    r_max = float(np.sqrt((cols - xc) ** 2 + (rows - yc) ** 2).max())
     radii = (np.arange(RADIAL_SAMPLES) + 0.5) * r_max / RADIAL_SAMPLES
     thetas = 2.0 * np.pi * np.arange(ANGULAR_SAMPLES) / ANGULAR_SAMPLES
-    return polar_resample_core(g, xc, yc, radii, thetas)
+    xs = xc + radii[:, None] * np.cos(thetas)[None, :]
+    ys = yc + radii[:, None] * np.sin(thetas)[None, :]
+    return scipy.ndimage.map_coordinates(g, [ys, xs], order=1, mode="grid-constant", cval=0.0)
 
 
 def gfd_features(img: GrayImage | np.ndarray, radial_count: int = 4, angular_count: int = 9) -> FeatureVector:

@@ -17,7 +17,6 @@ import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._kernels import median_filter_core
 from .errors import (
     DegenerateHistogramError,
     EmptyForegroundError,
@@ -45,9 +44,7 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
         )
     if side == 1:
         return img
-    pad = side // 2
-    padded = np.pad(img.pixels, pad, mode="edge")
-    return GrayImage(median_filter_core(padded, side))
+    return GrayImage(scipy.ndimage.median_filter(img.pixels, size=side, mode="nearest"))
 
 
 @dataclass(frozen=True)

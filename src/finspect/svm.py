@@ -7,8 +7,9 @@ eta_i <= onehot(y_i) and sum_c eta_ic = 0. The objective
 
 is maximized by cyclic exact ascent: each row's subproblem is an isotropic
 quadratic, so its solution is the Euclidean projection of the unconstrained
-optimum onto the feasible set (done in _kernels). Classification picks the
-class with the largest kernel confidence sum; there is no bias term.
+optimum onto the feasible set (_project_row). The kernel is linear, so
+classification picks the class with the largest sum eta_ic * (x_i . x_q);
+there is no bias term.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import svm_sweep_core
 from .dataset import LabeledSet
 from .errors import DataError, ParameterError, ShapeError
-
-KERNELS = {
-    "linear": lambda x1, x2: float(np.dot(x1, x2)),
-}
 
 
 def kernel_linear(x1, x2) -> float:
@@ -42,7 +38,6 @@ class SvmModel:
     inputs: np.ndarray       # retained training rows (n, p)
     labels: np.ndarray       # (n,) integer labels
     regularization: float
-    kernel: str = "linear"
     converged: bool = True
 
     def __post_init__(self):
@@ -68,27 +63,66 @@ def dual_objective(kernel_matrix: np.ndarray, eta: np.ndarray, targets: np.ndarr
     return float(regularization * np.sum(eta * targets) - quad)
 
 
-def _gram(inputs: np.ndarray, kernel: str) -> np.ndarray:
-    if kernel == "linear":
-        gram = inputs @ inputs.T
-    else:
-        fn = KERNELS[kernel]
-        n = inputs.shape[0]
-        gram = np.array([[fn(inputs[i], inputs[j]) for j in range(n)] for i in range(n)])
+# Row subproblem: maximize A z.delta_i - 2 z.r_i - K_ii ||z||^2 over
+# {z <= u_i, sum z = 0}. Completing the square reduces it to the Euclidean
+# projection of v = (A u_i - 2 r_i) / (2 K_ii) onto that set, solved
+# exactly by scanning the sorted breakpoints tau_c = v_c - u_c of the
+# piecewise-linear function f(tau) = sum_c min(u_c, v_c - tau).
+
+def _project_row(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    tau = v - u
+    order = np.argsort(tau)
+    tau_sorted = tau[order]
+    v_sorted = v[order]
+    u_total = u.sum()
+    sum_v = 0.0
+    sum_u = 0.0
+    k = v.size
+    for m in range(1, k + 1):
+        sum_v += v_sorted[m - 1]
+        sum_u += u[order[m - 1]]
+        candidate = (sum_v + u_total - sum_u) / m
+        upper = tau_sorted[m] if m < k else np.inf
+        if tau_sorted[m - 1] <= candidate <= upper:
+            return np.minimum(u, v - candidate)
+    # numerically the last segment always admits a root; keep a safe exit
+    candidate = (sum_v + u_total - sum_u) / k
+    return np.minimum(u, v - candidate)
+
+
+def svm_sweep_core(K: np.ndarray, eta: np.ndarray, U: np.ndarray, A: float) -> float:
+    """One cyclic pass of exact per-row ascent. Mutates eta, returns max gain."""
+    n = K.shape[0]
+    best = 0.0
+    for i in range(n):
+        kii = K[i, i]
+        if kii < 1e-12:
+            continue
+        r = K[i] @ eta - kii * eta[i]
+        v = (A * U[i] - 2.0 * r) / (2.0 * kii)
+        new = _project_row(v, U[i])
+        d_obj = (A * U[i] - 2.0 * r) @ (new - eta[i]) - kii * (new @ new - eta[i] @ eta[i])
+        if d_obj > 0.0:
+            eta[i] = new
+            if d_obj > best:
+                best = d_obj
+    return best
+
+
+def _gram(inputs: np.ndarray) -> np.ndarray:
+    gram = inputs @ inputs.T
     if not np.isfinite(gram).all():
         raise DataError("non-finite kernel values")
     return gram
 
 
 def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
-              max_iter: int = 1000, kernel: str = "linear") -> SvmModel:
+              max_iter: int = 1000) -> SvmModel:
     if regularization <= 0:
         raise ParameterError("regularization must be positive")
-    if kernel not in KERNELS:
-        raise ParameterError(f"unknown kernel {kernel!r}")
     if data.n < 2 or len(np.unique(data.labels)) < 2:
         raise ParameterError("need >= 2 points spanning >= 2 classes")
-    gram = _gram(data.inputs, kernel)
+    gram = _gram(data.inputs)
     eta = np.zeros_like(data.targets)
     targets = np.ascontiguousarray(data.targets)
     converged = False
@@ -97,20 +131,15 @@ def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
         if gain < tol:
             converged = True
             break
-    return SvmModel(eta, data.inputs, data.labels, regularization, kernel, converged)
+    return SvmModel(eta, data.inputs, data.labels, regularization, converged)
 
 
 def confidence(model: SvmModel, x_q) -> np.ndarray:
-    """Per-class sums eta_ic * kernel(x_i, x_q)."""
+    """Per-class sums eta_ic * (x_i . x_q)."""
     x_q = np.asarray(x_q, dtype=np.float64)
     if x_q.shape != (model.inputs.shape[1],):
         raise ShapeError("query dimension does not match the training inputs")
-    if model.kernel == "linear":
-        kvec = model.inputs @ x_q
-    else:
-        fn = KERNELS[model.kernel]
-        kvec = np.array([fn(xi, x_q) for xi in model.inputs])
-    return model.eta.T @ kvec
+    return model.eta.T @ (model.inputs @ x_q)
 
 
 def predict_proba(model: SvmModel, x_q) -> np.ndarray:
@@ -150,7 +179,7 @@ def save_model(model: SvmModel, path: str | Path) -> None:
     doc = {
         "eta": model.eta.tolist(),
         "A": model.regularization,
-        "kernel": model.kernel,
+        "kernel": "linear",
         "inputs": model.inputs.tolist(),
         "labels": model.labels.tolist(),
         "converged": model.converged,
@@ -160,11 +189,12 @@ def save_model(model: SvmModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> SvmModel:
     doc = json.loads(Path(path).read_text())
+    if doc.get("kernel", "linear") != "linear":
+        raise DataError(f"{path}: SVM kernel {doc['kernel']!r} is not supported, only 'linear'")
     return SvmModel(
         np.asarray(doc["eta"]),
         np.asarray(doc["inputs"]),
         np.asarray(doc["labels"]),
         doc["A"],
-        doc.get("kernel", "linear"),
         doc.get("converged", True),
     )

@@ -283,7 +283,7 @@ def test_criterion_10_gradients_match_finite_differences():
 
 
 def test_criterion_11_svm_dual_feasible_and_monotone():
-    from finspect._kernels import svm_sweep_np
+    from finspect.svm import svm_sweep_core
     rng = np.random.default_rng(3)
     ok = True
     for _ in range(10):
@@ -294,7 +294,7 @@ def test_criterion_11_svm_dual_feasible_and_monotone():
         eta = np.zeros((n, k))
         prev = svm.dual_objective(gram, eta, targets, 1.0)
         for _ in range(40):
-            svm_sweep_np(gram, eta, targets, 1.0)
+            svm_sweep_core(gram, eta, targets, 1.0)
             cur = svm.dual_objective(gram, eta, targets, 1.0)
             ok &= cur >= prev - 1e-9
             prev = cur

@@ -1,6 +1,7 @@
 import importlib
 import importlib.metadata
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,21 @@ class TestTrainClassifyEval:
         doc = json.loads(out.read_text())
         assert len(doc["segments"]) >= 1
         assert doc["segments"][0]["predicted"] in doc["class_names"]
+
+    def test_classify_tampered_svm_kernel_is_data_error(self, corpus_dir, model_dir,
+                                                         tmp_path, capsys):
+        tampered = tmp_path / "models"
+        shutil.copytree(model_dir, tampered)
+        svm_file = tampered / "svm_gfd.json"
+        doc = json.loads(svm_file.read_text())
+        doc["kernel"] = "rbf"
+        svm_file.write_text(json.dumps(doc))
+        rc = main(["classify", "--model-dir", str(tampered),
+                   "--input", str(corpus_dir / "disk_001.pgm"),
+                   "--output", str(tmp_path / "decision.json")])
+        assert rc == 2
+        assert "rbf" in capsys.readouterr().err
+        assert not (tmp_path / "decision.json").exists()
 
     def test_eval_report_fields(self, corpus_dir, fast_config, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -21,7 +21,44 @@ def brute_spectrum(polar, radial_count, angular_count):
     return out
 
 
+def bilinear_oracle(g):
+    """polar_samples recomputed one sample at a time; pixels off the canvas read 0."""
+    h, w = g.shape
+    ys, xs = np.mgrid[0:h, 0:w]
+    xc, yc = (xs * g).sum() / g.sum(), (ys * g).sum() / g.sum()
+    r_max = max(np.hypot(x - xc, y - yc) for y, x in zip(*np.nonzero(g)))
+    out = np.zeros((RADIAL_SAMPLES, ANGULAR_SAMPLES))
+    for s in range(RADIAL_SAMPLES):
+        radius = (s + 0.5) * r_max / RADIAL_SAMPLES
+        for t in range(ANGULAR_SAMPLES):
+            theta = 2.0 * np.pi * t / ANGULAR_SAMPLES
+            x, y = xc + radius * np.cos(theta), yc + radius * np.sin(theta)
+            x0, y0 = int(np.floor(x)), int(np.floor(y))
+            fx, fy = x - x0, y - y0
+            for xi, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
+                for yi, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
+                    if 0 <= xi < w and 0 <= yi < h:
+                        out[s, t] += wx * wy * g[yi, xi]
+    return out
+
+
 class TestPolarSampling:
+    def test_matches_bilinear_oracle(self, rng):
+        sparse = rng.random((11, 16)) * (rng.random((11, 16)) < 0.2)
+        for g in (rng.random((16, 16)), rng.random((9, 14)), sparse):
+            assert np.abs(polar_samples(g) - bilinear_oracle(g)).max() <= 1e-13
+
+    def test_sample_past_canvas_reads_zero(self):
+        # mass in two opposite corners: the outer ring along the axes leaves the canvas
+        g = np.zeros((10, 10))
+        g[0, 0] = g[9, 9] = 1.0
+        r_outer = (RADIAL_SAMPLES - 0.5) / RADIAL_SAMPLES * 4.5 * np.sqrt(2)
+        assert 4.5 + r_outer >= 10.0  # both bilinear neighbours lie past the last row/column
+        polar = polar_samples(g)
+        assert polar[-1, 0] == 0.0
+        assert polar[-1, ANGULAR_SAMPLES // 4] == 0.0
+        assert np.abs(polar - bilinear_oracle(g)).max() <= 1e-13
+
     def test_grid_shape(self):
         img = shape_image("disk", 20, canvas=64)
         polar = polar_samples(img.pixels)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from finspect import DataError, LabeledSet, ParameterError, ShapeError, one_hot
 from finspect import svm
-from finspect._kernels import _project_row_np, svm_sweep_np
+from finspect.svm import _project_row, svm_sweep_core
 
 
 def project_by_bisection(v, u, iters=200):
@@ -47,7 +49,7 @@ class TestProjection:
             k = int(rng.integers(2, 8))
             v = rng.normal(scale=3.0, size=k)
             u = rng.random(k)  # nonnegative with positive sum
-            z = _project_row_np(v, u)
+            z = _project_row(v, u)
             oracle = project_by_bisection(v, u)
             assert np.allclose(z, oracle, atol=1e-9)
             assert abs(z.sum()) <= 1e-9
@@ -59,14 +61,14 @@ class TestProjection:
             u = np.zeros(k)
             u[int(rng.integers(0, k))] = 1.0
             v = rng.normal(scale=2.0, size=k)
-            z = _project_row_np(v, u)
+            z = _project_row(v, u)
             assert np.allclose(z, project_by_bisection(v, u), atol=1e-9)
 
     def test_interior_point_unmoved(self):
         # v already feasible: zero-sum and strictly below the caps
         v = np.array([0.2, -0.3, 0.1])
         u = np.array([1.0, 1.0, 1.0])
-        assert np.allclose(_project_row_np(v, u), v, atol=1e-12)
+        assert np.allclose(_project_row(v, u), v, atol=1e-12)
 
 
 class TestSweep:
@@ -79,7 +81,7 @@ class TestSweep:
             eta = np.zeros((n, k))
             prev = svm.dual_objective(gram, eta, targets, 1.0)
             for _ in range(60):
-                svm_sweep_np(gram, eta, targets, 1.0)
+                svm_sweep_core(gram, eta, targets, 1.0)
                 cur = svm.dual_objective(gram, eta, targets, 1.0)
                 assert cur >= prev - 1e-9
                 prev = cur
@@ -116,7 +118,7 @@ class TestTraining:
         with pytest.raises(ParameterError):
             svm.train_svm(data, regularization=0.0)
         with pytest.raises(ParameterError):
-            svm.train_svm(data, kernel="rbf")
+            svm.train_svm(data, regularization=-1.0)
         single = LabeledSet(np.eye(2), one_hot([0, 0], 2))
         with pytest.raises(ParameterError):
             svm.train_svm(single)
@@ -185,3 +187,17 @@ class TestPersistence:
         assert back.converged == model.converged
         q = rng.normal(size=2)
         assert np.allclose(svm.confidence(back, q), svm.confidence(model, q))
+
+    def test_file_names_linear_kernel(self, tmp_path):
+        path = tmp_path / "svm.json"
+        svm.save_model(svm.train_svm(conic_blobs(per_class=3)), path)
+        assert json.loads(path.read_text())["kernel"] == "linear"
+
+    def test_non_linear_kernel_rejected(self, tmp_path):
+        path = tmp_path / "svm.json"
+        svm.save_model(svm.train_svm(conic_blobs(per_class=3)), path)
+        doc = json.loads(path.read_text())
+        doc["kernel"] = "rbf"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="rbf"):
+            svm.load_model(path)
