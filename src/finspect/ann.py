@@ -17,6 +17,7 @@ from .dataset import LabeledSet
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 
 _CLAMP = 1e-12
+_INIT_SCALE = 0.5  # initial weights and biases are uniform on [-_INIT_SCALE, _INIT_SCALE]
 
 
 def sigmoid(z):
@@ -35,7 +36,6 @@ class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 200
     rng_seed: int = 0
-    init_scale: float = 0.5
 
     def validate(self):
         if self.epochs < 1:
@@ -136,7 +136,7 @@ def train(data: LabeledSet, config: TrainConfig | None = None) -> MlpModel:
     config.validate()
     rng = np.random.default_rng(config.rng_seed)
     layers = (data.inputs.shape[1], config.hidden, data.n_classes)
-    model = init_model(layers, rng, config.init_scale)
+    model = init_model(layers, rng, _INIT_SCALE)
     trace = []
     for epoch in range(config.epochs):
         grads_w, grads_b = backprop(model, data.inputs, data.targets)
@@ -162,19 +162,12 @@ def predict(model: MlpModel, inputs) -> np.ndarray:
     return np.argmax(predict_proba(model, inputs), axis=1)
 
 
-def save_model(model: MlpModel, path: str | Path, config: TrainConfig | None = None) -> None:
+def save_model(model: MlpModel, path: str | Path) -> None:
     doc = {
         "layers": list(model.layers),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "loss_trace": list(model.loss_trace),
-        "config": None if config is None else {
-            "hidden": config.hidden,
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "rng_seed": config.rng_seed,
-            "init_scale": config.init_scale,
-        },
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

@@ -1,9 +1,10 @@
 """End-to-end orchestration: manifests, training, fused classification, reports.
 
-Manifest entries are canonically sorted by (label, content digest) before
-anything is trained, so entry order in the manifest file cannot influence
-any result. Stages that draw random numbers per query are seeded from the
-global seed XOR the query image's digest for the same reason.
+Each image is decoded, segmented and described once, and resubstitution eval
+fuses the decision profiles training computed for the templates. Entries are
+sorted by (label, content digest, path) and failures by path, so manifest
+order cannot influence any result; per-query random stages are seeded from
+the global seed XOR the query image's digest for the same reason.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import ann as ann_mod
 from . import gknn as gknn_mod
 from . import svm as svm_mod
 from .dataset import CLASS_CATALOG, LabeledSet, load_manifest, one_hot
-from .errors import FinspectError, ParameterError
+from .errors import DataError, FinspectError, ParameterError
 from .features import FeatureVector, MomentProductSpec, cmi_features, elm_features, gfd_features
 from .fusion import DecisionTemplates, compute_templates, fuse, two_stage_fuse
 from .preprocess import segment_image
@@ -166,27 +167,35 @@ def _standardize(rows: np.ndarray):
     return (rows - mean) / std, mean, std
 
 
-def _profile_for(models: PipelineModels, feats: dict, digest: int, extractor: str) -> np.ndarray:
-    x = feats[extractor]
-    rows = []
-    for clf in models.config.classifiers:
-        if clf == "ann":
-            rows.append(ann_mod.predict_proba(models.ann_models[extractor], x)[0])
-        elif clf == "gknn":
-            rows.append(gknn_mod.gknn_classify(x, models.gknn_sets[extractor],
-                                               models.config.gknn_k,
-                                               rng_seed=models.seed ^ digest))
-        else:
-            rows.append(svm_mod.predict_proba(models.svm_models[extractor], x))
-    return np.stack(rows)
+def _profiles(models: PipelineModels, scaled_features, digest: int) -> list[np.ndarray]:
+    """One profile per extractor (rows in config order): a support row per classifier."""
+    profiles = []
+    for ext, x in zip(models.config.extractors, scaled_features):
+        rows = []
+        for clf in models.config.classifiers:
+            if clf == "ann":
+                rows.append(ann_mod.predict_proba(models.ann_models[ext], x)[0])
+            elif clf == "gknn":
+                rows.append(gknn_mod.gknn_classify(x, models.gknn_sets[ext],
+                                                   models.config.gknn_k,
+                                                   rng_seed=models.seed ^ digest))
+            else:
+                rows.append(svm_mod.predict_proba(models.svm_models[ext], x))
+        profiles.append(np.stack(rows))
+    return profiles
 
 
-def _scaled_features(models: PipelineModels, img: GrayImage) -> dict:
-    out = {}
-    for ext in models.config.extractors:
-        mean, std = models.scalers[ext]
-        out[ext] = (extract_one(img, ext, models.config).values - mean) / std
-    return out
+def _decide(models: PipelineModels, profiles: list[np.ndarray]):
+    """Two-stage fusion of one image's profiles: (final, stage1, per-pair argmax)."""
+    per_pair = {}
+    for ext, profile in zip(models.config.extractors, profiles):
+        for row, clf in zip(profile, models.config.classifiers):
+            per_pair[(ext, clf)] = int(np.argmax(row))
+    final, stage1 = two_stage_fuse(profiles,
+                                   [models.stage1_templates[ext]
+                                    for ext in models.config.extractors],
+                                   models.stage2_templates)
+    return final, stage1, per_pair
 
 
 @dataclass
@@ -195,8 +204,8 @@ class _Entry:
     label: str
     digest: int
     hexdigest: str
-    image: GrayImage | None = None
     features: dict | None = None
+    profiles: list | None = None
 
 
 def _prepare_entries(entries, config, base_dir, failures):
@@ -208,18 +217,18 @@ def _prepare_entries(entries, config, base_dir, failures):
         except OSError as exc:
             failures.append({"path": item["path"], "stage": "read", "error": str(exc)})
             continue
-        ent = _Entry(item["path"], item["label"], content_digest(raw),
-                     hashlib.sha256(raw).hexdigest())
+        hexdigest = hashlib.sha256(raw).hexdigest()
+        ent = _Entry(item["path"], item["label"], int(hexdigest[:16], 16), hexdigest)
         try:
-            gray = load_gray(raw, config)
-            ent.image = largest_shape(gray, config)
-            ent.features = {ext: extract_one(ent.image, ext, config).values
+            crop = largest_shape(load_gray(raw, config), config)
+            ent.features = {ext: extract_one(crop, ext, config).values
                             for ext in config.extractors}
         except FinspectError as exc:
             failures.append({"path": item["path"], "stage": "preprocess", "error": str(exc)})
             continue
         prepared.append(ent)
-    prepared.sort(key=lambda e: (e.label, e.hexdigest))
+    prepared.sort(key=lambda e: (e.label, e.hexdigest, e.path))
+    failures.sort(key=lambda f: f["path"])
     return prepared
 
 
@@ -259,23 +268,18 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
     models = PipelineModels(class_names, config, seed, scalers, ann_models,
                             svm_models, gknn_sets, {}, None)
 
-    # resubstitution decision profiles feed both template stages
-    stage1_profiles = {ext: [] for ext in config.extractors}
-    for ent in prepared:
-        feats = _scaled_features(models, ent.image)
-        for ext in config.extractors:
-            stage1_profiles[ext].append(_profile_for(models, feats, ent.digest, ext))
-    stage1_templates = {ext: compute_templates(stage1_profiles[ext], labels, len(class_names))
-                        for ext in config.extractors}
-    models = replace(models, stage1_templates=stage1_templates)
-
-    stage2_profiles = []
-    for idx in range(len(prepared)):
-        rows = [fuse(stage1_profiles[ext][idx], stage1_templates[ext]).support
-                for ext in config.extractors]
-        stage2_profiles.append(np.stack(rows))
-    stage2_templates = compute_templates(stage2_profiles, labels, len(class_names))
-    models = replace(models, stage2_templates=stage2_templates)
+    # profiles of the standardised training rows feed both template stages and eval
+    for idx, ent in enumerate(prepared):
+        ent.profiles = _profiles(models, [gknn_sets[ext].inputs[idx] for ext in config.extractors],
+                                 ent.digest)
+    stage1_templates = {ext: compute_templates([e.profiles[j] for e in prepared], labels,
+                                               len(class_names))
+                        for j, ext in enumerate(config.extractors)}
+    stage2_profiles = [np.stack([fuse(profile, stage1_templates[ext]).support
+                                 for ext, profile in zip(config.extractors, e.profiles)])
+                       for e in prepared]
+    models = replace(models, stage1_templates=stage1_templates,
+                     stage2_templates=compute_templates(stage2_profiles, labels, len(class_names)))
     return models, prepared, failures
 
 
@@ -284,17 +288,11 @@ def classify_image(models: PipelineModels, img: GrayImage, digest: int):
 
     Returns (final ClassSupport, stage1 supports, per-pair argmax dict).
     """
-    feats = _scaled_features(models, img)
-    profiles = [_profile_for(models, feats, digest, ext) for ext in models.config.extractors]
-    per_pair = {}
-    for ext, profile in zip(models.config.extractors, profiles):
-        for row, clf in zip(profile, models.config.classifiers):
-            per_pair[(ext, clf)] = int(np.argmax(row))
-    final, stage1 = two_stage_fuse(profiles,
-                                   [models.stage1_templates[ext]
-                                    for ext in models.config.extractors],
-                                   models.stage2_templates)
-    return final, stage1, per_pair
+    scaled = []
+    for ext in models.config.extractors:
+        mean, std = models.scalers[ext]
+        scaled.append((extract_one(img, ext, models.config).values - mean) / std)
+    return _decide(models, _profiles(models, scaled, digest))
 
 
 def classify_segments(models: PipelineModels, img: GrayImage, digest: int) -> list[dict]:
@@ -326,7 +324,7 @@ def run_pipeline(manifest_entries, config: PipelineConfig | None = None, seed: i
     predictions = []
     for ent in prepared:
         truth = models.class_names.index(ent.label)
-        final, stage1, per_pair = classify_image(models, ent.image, ent.digest)
+        final, stage1, per_pair = _decide(models, ent.profiles)
         for (ext, clf), pred in per_pair.items():
             pair_confusion[ext][clf][truth, pred] += 1
         for ext, sup in zip(exts, stage1):
@@ -399,20 +397,27 @@ def save_models(models: PipelineModels, directory: str | Path) -> None:
 
 
 def load_models(directory: str | Path) -> PipelineModels:
+    """Read a directory written by save_models; a malformed file is a DataError."""
     directory = Path(directory)
-    meta = json.loads((directory / "pipeline.json").read_text())
-    config = PipelineConfig.from_dict(meta["config"])
-    class_names = tuple(meta["class_names"])
-    scalers = {ext: (np.asarray(doc["mean"]), np.asarray(doc["std"]))
-               for ext, doc in meta["scalers"].items()}
-    gknn_sets = {ext: LabeledSet(np.asarray(doc["inputs"]), np.asarray(doc["targets"]),
-                                 class_names)
-                 for ext, doc in meta["gknn"].items()}
-    ann_models = {ext: ann_mod.load_model(directory / f"ann_{ext}.json")
-                  for ext in config.extractors}
-    svm_models = {ext: svm_mod.load_model(directory / f"svm_{ext}.json")
-                  for ext in config.extractors}
-    return PipelineModels(
-        class_names, config, meta["seed"], scalers, ann_models, svm_models, gknn_sets,
-        {ext: _templates_from_dict(doc) for ext, doc in meta["stage1_templates"].items()},
-        _templates_from_dict(meta["stage2_templates"]))
+    path = directory / "pipeline.json"
+    try:
+        meta = json.loads(path.read_text())
+        config = PipelineConfig.from_dict(meta["config"])
+        class_names, exts = tuple(meta["class_names"]), config.extractors
+        scalers = {ext: (np.asarray(meta["scalers"][ext]["mean"]),
+                         np.asarray(meta["scalers"][ext]["std"])) for ext in exts}
+        gknn_sets = {ext: LabeledSet(np.asarray(meta["gknn"][ext]["inputs"]),
+                                     np.asarray(meta["gknn"][ext]["targets"]), class_names)
+                     for ext in exts}
+        models = PipelineModels(
+            class_names, config, meta["seed"], scalers, {}, {}, gknn_sets,
+            {ext: _templates_from_dict(meta["stage1_templates"][ext]) for ext in exts},
+            _templates_from_dict(meta["stage2_templates"]))
+        for ext in exts:
+            path = directory / f"ann_{ext}.json"
+            models.ann_models[ext] = ann_mod.load_model(path)
+            path = directory / f"svm_{ext}.json"
+            models.svm_models[ext] = svm_mod.load_model(path)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
+    return models

@@ -133,7 +133,7 @@ class TestPersistence:
         y = one_hot(rng.integers(0, 2, 6), 2)
         model = ann.train(LabeledSet(x, y), ann.TrainConfig(hidden=4, epochs=20, rng_seed=3))
         path = tmp_path / "model.json"
-        ann.save_model(model, path, ann.TrainConfig(hidden=4, epochs=20, rng_seed=3))
+        ann.save_model(model, path)
         back = ann.load_model(path)
         assert back.layers == model.layers
         for a, b in zip(back.weights, model.weights):

@@ -11,6 +11,8 @@ import pytest
 
 from finspect.cli import main
 from finspect.dataset import load_manifest
+from finspect.errors import DataError
+from finspect.pipeline import load_models
 from finspect.raster import decode_image
 
 
@@ -172,6 +174,35 @@ class TestTrainClassifyEval:
                    "--output", str(tmp_path / "decision.json")])
         assert rc == 2
         assert "rbf" in capsys.readouterr().err
+        assert not (tmp_path / "decision.json").exists()
+
+    @pytest.mark.parametrize("name, tamper", [
+        ("svm_cmi.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                                  if k != "A"})),
+        ("ann_cmi.json", lambda text: text[:len(text) // 2]),
+        ("pipeline.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                                   if k != "scalers"})),
+        ("pipeline.json", lambda text: json.dumps({**json.loads(text), "scalers": []})),
+        ("pipeline.json", lambda text: json.dumps({**json.loads(text), "scalers": {
+            k: v for k, v in json.loads(text)["scalers"].items() if k != "cmi"}})),
+        ("pipeline.json", lambda text: json.dumps({**json.loads(text), "config": {
+            **json.loads(text)["config"], "gfd": []}})),
+    ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-scalers",
+            "pipeline-scalers-not-object", "pipeline-scalers-missing-extractor",
+            "pipeline-config-gfd-not-object"])
+    def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
+                                                         capsys, name, tamper):
+        tampered = tmp_path / "models"
+        shutil.copytree(model_dir, tampered)
+        (tampered / name).write_text(tamper((tampered / name).read_text()))
+        with pytest.raises(DataError, match=name):
+            load_models(tampered)
+        rc = main(["classify", "--model-dir", str(tampered),
+                   "--input", str(corpus_dir / "disk_001.pgm"),
+                   "--output", str(tmp_path / "decision.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert not (tmp_path / "decision.json").exists()
 
     def test_eval_report_fields(self, corpus_dir, fast_config, tmp_path, capsys):

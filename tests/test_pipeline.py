@@ -1,14 +1,21 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from finspect import ParameterError
+from finspect import ann as ann_mod
+from finspect import gknn as gknn_mod
+from finspect import pipeline as pipeline_mod
+from finspect import svm as svm_mod
 from finspect.pipeline import (
     PipelineConfig,
     classify_image,
     classify_segments,
     content_digest,
+    largest_shape,
+    load_gray,
     load_models,
     run_pipeline,
     save_models,
@@ -68,6 +75,17 @@ class TestTraining:
         _, b = run_pipeline(list(reversed(entries)), FAST, seed=0, base_dir=directory)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_manifest_order_is_irrelevant_with_duplicates_and_failures(self, corpus):
+        directory, entries = corpus
+        shutil.copyfile(directory / "disk_0.pgm", directory / "disk_copy.pgm")
+        extended = entries + [{"path": "disk_copy.pgm", "label": "baby_shark"},
+                              {"path": "missing_a.pgm", "label": "other"},
+                              {"path": "missing_b.pgm", "label": "other"}]
+        _, a = run_pipeline(extended, FAST, seed=0, base_dir=directory)
+        _, b = run_pipeline(list(reversed(extended)), FAST, seed=0, base_dir=directory)
+        assert [f["path"] for f in a["failures"]] == ["missing_a.pgm", "missing_b.pgm"]
+        assert json.dumps(a) == json.dumps(b)
+
     def test_unreadable_entries_recorded_not_fatal(self, corpus):
         directory, entries = corpus
         broken = entries + [{"path": "missing.pgm", "label": "other"}]
@@ -94,6 +112,39 @@ class TestTraining:
         disks = [e for e in entries if e["label"] == "baby_shark"]
         with pytest.raises(ParameterError):
             train_models(disks, FAST, base_dir=directory)
+
+
+class TestOnePassPerImage:
+    def test_features_and_classifiers_run_once_per_image(self, corpus, monkeypatch):
+        directory, entries = corpus
+        calls = {"extract": 0, "ann": 0, "gknn": 0, "svm": 0}
+
+        def counted(key, module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted("extract", pipeline_mod, "extract_one")
+        counted("ann", ann_mod, "predict_proba")
+        counted("gknn", gknn_mod, "gknn_classify")
+        counted("svm", svm_mod, "predict_proba")
+        _, report = run_pipeline(entries, FAST, seed=0, base_dir=directory)
+        expected = report["n_images"] * len(FAST.extractors)
+        assert calls == {"extract": expected, "ann": expected, "gknn": expected, "svm": expected}
+
+    def test_report_matches_classifying_each_file_again(self, corpus):
+        directory, entries = corpus
+        models, report = run_pipeline(entries, FAST, seed=0, base_dir=directory)
+        for pred in report["predictions"]:
+            raw = (directory / pred["path"]).read_bytes()
+            crop = largest_shape(load_gray(raw, models.config), models.config)
+            final, _, _ = classify_image(models, crop, content_digest(raw))
+            assert pred["predicted"] == models.class_names[final.predicted]
+            assert pred["support"] == final.support.tolist()
 
 
 class TestClassification:
