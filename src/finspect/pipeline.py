@@ -354,6 +354,7 @@ def run_pipeline(manifest_entries, config: PipelineConfig | None = None, seed: i
         "final_accuracy": float(np.trace(final_confusion)) / n,
         "final_confusion": final_confusion.tolist(),
         "per_class_rates": per_class,
+        "svm_converged": {ext: models.svm_models[ext].converged for ext in exts},
         "predictions": predictions,
         "seed": seed,
         "config": config.to_dict(),

@@ -151,11 +151,9 @@ def _next_token(data: bytes, pos: int, allow_comments: bool) -> tuple[bytes, int
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     token, start, pos = _next_token(data, pos, allow_comments=True)
-    try:
-        value = int(token)
-    except ValueError:
-        raise PnmDecodeError(f"invalid {what} token {token!r}", start) from None
-    return value, start, pos
+    if not token.isdigit():  # int() would also take "+3", "1_0" and "-0"
+        raise PnmDecodeError(f"invalid {what} token {token!r}", start)
+    return int(token), start, pos
 
 
 def decode_image(data: bytes) -> RgbImage | GrayImage:
@@ -192,11 +190,10 @@ def decode_image(data: bytes) -> RgbImage | GrayImage:
                 raise PnmDecodeError(
                     f"truncated payload: expected {count} samples, got {idx}", len(data)
                 ) from None
-            try:
-                value = int(token)
-            except ValueError:
-                raise PnmDecodeError(f"invalid sample token {token!r}", start) from None
-            if not 0 <= value <= 255:
+            if not token.isdigit():
+                raise PnmDecodeError(f"invalid sample token {token!r}", start)
+            value = int(token)
+            if value > 255:
                 raise PnmDecodeError(f"sample {value} out of range [0, 255]", start)
             samples[idx] = value
     else:

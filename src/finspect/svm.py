@@ -1,4 +1,4 @@
-"""Multiclass SVM trained on the concave row-constrained dual.
+"""Multiclass SVM in primal-weight form, trained on the row-constrained dual.
 
 Dual variables form an (n, k) matrix eta with row constraints
 eta_i <= onehot(y_i) and sum_c eta_ic = 0. The objective
@@ -7,9 +7,12 @@ eta_i <= onehot(y_i) and sum_c eta_ic = 0. The objective
 
 is maximized by cyclic exact ascent: each row's subproblem is an isotropic
 quadratic, so its solution is the Euclidean projection of the unconstrained
-optimum onto the feasible set (_project_row). The kernel is linear, so
-classification picks the class with the largest sum eta_ic * (x_i . x_q);
-there is no bias term.
+optimum onto the feasible set (_project_row). The kernel is linear, so the
+machine is its (p, k) weight matrix W = X^T eta: row i's residual is
+x_i . W - K_ii eta_i, and each row step adds x_i (outer) the change in eta_i
+to W (the sequential dual method of Keerthi et al., KDD 2008). K is never
+formed and eta is only a working array of training; classification picks
+the class with the largest (W^T x_q)_c. There is no bias term.
 """
 
 from __future__ import annotations
@@ -34,27 +37,22 @@ def kernel_linear(x1, x2) -> float:
 
 @dataclass(frozen=True)
 class SvmModel:
-    eta: np.ndarray          # (n, k) dual coefficients
-    inputs: np.ndarray       # retained training rows (n, p)
-    labels: np.ndarray       # (n,) integer labels
+    weights: np.ndarray      # (p, k) class weights W = X^T eta
     regularization: float
     converged: bool = True
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=np.float64)
-        x = np.asarray(self.inputs, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if eta.ndim != 2 or x.ndim != 2 or eta.shape[0] != x.shape[0] or y.shape != (x.shape[0],):
-            raise ShapeError("eta (n, k), inputs (n, p) and labels (n,) must align")
-        if not np.isfinite(eta).all():
-            raise DataError("dual coefficients must be finite")
-        for name, arr in (("eta", eta), ("inputs", x), ("labels", y)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.ndim != 2:
+            raise ShapeError("weights must be a (p, k) matrix")
+        if not np.isfinite(weights).all():
+            raise DataError("weights must be finite")
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_classes(self) -> int:
-        return self.eta.shape[1]
+        return self.weights.shape[1]
 
 
 def dual_objective(kernel_matrix: np.ndarray, eta: np.ndarray, targets: np.ndarray,
@@ -67,7 +65,11 @@ def dual_objective(kernel_matrix: np.ndarray, eta: np.ndarray, targets: np.ndarr
 # {z <= u_i, sum z = 0}. Completing the square reduces it to the Euclidean
 # projection of v = (A u_i - 2 r_i) / (2 K_ii) onto that set, solved
 # exactly by scanning the sorted breakpoints tau_c = v_c - u_c of the
-# piecewise-linear function f(tau) = sum_c min(u_c, v_c - tau).
+# nonincreasing piecewise-linear function f(tau) = sum_c min(u_c, v_c - tau).
+# f > 0 left of the first breakpoint (sum u > 0), and f > 0 at each
+# breakpoint the scan passes, so the root is on the first segment whose line
+# root does not pass its right end. Testing the left end as well can reject
+# both segments of a root that sits on a breakpoint, by rounding.
 
 def _project_row(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     tau = v - u
@@ -82,64 +84,63 @@ def _project_row(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         sum_v += v_sorted[m - 1]
         sum_u += u[order[m - 1]]
         candidate = (sum_v + u_total - sum_u) / m
-        upper = tau_sorted[m] if m < k else np.inf
-        if tau_sorted[m - 1] <= candidate <= upper:
+        if m == k or candidate <= tau_sorted[m]:
             return np.minimum(u, v - candidate)
-    # numerically the last segment always admits a root; keep a safe exit
-    candidate = (sum_v + u_total - sum_u) / k
-    return np.minimum(u, v - candidate)
 
 
-def svm_sweep_core(K: np.ndarray, eta: np.ndarray, U: np.ndarray, A: float) -> float:
-    """One cyclic pass of exact per-row ascent. Mutates eta, returns max gain."""
-    n = K.shape[0]
+def svm_sweep_core(X: np.ndarray, W: np.ndarray, eta: np.ndarray, U: np.ndarray,
+                   A: float) -> float:
+    """One cyclic pass of exact per-row ascent. Mutates W and eta, returns max gain."""
+    n = X.shape[0]
     best = 0.0
     for i in range(n):
-        kii = K[i, i]
+        x = X[i]
+        kii = x @ x
         if kii < 1e-12:
             continue
-        r = K[i] @ eta - kii * eta[i]
+        r = x @ W - kii * eta[i]
         v = (A * U[i] - 2.0 * r) / (2.0 * kii)
         new = _project_row(v, U[i])
         d_obj = (A * U[i] - 2.0 * r) @ (new - eta[i]) - kii * (new @ new - eta[i] @ eta[i])
         if d_obj > 0.0:
+            W += np.outer(x, new - eta[i])
             eta[i] = new
             if d_obj > best:
                 best = d_obj
     return best
 
 
-def _gram(inputs: np.ndarray) -> np.ndarray:
-    gram = inputs @ inputs.T
-    if not np.isfinite(gram).all():
-        raise DataError("non-finite kernel values")
-    return gram
-
-
 def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
               max_iter: int = 1000) -> SvmModel:
-    if regularization <= 0:
+    if not regularization > 0:
         raise ParameterError("regularization must be positive")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if data.n < 2 or len(np.unique(data.labels)) < 2:
         raise ParameterError("need >= 2 points spanning >= 2 classes")
-    gram = _gram(data.inputs)
-    eta = np.zeros_like(data.targets)
+    inputs = data.inputs
+    # |K_ij| <= sqrt(K_ii K_jj): finite squared norms mean a finite kernel
+    if not np.isfinite(np.einsum("ij,ij->i", inputs, inputs)).all():
+        raise DataError("non-finite kernel values")
     targets = np.ascontiguousarray(data.targets)
+    eta = np.zeros_like(targets)
+    weights = np.zeros((inputs.shape[1], targets.shape[1]))
     converged = False
     for _ in range(max_iter):
-        gain = svm_sweep_core(gram, eta, targets, regularization)
-        if gain < tol:
+        if svm_sweep_core(inputs, weights, eta, targets, regularization) < tol:
             converged = True
             break
-    return SvmModel(eta, data.inputs, data.labels, regularization, converged)
+    return SvmModel(weights, regularization, converged)
 
 
 def confidence(model: SvmModel, x_q) -> np.ndarray:
-    """Per-class sums eta_ic * (x_i . x_q)."""
+    """Per-class scores (W^T x_q)_c."""
     x_q = np.asarray(x_q, dtype=np.float64)
-    if x_q.shape != (model.inputs.shape[1],):
+    if x_q.shape != (model.weights.shape[0],):
         raise ShapeError("query dimension does not match the training inputs")
-    return model.eta.T @ (model.inputs @ x_q)
+    return model.weights.T @ x_q
 
 
 def predict_proba(model: SvmModel, x_q) -> np.ndarray:
@@ -177,11 +178,9 @@ def two_point_line(x1, x2) -> tuple[np.ndarray, float]:
 
 def save_model(model: SvmModel, path: str | Path) -> None:
     doc = {
-        "eta": model.eta.tolist(),
+        "weights": model.weights.tolist(),
         "A": model.regularization,
         "kernel": "linear",
-        "inputs": model.inputs.tolist(),
-        "labels": model.labels.tolist(),
         "converged": model.converged,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -191,10 +190,4 @@ def load_model(path: str | Path) -> SvmModel:
     doc = json.loads(Path(path).read_text())
     if doc.get("kernel", "linear") != "linear":
         raise DataError(f"{path}: SVM kernel {doc['kernel']!r} is not supported, only 'linear'")
-    return SvmModel(
-        np.asarray(doc["eta"]),
-        np.asarray(doc["inputs"]),
-        np.asarray(doc["labels"]),
-        doc["A"],
-        doc.get("converged", True),
-    )
+    return SvmModel(np.asarray(doc["weights"]), doc["A"], doc["converged"])

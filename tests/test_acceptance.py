@@ -292,14 +292,16 @@ def test_criterion_11_svm_dual_feasible_and_monotone():
         gram = pts @ pts.T
         targets = one_hot(rng.integers(0, k, n), k)
         eta = np.zeros((n, k))
+        weights = np.zeros((3, k))
         prev = svm.dual_objective(gram, eta, targets, 1.0)
         for _ in range(40):
-            svm_sweep_core(gram, eta, targets, 1.0)
+            svm_sweep_core(pts, weights, eta, targets, 1.0)
             cur = svm.dual_objective(gram, eta, targets, 1.0)
             ok &= cur >= prev - 1e-9
             prev = cur
             ok &= bool(np.abs(eta.sum(axis=1)).max() <= 1e-9)
             ok &= bool((eta <= targets + 1e-9).all())
+            ok &= bool(np.abs(weights - pts.T @ eta).max() <= 1e-9)
     assert _line(11, ok, "10 problems x 40 sweeps")
 
 

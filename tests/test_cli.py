@@ -187,9 +187,12 @@ class TestTrainClassifyEval:
             k: v for k, v in json.loads(text)["scalers"].items() if k != "cmi"}})),
         ("pipeline.json", lambda text: json.dumps({**json.loads(text), "config": {
             **json.loads(text)["config"], "gfd": []}})),
+        ("svm_cmi.json", lambda text: json.dumps({  # the dual form, no longer read
+            "eta": [[0.5, -0.5], [-0.5, 0.5]], "A": 1.0, "kernel": "linear",
+            "inputs": [[1.0] * 4, [-1.0] * 4], "labels": [0, 1], "converged": True})),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-scalers",
             "pipeline-scalers-not-object", "pipeline-scalers-missing-extractor",
-            "pipeline-config-gfd-not-object"])
+            "pipeline-config-gfd-not-object", "svm-old-dual-form"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, name, tamper):
         tampered = tmp_path / "models"
@@ -205,6 +208,15 @@ class TestTrainClassifyEval:
         assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert not (tmp_path / "decision.json").exists()
 
+    def test_train_rejects_zero_svm_budget(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ann": {"hidden": 4, "epochs": 2}, "svm": {"max_iter": 0}}))
+        rc = main(["train", "--manifest", str(corpus_dir / "manifest.json"),
+                   "--model-dir", str(tmp_path / "models"), "--config", str(config)])
+        assert rc == 1
+        assert "max_iter" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()
+
     def test_eval_report_fields(self, corpus_dir, fast_config, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         rc = main(["eval", "--manifest", str(corpus_dir / "manifest.json"),
@@ -214,6 +226,7 @@ class TestTrainClassifyEval:
         for key in ("final_accuracy", "final_confusion", "per_pair_confusion",
                     "per_extractor_fused_accuracy", "per_class_rates", "predictions"):
             assert key in report
+        assert report["svm_converged"] == {"cmi": True, "gfd": True, "elm": True}
         assert "accuracy" in capsys.readouterr().out
 
 

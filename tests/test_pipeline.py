@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,12 +57,19 @@ class TestTraining:
         assert report["class_names"] == ["baby_shark", "other"]  # catalog order
         assert set(report["per_extractor_fused_accuracy"]) == {"cmi", "gfd", "elm"}
         assert len(report["predictions"]) == len(entries)
+        assert report["svm_converged"] == {"cmi": True, "gfd": True, "elm": True}
         confusion = np.array(report["final_confusion"])
         assert confusion.sum() == len(entries)
         for name in report["class_names"]:
             rates = report["per_class_rates"][name]
             assert 0.0 <= rates["false_negative_rate"] <= 1.0
             assert 0.0 <= rates["false_positive_rate"] <= 1.0
+
+    def test_report_shows_svm_not_converged(self, corpus):
+        directory, entries = corpus
+        starved = replace(FAST, svm_tol=1e-12, svm_max_iter=1)
+        _, report = run_pipeline(entries, starved, seed=0, base_dir=directory)
+        assert report["svm_converged"] == {"cmi": False, "gfd": False, "elm": False}
 
     def test_deterministic_report(self, corpus):
         directory, entries = corpus

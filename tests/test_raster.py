@@ -63,6 +63,21 @@ class TestDecode:
         with pytest.raises(PnmDecodeError):
             decode_image(b"P2 x 1 255 0")
 
+    @pytest.mark.parametrize("raw, token", [
+        (b"P2 2 1 255 +3 1", b"+3"),
+        (b"P2 2 1 255 3 1_0", b"1_0"),
+        (b"P2 2 1 255 -0 1", b"-0"),
+        (b"P2 1_0 1 255 0 1 2 3 4 5 6 7 8 9", b"1_0"),
+        (b"P2 2 +1 255 0 1", b"+1"),
+        (b"P2 2 1 +255 0 1", b"+255"),
+    ], ids=["sample-plus", "sample-underscore", "sample-minus-zero", "width-underscore",
+            "height-plus", "maxval-plus"])
+    def test_integers_are_ascii_digits(self, raw, token):
+        # int() alone would read these as 3, 10, 0, 10, 1 and 255
+        with pytest.raises(PnmDecodeError) as e:
+            decode_image(raw)
+        assert e.value.offset == raw.index(token)
+
     def test_comment_requires_header_position(self):
         # comments are a header feature; the P2 body is bare samples
         with pytest.raises(PnmDecodeError):

@@ -34,6 +34,38 @@ def conic_blobs(per_class=10, spread=0.6, seed=0):
     return LabeledSet(x, one_hot(labels, 3))
 
 
+def gram_sweep(K, eta, U, A):
+    """Reference sweep in the kernel form: the residual reads row i of K.
+
+    Returns the largest gain and the number of rows whose step (above 1e-11)
+    was taken or left on a gain at rounding level (|d_obj| <= 1e-13): there
+    the weight form, whose residual rounds differently, may rightly decide
+    the other way.
+    """
+    best, close_calls = 0.0, 0
+    for i in range(K.shape[0]):
+        kii = K[i, i]
+        if kii < 1e-12:
+            continue
+        r = K[i] @ eta - kii * eta[i]
+        new = _project_row((A * U[i] - 2.0 * r) / (2.0 * kii), U[i])
+        d_obj = (A * U[i] - 2.0 * r) @ (new - eta[i]) - kii * (new @ new - eta[i] @ eta[i])
+        close_calls += abs(d_obj) <= 1e-13 and np.abs(new - eta[i]).max() > 1e-11
+        if d_obj > 0.0:
+            eta[i] = new
+            best = max(best, d_obj)
+    return best, close_calls
+
+
+def random_problem(rng):
+    """Random rows and labels, with one duplicated row and one all-zero row."""
+    n, p, k = int(rng.integers(6, 16)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    x = rng.normal(size=(n, p))
+    x[1] = x[0]
+    x[-1] = 0.0
+    return x, one_hot(rng.integers(0, k, n), k)
+
+
 class TestKernel:
     def test_linear_is_dot_product(self):
         assert svm.kernel_linear([1.0, 2.0], [3.0, -1.0]) == 1.0
@@ -64,6 +96,17 @@ class TestProjection:
             z = _project_row(v, u)
             assert np.allclose(z, project_by_bisection(v, u), atol=1e-9)
 
+    def test_root_on_a_breakpoint(self):
+        # a duplicated training row gives this v: the root equals tau_0 = v_0
+        # up to rounding, so a scan that also tests each segment's left end
+        # can reject both segments next to it
+        v = np.array([0.0014872700678554, -0.8258995575956007,
+                      0.8288740977313115, 0.4092316036281618])
+        u = np.array([0.0, 0.0, 1.0, 0.0])
+        z = _project_row(v, u)
+        assert abs(z.sum()) <= 1e-12
+        assert np.allclose(z, project_by_bisection(v, u), atol=1e-12)
+
     def test_interior_point_unmoved(self):
         # v already feasible: zero-sum and strictly below the caps
         v = np.array([0.2, -0.3, 0.1])
@@ -74,19 +117,42 @@ class TestProjection:
 class TestSweep:
     def test_monotone_objective_and_feasible_iterates(self, rng):
         for _ in range(10):
-            n, k = int(rng.integers(4, 15)), int(rng.integers(2, 5))
-            x = rng.normal(size=(n, 3))
+            x, targets = random_problem(rng)
             gram = x @ x.T
-            targets = one_hot(rng.integers(0, k, n), k)
-            eta = np.zeros((n, k))
+            eta = np.zeros_like(targets)
+            weights = np.zeros((x.shape[1], targets.shape[1]))
             prev = svm.dual_objective(gram, eta, targets, 1.0)
             for _ in range(60):
-                svm_sweep_core(gram, eta, targets, 1.0)
+                svm_sweep_core(x, weights, eta, targets, 1.0)
                 cur = svm.dual_objective(gram, eta, targets, 1.0)
                 assert cur >= prev - 1e-9
                 prev = cur
                 assert np.abs(eta.sum(axis=1)).max() <= 1e-9
                 assert (eta <= targets + 1e-9).all()
+
+    def test_matches_gram_form_and_keeps_weights_in_step(self, rng):
+        compared = close_sweeps = 0
+        for _ in range(20):
+            x, targets = random_problem(rng)
+            regularization = float(rng.uniform(0.5, 3.0))
+            eta = np.zeros_like(targets)
+            weights = np.zeros((x.shape[1], targets.shape[1]))
+            eta_ref = np.zeros_like(targets)
+            for _ in range(1000):
+                gain = svm_sweep_core(x, weights, eta, targets, regularization)
+                _, close_calls = gram_sweep(x @ x.T, eta_ref, targets, regularization)
+                assert np.abs(weights - x.T @ eta).max() <= 1e-9
+                if close_calls:
+                    # a rounding-level step may go either way: resume from one state
+                    close_sweeps += 1
+                    eta_ref[:] = eta
+                else:
+                    assert np.abs(eta - eta_ref).max() <= 1e-10
+                    compared += 1
+                if gain < 1e-3:  # train_svm's default stop
+                    break
+            assert (eta[-1] == 0.0).all()  # the all-zero row is skipped
+        assert close_sweeps * 10 <= compared
 
     def test_dual_objective_hand_case(self):
         gram = np.eye(2)
@@ -106,7 +172,7 @@ class TestTraining:
         x = np.ones((4, 2))
         data = LabeledSet(x, one_hot([0, 0, 1, 1], 2))
         model = svm.train_svm(data)
-        assert np.isfinite(model.eta).all()
+        assert np.isfinite(model.weights).all()
         assert svm.empirical_error(model, data) >= 0.5
 
     def test_not_converged_when_starved(self):
@@ -119,6 +185,14 @@ class TestTraining:
             svm.train_svm(data, regularization=0.0)
         with pytest.raises(ParameterError):
             svm.train_svm(data, regularization=-1.0)
+        with pytest.raises(ParameterError):  # NaN never accepts a step: an all-zero "converged" W
+            svm.train_svm(data, regularization=float("nan"))
+        for tol in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ParameterError, match="tol"):
+                svm.train_svm(data, tol=tol)
+        for max_iter in (0, -3):
+            with pytest.raises(ParameterError, match="max_iter"):
+                svm.train_svm(data, max_iter=max_iter)
         single = LabeledSet(np.eye(2), one_hot([0, 0], 2))
         with pytest.raises(ParameterError):
             svm.train_svm(single)
@@ -134,7 +208,11 @@ class TestInference:
     def test_confidence_equals_explicit_weights(self, rng):
         data = conic_blobs(per_class=5)
         model = svm.train_svm(data)
-        weights = model.eta.T @ model.inputs  # (k, p) linear class weights
+        x = np.asarray(data.inputs)
+        eta = np.zeros_like(data.targets)
+        while gram_sweep(x @ x.T, eta, data.targets, 1.0)[0] >= 1e-3:  # train_svm's stop
+            pass
+        weights = eta.T @ x  # (k, p) linear class weights of the dual form
         for _ in range(20):
             q = rng.normal(scale=5.0, size=2)
             assert np.allclose(svm.confidence(model, q), weights @ q, atol=1e-9)
@@ -180,9 +258,7 @@ class TestPersistence:
         path = tmp_path / "svm.json"
         svm.save_model(model, path)
         back = svm.load_model(path)
-        assert np.array_equal(back.eta, model.eta)
-        assert np.array_equal(back.inputs, model.inputs)
-        assert np.array_equal(back.labels, model.labels)
+        assert np.array_equal(back.weights, model.weights)
         assert back.regularization == 2.5
         assert back.converged == model.converged
         q = rng.normal(size=2)
@@ -192,6 +268,13 @@ class TestPersistence:
         path = tmp_path / "svm.json"
         svm.save_model(svm.train_svm(conic_blobs(per_class=3)), path)
         assert json.loads(path.read_text())["kernel"] == "linear"
+
+    def test_file_holds_only_the_weights(self, tmp_path):
+        path = tmp_path / "svm.json"
+        svm.save_model(svm.train_svm(conic_blobs(per_class=3)), path)
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"weights", "A", "kernel", "converged"}
+        assert np.asarray(doc["weights"]).shape == (2, 3)
 
     def test_non_linear_kernel_rejected(self, tmp_path):
         path = tmp_path / "svm.json"
