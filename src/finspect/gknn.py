@@ -110,13 +110,18 @@ def evolve(fitness: np.ndarray, k: int, rng: np.random.Generator) -> tuple[int, 
         best = new_best
 
 
-def gknn_classify(x_q, training: LabeledSet, k: int, rng_seed: int = 0) -> np.ndarray:
-    """Class-membership row: vote shares of the final population's labels."""
+def gknn_classify(x_q, training: LabeledSet, k: int, rng_seed: int = 0,
+                  context: MahalanobisContext | None = None) -> np.ndarray:
+    """Class-membership row: vote shares of the final population's labels.
+
+    ``context`` is ``build_context(training.inputs)``, built here when not
+    given; a caller with many queries on one training set builds it once.
+    """
     if k < 1 or k > training.n:
         raise ParameterError(f"k must be in [1, {training.n}]")
     if training.n == 1:
         return training.targets[0].copy()
-    ctx = build_context(training.inputs)
+    ctx = build_context(training.inputs) if context is None else context
     diff = training.inputs - np.asarray(x_q, dtype=np.float64)
     dists = np.sqrt(np.einsum("ij,jk,ik->i", diff, ctx.inverse, diff))
     final = evolve(1.0 / (1.0 + dists), k, np.random.default_rng(rng_seed))

@@ -20,7 +20,7 @@ from . import ann as ann_mod
 from . import gknn as gknn_mod
 from . import svm as svm_mod
 from .dataset import CLASS_CATALOG, LabeledSet, load_manifest, one_hot
-from .errors import DataError, FinspectError, ParameterError
+from .errors import DataError, FinspectError, ParameterError, ShapeError
 from .features import FeatureVector, MomentProductSpec, cmi_features, elm_features, gfd_features
 from .fusion import DecisionTemplates, compute_templates, fuse, two_stage_fuse
 from .preprocess import segment_image
@@ -156,6 +156,7 @@ class PipelineModels:
     ann_models: dict       # extractor -> MlpModel
     svm_models: dict       # extractor -> SvmModel
     gknn_sets: dict        # extractor -> LabeledSet (standardized)
+    gknn_contexts: dict    # extractor -> MahalanobisContext of its gknn_sets inputs
     stage1_templates: dict  # extractor -> DecisionTemplates
     stage2_templates: DecisionTemplates
 
@@ -178,7 +179,8 @@ def _profiles(models: PipelineModels, scaled_features, digest: int) -> list[np.n
             elif clf == "gknn":
                 rows.append(gknn_mod.gknn_classify(x, models.gknn_sets[ext],
                                                    models.config.gknn_k,
-                                                   rng_seed=models.seed ^ digest))
+                                                   rng_seed=models.seed ^ digest,
+                                                   context=models.gknn_contexts[ext]))
             else:
                 rows.append(svm_mod.predict_proba(models.svm_models[ext], x))
         profiles.append(np.stack(rows))
@@ -252,7 +254,7 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
     labels = np.array([class_names.index(e.label) for e in prepared])
     targets = one_hot(labels, len(class_names))
 
-    scalers, ann_models, svm_models, gknn_sets = {}, {}, {}, {}
+    scalers, ann_models, svm_models, gknn_sets, gknn_contexts = {}, {}, {}, {}, {}
     for ext in config.extractors:
         rows = np.stack([e.features[ext] for e in prepared])
         scaled, mean, std = _standardize(rows)
@@ -264,9 +266,10 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
         svm_models[ext] = svm_mod.train_svm(data, regularization=config.svm_a,
                                             tol=config.svm_tol, max_iter=config.svm_max_iter)
         gknn_sets[ext] = data
+        gknn_contexts[ext] = gknn_mod.build_context(data.inputs)
 
     models = PipelineModels(class_names, config, seed, scalers, ann_models,
-                            svm_models, gknn_sets, {}, None)
+                            svm_models, gknn_sets, gknn_contexts, {}, None)
 
     # profiles of the standardised training rows feed both template stages and eval
     for idx, ent in enumerate(prepared):
@@ -397,28 +400,53 @@ def save_models(models: PipelineModels, directory: str | Path) -> None:
         svm_mod.save_model(model, directory / f"svm_{ext}.json")
 
 
+def _expect_shape(what: str, actual: tuple, expected: tuple) -> None:
+    if tuple(actual) != tuple(expected):
+        raise ShapeError(f"{what} has shape {tuple(actual)}, expected {tuple(expected)}")
+
+
 def load_models(directory: str | Path) -> PipelineModels:
-    """Read a directory written by save_models; a malformed file is a DataError."""
+    """Read a directory written by save_models; a malformed file is a DataError.
+
+    Every model's input dimension and class count must agree with the
+    scalers and class names in pipeline.json, so a mismatched file fails
+    here, named, and not at the first query.
+    """
     directory = Path(directory)
     path = directory / "pipeline.json"
     try:
         meta = json.loads(path.read_text())
         config = PipelineConfig.from_dict(meta["config"])
         class_names, exts = tuple(meta["class_names"]), config.extractors
-        scalers = {ext: (np.asarray(meta["scalers"][ext]["mean"]),
-                         np.asarray(meta["scalers"][ext]["std"])) for ext in exts}
-        gknn_sets = {ext: LabeledSet(np.asarray(meta["gknn"][ext]["inputs"]),
-                                     np.asarray(meta["gknn"][ext]["targets"]), class_names)
-                     for ext in exts}
+        k = len(class_names)
+        scalers, dims, gknn_sets, stage1 = {}, {}, {}, {}
+        for ext in exts:
+            mean = np.asarray(meta["scalers"][ext]["mean"], dtype=np.float64)
+            std = np.asarray(meta["scalers"][ext]["std"], dtype=np.float64)
+            scalers[ext], dims[ext] = (mean, std), mean.size
+            _expect_shape(f"scalers[{ext}].mean", mean.shape, (dims[ext],))
+            _expect_shape(f"scalers[{ext}].std", std.shape, (dims[ext],))
+            gknn_sets[ext] = LabeledSet(np.asarray(meta["gknn"][ext]["inputs"]),
+                                        np.asarray(meta["gknn"][ext]["targets"]), class_names)
+            _expect_shape(f"gknn[{ext}].inputs", gknn_sets[ext].inputs.shape,
+                          (gknn_sets[ext].n, dims[ext]))
+            stage1[ext] = _templates_from_dict(meta["stage1_templates"][ext])
+            _expect_shape(f"stage1_templates[{ext}]", stage1[ext].matrices.shape,
+                          (k, len(config.classifiers), k))
+        stage2 = _templates_from_dict(meta["stage2_templates"])
+        _expect_shape("stage2_templates", stage2.matrices.shape, (k, len(exts), k))
         models = PipelineModels(
             class_names, config, meta["seed"], scalers, {}, {}, gknn_sets,
-            {ext: _templates_from_dict(meta["stage1_templates"][ext]) for ext in exts},
-            _templates_from_dict(meta["stage2_templates"]))
+            {ext: gknn_mod.build_context(gknn_sets[ext].inputs) for ext in exts},
+            stage1, stage2)
         for ext in exts:
             path = directory / f"ann_{ext}.json"
-            models.ann_models[ext] = ann_mod.load_model(path)
+            ann = models.ann_models[ext] = ann_mod.load_model(path)
+            _expect_shape("layers (input, output)", (ann.layers[0], ann.layers[-1]),
+                          (dims[ext], k))
             path = directory / f"svm_{ext}.json"
-            models.svm_models[ext] = svm_mod.load_model(path)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            svm = models.svm_models[ext] = svm_mod.load_model(path)
+            _expect_shape("weights", svm.weights.shape, (dims[ext], k))
+    except (AttributeError, KeyError, TypeError, ValueError, ParameterError, ShapeError) as exc:
         raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
     return models

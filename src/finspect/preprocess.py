@@ -112,16 +112,14 @@ class PixelGraph:
     sigma: float
     laplacian: scipy.sparse.csr_matrix
 
-    @property
-    def vertex_count(self) -> int:
-        return self.height * self.width
-
 
 def build_pixel_graph(img: GrayImage) -> PixelGraph:
     """4-neighborhood graph with weights eta_ij = exp(-(g_i - g_j)^2 / sigma).
 
     sigma is the intensity variance of the image, floored at 1e-6. The
-    Laplacian carries the degree on the diagonal and -eta off it.
+    Laplacian carries the degree on the diagonal and -eta off it. This full
+    Laplacian is the reference the tests solve densely; the library itself
+    builds only the reduced system inside ``random_walker_segment``.
     """
     g = img.pixels
     h, w = g.shape
@@ -188,48 +186,71 @@ def _crops(img: GrayImage, labels: np.ndarray, shape_count: int) -> tuple[ShapeC
 
 
 def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentation:
-    """Per-shape Dirichlet solves on the pixel graph.
+    """Per-shape Dirichlet solves on the free pixels of the 4-neighbour graph.
 
-    For shape j the seeded pixels of set j are held at 1, all other seeds
-    at 0, and the Laplacian system is solved for the free pixels. Each
-    pixel is assigned to the argmax shape; ties pick the lower index.
+    Edge weights are those of ``build_pixel_graph``. For shape j the seeded
+    pixels of set j are held at 1 and all other seeds at 0, and the free
+    pixels solve Grady's reduced system L_U x = -B^T m ("Random Walks for
+    Image Segmentation", IEEE TPAMI 2006), one right-hand column per shape.
+    L_U and the right-hand side are built straight from the edges that
+    touch a free pixel; the full Laplacian is never formed. L_U is symmetric
+    positive definite when every free region touches a seed, so SuperLU
+    factors it once in symmetric mode (minimum-degree ordering of A^T + A,
+    diagonal pivots). Each pixel is assigned to its argmax shape; ties pick
+    the lower index.
     """
+    pixels = img.pixels
+    h, w = pixels.shape
+    n = h * w
     seed_sets = [np.asarray(s, dtype=np.int64).ravel() for s in seeds]
     if len(seed_sets) < 2:
         raise ParameterError("need at least 2 seed sets")
-    for s in seed_sets:
+    s_count = len(seed_sets)
+    owner = np.full(n, -1, dtype=np.int64)  # seed set of each pixel, -1 where free
+    for j, s in enumerate(seed_sets):
         if s.size == 0:
             raise ParameterError("seed sets must be nonempty")
-    all_seeds = np.concatenate(seed_sets)
-    if np.unique(all_seeds).size != all_seeds.size:
-        raise ParameterError("seed sets overlap")
-
-    graph = build_pixel_graph(img)
-    n = graph.vertex_count
-    if all_seeds.min() < 0 or all_seeds.max() >= n:
-        raise ParameterError("seed index out of range")
-    s_count = len(seed_sets)
-
-    seeded_mask = np.zeros(n, dtype=bool)
-    seeded_mask[all_seeds] = True
-    free = np.flatnonzero(~seeded_mask)
+        # before indexing: a negative index would wrap
+        if s.min() < 0 or s.max() >= n:
+            raise ParameterError("seed index out of range")
+        owner[s] = j
+    seeded = np.flatnonzero(owner >= 0)
+    if seeded.size != sum(s.size for s in seed_sets):
+        raise ParameterError("seed sets overlap or repeat a pixel")
 
     gamma = np.zeros((n, s_count), dtype=np.float64)
-    for j, s in enumerate(seed_sets):
-        gamma[s, j] = 1.0
+    gamma[seeded, owner[seeded]] = 1.0
+    free = owner < 0
+    m = n - seeded.size
+    if m:
+        pos = np.cumsum(free) - 1  # row of each free pixel in the reduced system
+        grid = np.arange(n).reshape(h, w)
+        a = np.concatenate([grid[:, :-1].ravel(), grid[:-1, :].ravel()])
+        b = np.concatenate([grid[:, 1:].ravel(), grid[1:, :].ravel()])
+        touch = free[a] | free[b]
+        # orient every edge touching a free pixel so that u is free
+        u = np.where(free[a], a, b)[touch]
+        v = np.where(free[a], b, a)[touch]
+        flat = pixels.ravel()
+        sigma = max(float(pixels.var()), SIGMA_FLOOR)
+        weight = np.exp(-((flat[v] - flat[u]) ** 2) / sigma)
 
-    if free.size:
-        L = graph.laplacian
-        L_uu = L[free][:, free].tocsc()
-        L_us = L[free][:, all_seeds]
-        boundary = np.zeros((all_seeds.size, s_count))
-        offset = 0
-        for j, s in enumerate(seed_sets):
-            boundary[offset : offset + s.size, j] = 1.0
-            offset += s.size
-        rhs = -L_us @ boundary
+        inner = free[v]  # both ends free: a symmetric off-diagonal pair of L_U
+        pu, pv, w_in = pos[u[inner]], pos[v[inner]], weight[inner]
+        degree = np.bincount(np.concatenate([pos[u], pv]),
+                             np.concatenate([weight, w_in]), minlength=m)
+        diag = np.arange(m)
+        L_uu = scipy.sparse.csc_matrix(
+            (np.concatenate([degree, -w_in, -w_in]),
+             (np.concatenate([diag, pu, pv]), np.concatenate([diag, pv, pu]))),
+            shape=(m, m))
+        # an edge to a pixel of seed set j adds its weight to column j of its free end's row
+        rhs = np.bincount(pos[u[~inner]] * s_count + owner[v[~inner]], weight[~inner],
+                          minlength=m * s_count).reshape(m, s_count)
         try:
-            solver = scipy.sparse.linalg.splu(L_uu)
+            solver = scipy.sparse.linalg.splu(L_uu, permc_spec="MMD_AT_PLUS_A",
+                                              diag_pivot_thresh=0.0,
+                                              options={"SymmetricMode": True})
             solution = solver.solve(rhs)
         except RuntimeError as exc:
             raise SolverError(f"reduced system is singular: {exc}") from exc
@@ -241,9 +262,9 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
             raise SolverError("linear solve exceeded the 1e-8 relative residual budget")
         gamma[free] = np.clip(solution, 0.0, 1.0)
 
-    labels = np.argmax(gamma, axis=1).reshape(graph.height, graph.width)
-    gamma_grid = gamma.reshape(graph.height, graph.width, s_count)
-    return Segmentation(labels=labels, gamma=gamma_grid, shapes=_crops(img, labels, s_count))
+    labels = np.argmax(gamma, axis=1).reshape(h, w)
+    return Segmentation(labels=labels, gamma=gamma.reshape(h, w, s_count),
+                        shapes=_crops(img, labels, s_count))
 
 
 def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:

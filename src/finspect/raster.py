@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParameterError, PnmDecodeError, ShapeError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_DIGITS = b"0123456789"
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -156,6 +157,44 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     return int(token), start, pos
 
 
+def _ascii_samples_by_token(data: bytes, pos: int, count: int) -> np.ndarray:
+    """Read ``count`` ASCII samples one token at a time, naming the offset of a bad one."""
+    samples = np.empty(count, dtype=np.uint8)
+    for idx in range(count):
+        try:
+            token, start, pos = _next_token(data, pos, allow_comments=False)
+        except PnmDecodeError:
+            raise PnmDecodeError(
+                f"truncated payload: expected {count} samples, got {idx}", len(data)
+            ) from None
+        if not token.isdigit():
+            raise PnmDecodeError(f"invalid sample token {token!r}", start)
+        value = int(token)
+        if value > 255:
+            raise PnmDecodeError(f"sample {value} out of range [0, 255]", start)
+        samples[idx] = value
+    return samples
+
+
+def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    """Parse the ASCII payload in one step; input this rejects goes token by token.
+
+    The token walker decides every rejected payload, so it alone reports the
+    failing byte offset, and a valid payload gives the same samples either way.
+    """
+    payload = data[pos:]
+    tokens = payload.split()[:count]
+    if len(tokens) == count and not payload.translate(None, _DIGITS + _WHITESPACE):
+        try:
+            samples = np.array(tokens, dtype=np.int64)
+        except OverflowError:  # past int64, so out of range too
+            pass
+        else:
+            if samples.max() <= 255:
+                return samples.astype(np.uint8)
+    return _ascii_samples_by_token(data, pos, count)
+
+
 def decode_image(data: bytes) -> RgbImage | GrayImage:
     """Decode PGM/PPM bytes into a GrayImage or RgbImage.
 
@@ -182,20 +221,7 @@ def decode_image(data: bytes) -> RgbImage | GrayImage:
     count = width * height * channels
 
     if magic in (b"P2", b"P3"):
-        samples = np.empty(count, dtype=np.uint8)
-        for idx in range(count):
-            try:
-                token, start, pos = _next_token(data, pos, allow_comments=False)
-            except PnmDecodeError:
-                raise PnmDecodeError(
-                    f"truncated payload: expected {count} samples, got {idx}", len(data)
-                ) from None
-            if not token.isdigit():
-                raise PnmDecodeError(f"invalid sample token {token!r}", start)
-            value = int(token)
-            if value > 255:
-                raise PnmDecodeError(f"sample {value} out of range [0, 255]", start)
-            samples[idx] = value
+        samples = _ascii_samples(data, pos, count)
     else:
         # exactly one whitespace byte separates the maxval token from the payload
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:

@@ -133,6 +133,21 @@ class TestExtract:
         assert rc == 1
 
 
+def edited(change):
+    """A tamper function: parse the JSON file, apply ``change`` in place, write it back."""
+    def tamper(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return tamper
+
+
+def drop_ann_input(doc):
+    """Consistent in itself, but one input fewer than the scalers give."""
+    doc["layers"][0] -= 1
+    doc["weights"][0] = [row[:-1] for row in doc["weights"][0]]
+
+
 class TestTrainClassifyEval:
     def test_model_artifacts_exist(self, model_dir):
         names = {p.name for p in model_dir.iterdir()}
@@ -190,9 +205,25 @@ class TestTrainClassifyEval:
         ("svm_cmi.json", lambda text: json.dumps({  # the dual form, no longer read
             "eta": [[0.5, -0.5], [-0.5, 0.5]], "A": 1.0, "kernel": "linear",
             "inputs": [[1.0] * 4, [-1.0] * 4], "labels": [0, 1], "converged": True})),
+        ("svm_cmi.json", edited(lambda d: d["weights"].append([0.0] * len(d["weights"][0])))),
+        ("svm_gfd.json", edited(lambda d: [row.append(0.0) for row in d["weights"]])),
+        ("ann_elm.json", edited(drop_ann_input)),
+        ("pipeline.json", edited(lambda d: d["scalers"]["gfd"]["std"].pop())),
+        ("pipeline.json", edited(lambda d: d["scalers"]["elm"].update(
+            mean=[d["scalers"]["elm"]["mean"]]))),
+        ("pipeline.json", edited(lambda d: [row.append(0.0) for row in d["gknn"]["cmi"]["inputs"]])),
+        ("pipeline.json", edited(lambda d: [row.append(0.0)
+                                            for row in d["gknn"]["gfd"]["targets"]])),
+        ("pipeline.json", edited(lambda d: [m.pop()
+                                            for m in d["stage1_templates"]["elm"]["matrices"]])),
+        ("pipeline.json", edited(lambda d: [t.pop() for t in d["stage2_templates"].values()])),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-scalers",
             "pipeline-scalers-not-object", "pipeline-scalers-missing-extractor",
-            "pipeline-config-gfd-not-object", "svm-old-dual-form"])
+            "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
+            "svm-extra-class", "ann-input-dimension", "pipeline-scalers-std-length",
+            "pipeline-scalers-mean-not-a-vector", "pipeline-gknn-inputs-dimension",
+            "pipeline-gknn-targets-classes", "pipeline-stage1-template-rows",
+            "pipeline-stage2-template-classes"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, name, tamper):
         tampered = tmp_path / "models"

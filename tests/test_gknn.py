@@ -164,6 +164,14 @@ class TestClassify:
             shares = gknn.gknn_classify(rng.normal(size=2), data, 3, rng_seed=seed)
             assert shares.sum() == pytest.approx(1.0)
 
+    def test_given_context_gives_identical_shares(self, rng):
+        data = worked_training()
+        ctx = gknn.build_context(data.inputs)
+        for seed in range(10):
+            q = rng.normal(size=2)
+            assert np.array_equal(gknn.gknn_classify(q, data, 3, rng_seed=seed, context=ctx),
+                                  gknn.gknn_classify(q, data, 3, rng_seed=seed))
+
     def test_majority_agrees_with_exhaustive_neighbours(self):
         rng = np.random.default_rng(42)
         n, k = 40, 3

@@ -125,7 +125,7 @@ class TestTraining:
 class TestOnePassPerImage:
     def test_features_and_classifiers_run_once_per_image(self, corpus, monkeypatch):
         directory, entries = corpus
-        calls = {"extract": 0, "ann": 0, "gknn": 0, "svm": 0}
+        calls = {"extract": 0, "ann": 0, "gknn": 0, "svm": 0, "context": 0}
 
         def counted(key, module, name):
             original = getattr(module, name)
@@ -140,9 +140,12 @@ class TestOnePassPerImage:
         counted("ann", ann_mod, "predict_proba")
         counted("gknn", gknn_mod, "gknn_classify")
         counted("svm", svm_mod, "predict_proba")
+        counted("context", gknn_mod, "build_context")
         _, report = run_pipeline(entries, FAST, seed=0, base_dir=directory)
         expected = report["n_images"] * len(FAST.extractors)
-        assert calls == {"extract": expected, "ann": expected, "gknn": expected, "svm": expected}
+        # the Mahalanobis context is per training set, not per query
+        assert calls == {"extract": expected, "ann": expected, "gknn": expected, "svm": expected,
+                         "context": len(FAST.extractors)}
 
     def test_report_matches_classifying_each_file_again(self, corpus):
         directory, entries = corpus

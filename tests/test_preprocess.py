@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finspect import (BinaryImage, DegenerateHistogramError, EmptyForegroundError, GrayImage,
-                      ParameterError, ShapeError, binarize, build_pixel_graph, derive_seeds,
-                      histogram256, median_filter, otsu_threshold, random_walker_segment,
-                      segment_image)
+                      ParameterError, ShapeError, SolverError, binarize, build_pixel_graph,
+                      derive_seeds, histogram256, median_filter, otsu_threshold,
+                      random_walker_segment, segment_image)
 
 from conftest import random_gray
 
@@ -193,6 +193,61 @@ class TestRandomWalker:
         img = GrayImage(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
             random_walker_segment(img, [np.array([0]), np.array([4])])
+
+    def test_negative_seed_rejected(self):
+        # -1 would index the last pixel if it were not range-checked first
+        img = GrayImage(np.zeros((2, 2)))
+        with pytest.raises(ParameterError, match="range"):
+            random_walker_segment(img, [np.array([0]), np.array([-1])])
+
+    def test_repeated_pixel_within_one_set_rejected(self):
+        img = GrayImage(np.zeros((2, 2)))
+        with pytest.raises(ParameterError):
+            random_walker_segment(img, [np.array([0, 0]), np.array([3])])
+
+    def test_walled_off_free_pixel_is_solver_error(self):
+        # sigma = var ~ 6.2e-4, so exp(-1 / sigma) underflows to 0 on the bright
+        # pixel's four edges: it is a free region that touches no seed
+        px = np.zeros((40, 40))
+        px[20, 20] = 1.0
+        with pytest.raises(SolverError):
+            random_walker_segment(GrayImage(px), [np.array([0]), np.array([1599])])
+
+    def _check_against_dense(self, img, seeds):
+        seg = random_walker_segment(img, seeds)
+        dense = self._dense_gamma(img, seeds)
+        assert np.abs(seg.gamma - dense).max() < 1e-10
+        flat = dense.reshape(-1, len(seeds))
+        labels = seg.labels.ravel()
+        top = flat.max(axis=1, keepdims=True)
+        tied = flat >= top - 1e-9
+        decided = tied.sum(axis=1) == 1
+        assert np.array_equal(labels[decided], np.argmax(flat, axis=1)[decided])
+        assert tied[np.arange(labels.size), labels].all()
+        return seg, decided
+
+    def test_labels_match_dense_solve_with_hole_and_components(self):
+        px = np.zeros((14, 14))
+        px[1:8, 1:8] = 0.9
+        px[3:6, 3:6] = 0.0   # a hole: background, but not the largest background part
+        px[9:13, 9:13] = 0.7
+        px[11, 3] = 0.8
+        img = GrayImage(px)
+        seeds = derive_seeds(binarize(img, otsu_threshold(img).theta))
+        assert len(seeds) == 4  # three shapes + background
+        hole = np.arange(px.size).reshape(px.shape)[3:6, 3:6].ravel()
+        assert not np.isin(hole, np.concatenate(seeds)).any()
+        seg, decided = self._check_against_dense(img, seeds)
+        assert decided.all()
+        assert (seg.labels[3:6, 3:6] == 0).all()  # the hole joins the ring around it
+
+    def test_labels_match_dense_solve_on_a_tie(self):
+        # mirror-symmetric: the middle column is an exact tie in exact arithmetic
+        grid = np.arange(35).reshape(5, 7)
+        seg, decided = self._check_against_dense(GrayImage(np.full((5, 7), 0.5)),
+                                                  [grid[:, 0], grid[:, -1]])
+        assert not decided.reshape(5, 7)[:, 3].any()
+        assert decided.reshape(5, 7)[:, [1, 2, 4, 5]].all()
 
 
 class TestDeriveSeeds:

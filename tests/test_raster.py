@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from finspect import (GrayImage, GrayscaleCoefficients, ParameterError, PnmDecodeError,
                       RgbImage, ShapeError, decode_image, encode_pgm, to_grayscale)
+from finspect import raster
 
 
 class TestDecode:
@@ -82,6 +83,51 @@ class TestDecode:
         # comments are a header feature; the P2 body is bare samples
         with pytest.raises(PnmDecodeError):
             decode_image(b"P2 1 2 255 0 # nope\n1")
+
+
+def decode_token_by_token(raw: bytes, count: int):
+    """Samples or (PnmDecodeError message, offset) from the per-token reference reader."""
+    pos = raw.index(b"255") + 3
+    try:
+        return raster._ascii_samples_by_token(raw, pos, count).tolist()
+    except PnmDecodeError as exc:
+        return str(exc), exc.offset
+
+
+class TestAsciiPayload:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_pgm_roundtrip_bit_identical(self, height, width, data):
+        levels = data.draw(st.lists(st.integers(0, 255), min_size=height * width,
+                                    max_size=height * width))
+        img = GrayImage(np.array(levels, dtype=np.float64).reshape(height, width) / 255.0)
+        back = decode_image(encode_pgm(img))
+        assert np.array_equal(back.pixels, img.pixels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.sampled_from(
+        [b"0", b"7", b"255", b"256", b"007", b"99999999999999999999", b"+1", b"#", b"a",
+         b"\x85", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]), max_size=12))
+    def test_matches_token_by_token_reader(self, count, pieces):
+        # same samples, or the same error at the same offset, on any payload
+        raw = f"P2 {count} 1 255".encode() + b" " + b"".join(pieces)
+        expected = decode_token_by_token(raw, count)
+        try:
+            got = (decode_image(raw).pixels.ravel() * 255.0).round().astype(int).tolist()
+        except PnmDecodeError as exc:
+            got = str(exc), exc.offset
+        assert got == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_truncated_pgm_names_end(self, seed):
+        rng = np.random.default_rng(seed)
+        img = GrayImage(rng.integers(0, 256, (rng.integers(1, 8), rng.integers(1, 8))) / 255.0)
+        raw = encode_pgm(img).rstrip()
+        cut = raw[:max(raw.rindex(b" "), raw.rindex(b"\n"))]  # drop the last sample
+        with pytest.raises(PnmDecodeError, match="truncated") as e:
+            decode_image(cut)
+        assert e.value.offset == len(cut)
 
 
 class TestEncode:
