@@ -2,9 +2,9 @@
 features, three classifiers and decision-template fusion."""
 
 from .errors import (BasisError, DataError, DegenerateBeliefError, DegenerateHistogramError,
-                     DegeneratePopulationError, EmptyForegroundError, FinspectError,
-                     ParameterError, PnmDecodeError, ShapeError, SolverError,
-                     TrainingDivergedError, ZeroMassError)
+                     DegeneratePopulationError, EmptyBackgroundError, EmptyForegroundError,
+                     FinspectError, ImageTooSmallError, ParameterError, PnmDecodeError,
+                     ShapeError, SolverError, TrainingDivergedError, ZeroMassError)
 from .raster import (BinaryImage, GrayImage, GrayscaleCoefficients, RgbImage, decode_image,
                      encode_pgm, to_grayscale)
 from .preprocess import (OtsuResult, Segmentation, ShapeCrop, binarize, build_pixel_graph,
@@ -24,8 +24,7 @@ from .svm import (SvmModel, confidence, dual_objective, empirical_error, kernel_
                   train_svm, two_point_line)
 from .svm import predict as svm_predict
 from .svm import predict_proba as svm_predict_proba
-from .fusion import (ClassSupport, DecisionTemplates, belief, compute_templates, fuse,
-                     proximity, two_stage_fuse)
+from .fusion import ClassSupport, DecisionTemplates, belief, compute_templates, fuse, proximity
 from .synth import SHAPE_CLASS, SyntheticShapeSpec, generate_synthetic
 from .pipeline import (PipelineConfig, PipelineModels, classify_image, classify_segments,
                        load_models, run_pipeline, run_pipeline_from_manifest, save_models,

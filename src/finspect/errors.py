@@ -43,6 +43,14 @@ class EmptyForegroundError(DataError):
     """Binary image contains no foreground pixels to seed."""
 
 
+class EmptyBackgroundError(DataError):
+    """Binary image contains no background pixels to seed."""
+
+
+class ImageTooSmallError(DataError):
+    """Image is smaller than the median filter's window."""
+
+
 class SolverError(DataError):
     """A linear system that should be solvable turned out singular."""
 

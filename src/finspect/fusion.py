@@ -1,11 +1,12 @@
-"""Decision-template fusion of classifier outputs, applied in two stages.
+"""Decision-template fusion of classifier outputs.
 
 A decision profile stacks one membership row per classifier. Templates are
-per-class means of training profiles. Fusing a query profile computes, per
-classifier, the proximity of its row to each class template row, turns the
-proximities into belief degrees, and multiplies beliefs across classifiers
-into a per-class support. Supports are reported both raw and normalized;
-the argmax is the same either way.
+per-class means of training profiles. Fusing a query profile is array
+arithmetic over all rows at once: the proximity of each row to every class
+template's row, the belief degrees those proximities give, and per class the
+product of beliefs over rows. Supports are reported both raw and
+normalized; the argmax is the same either way. The pipeline applies fusion
+in two stages: each extractor's classifier rows, then the stage-1 supports.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class DecisionTemplates:
         object.__setattr__(self, "matrices", m)
         object.__setattr__(self, "counts", c)
 
-    @property
-    def n_classes(self) -> int:
-        return self.matrices.shape[0]
-
 
 @dataclass(frozen=True)
 class ClassSupport:
@@ -77,42 +74,44 @@ def compute_templates(profiles, labels, n_classes: int) -> DecisionTemplates:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (stack.shape[0],):
         raise ShapeError("one label per profile")
-    matrices, counts = [], []
-    for j in range(n_classes):
-        members = stack[labels == j]
-        if members.shape[0] == 0:
-            raise ParameterError(f"class {j} has no training profiles")
-        matrices.append(members.mean(axis=0))
-        counts.append(members.shape[0])
-    return DecisionTemplates(np.stack(matrices), np.asarray(counts))
+    member = labels == np.arange(n_classes)[:, None]  # (n_classes, n)
+    counts = member.sum(axis=1)
+    if (counts == 0).any():
+        raise ParameterError(f"class {int(np.argmin(counts))} has no training profiles")
+    sums = np.where(member[:, :, None, None], stack, 0.0).sum(axis=1)
+    return DecisionTemplates(sums / counts[:, None, None], counts)
 
 
-def proximity(template_rows, output_row) -> np.ndarray:
-    """Inverse-distance weights of an output row against each class's row.
+def proximity(template_rows, output_rows) -> np.ndarray:
+    """Inverse-distance weights of output rows against each class's rows.
 
-    w_j = 1 / (1 + ||t_j - o||_2), normalised to sum 1. The Euclidean
-    distance is not squared, unlike Kuncheva's 1 / (1 + ||t_j - o||_2^2).
+    Templates (n_classes, ..., k) against rows (..., k) give weights
+    (n_classes, ...): w_j = 1 / (1 + ||t_j - o||_2), normalised to sum 1
+    over classes. The Euclidean distance is not squared, unlike Kuncheva's
+    1 / (1 + ||t_j - o||_2^2).
     """
     rows = np.atleast_2d(np.asarray(template_rows, dtype=np.float64))
-    out = np.asarray(output_row, dtype=np.float64)
-    if rows.shape[1] != out.shape[0]:
-        raise ShapeError("template rows and output row must share length k")
-    weights = 1.0 / (1.0 + np.linalg.norm(rows - out, axis=1))
-    return weights / weights.sum()
+    out = np.asarray(output_rows, dtype=np.float64)
+    if rows.shape[1:] != out.shape:
+        raise ShapeError("template rows and output rows must share shape (..., k)")
+    weights = 1.0 / (1.0 + np.linalg.norm(rows - out, axis=-1))
+    return weights / weights.sum(axis=0)
 
 
 def belief(lam: np.ndarray) -> np.ndarray:
-    """Belief degrees pi_j = lam_j P_j / (1 - lam_j (1 - P_j)), P_j = prod_{r!=j}(1-lam_r)."""
+    """Belief degrees pi_j = lam_j P_j / (1 - lam_j (1 - P_j)), P_j = prod_{r!=j}(1-lam_r).
+
+    Classes lie on axis 0; further axes (one per classifier row) are
+    independent.
+    """
     lam = np.asarray(lam, dtype=np.float64)
     k = lam.shape[0]
-    out = np.empty(k)
-    for j in range(k):
-        others = np.prod(1.0 - np.delete(lam, j))
-        denom = 1.0 - lam[j] * (1.0 - others)
-        if denom <= _DENOM_FLOOR:
-            raise DegenerateBeliefError("belief denominator vanished (total conflict of evidence)")
-        out[j] = lam[j] * others / denom
-    return out
+    own = np.eye(k, dtype=bool).reshape((k, k) + (1,) * (lam.ndim - 1))
+    others = np.prod(np.where(own, 1.0, 1.0 - lam), axis=1)
+    denom = 1.0 - lam * (1.0 - others)
+    if (denom <= _DENOM_FLOOR).any():
+        raise DegenerateBeliefError("belief denominator vanished (total conflict of evidence)")
+    return lam * others / denom
 
 
 def fuse(profile, templates: DecisionTemplates) -> ClassSupport:
@@ -120,25 +119,8 @@ def fuse(profile, templates: DecisionTemplates) -> ClassSupport:
     p = _check_profile(profile)
     if templates.matrices.shape[1:] != p.shape:
         raise ParameterError("template classifier count does not match the profile")
-    raw = np.ones(templates.n_classes)
-    for i in range(p.shape[0]):
-        lam = proximity(templates.matrices[:, i, :], p[i])
-        raw *= belief(lam)
+    raw = np.prod(belief(proximity(templates.matrices, p)), axis=1)
     total = raw.sum()
     if total <= 0.0:
-        k = templates.n_classes
-        return ClassSupport(raw, np.full(k, 1.0 / k), 0, total_conflict=True)
+        return ClassSupport(raw, np.full(raw.size, 1.0 / raw.size), 0, total_conflict=True)
     return ClassSupport(raw, raw / total, int(np.argmax(raw)))
-
-
-def two_stage_fuse(profiles_by_extractor, stage1_templates, stage2_templates):
-    """Fuse each extractor's classifier rows, then fuse the stage-1 rows.
-
-    Returns (final ClassSupport, list of stage-1 ClassSupports).
-    """
-    if len(profiles_by_extractor) != len(stage1_templates):
-        raise ParameterError("one stage-1 template set per extractor")
-    stage1 = [fuse(profile, tmpl)
-              for profile, tmpl in zip(profiles_by_extractor, stage1_templates)]
-    stage2_profile = np.stack([s.support for s in stage1])
-    return fuse(stage2_profile, stage2_templates), stage1

@@ -1,7 +1,8 @@
 """End-to-end orchestration: manifests, training, fused classification, reports.
 
-Each image is decoded, segmented and described once, and resubstitution eval
-fuses the decision profiles training computed for the templates. Entries are
+Each image is decoded, segmented and described once. Resubstitution eval
+reuses the decision profiles and stage-1 supports that training computed for
+the templates, so only the stage-2 fusion runs again. Entries are
 sorted by (label, content digest, path) and failures by path, so manifest
 order cannot influence any result; per-query random stages are seeded from
 the global seed XOR the query image's digest for the same reason.
@@ -20,9 +21,9 @@ from . import ann as ann_mod
 from . import gknn as gknn_mod
 from . import svm as svm_mod
 from .dataset import CLASS_CATALOG, LabeledSet, load_manifest, one_hot
-from .errors import DataError, FinspectError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError
 from .features import FeatureVector, MomentProductSpec, cmi_features, elm_features, gfd_features
-from .fusion import DecisionTemplates, compute_templates, fuse, two_stage_fuse
+from .fusion import ClassSupport, DecisionTemplates, compute_templates, fuse
 from .preprocess import segment_image
 from .raster import GrayImage, GrayscaleCoefficients, decode_image, to_grayscale
 
@@ -58,39 +59,36 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
-        cfg = PipelineConfig()
-        if "grayscale" in doc:
-            g = doc["grayscale"]
-            cfg = replace(cfg, grayscale=GrayscaleCoefficients(
-                g.get("alpha", 0.299), g.get("beta", 0.587),
-                g.get("gamma", 0.114), g.get("mu", 255)))
-        if "median_window" in doc:
-            cfg = replace(cfg, median_window=int(doc["median_window"]))
-        if "gfd" in doc:
-            cfg = replace(cfg, gfd_radial=int(doc["gfd"].get("radial", cfg.gfd_radial)),
-                          gfd_angular=int(doc["gfd"].get("angular", cfg.gfd_angular)))
-        if "elm" in doc:
-            cfg = replace(cfg, elm_max_order=int(doc["elm"].get("max_order", cfg.elm_max_order)))
-        if "cmi" in doc and doc["cmi"].get("basis") is not None:
-            basis = tuple(MomentProductSpec(tuple(tuple(f) for f in spec))
-                          for spec in doc["cmi"]["basis"])
-            cfg = replace(cfg, cmi_basis=basis)
-        if "ann" in doc:
-            a = doc["ann"]
-            cfg = replace(cfg, ann_hidden=int(a.get("hidden", cfg.ann_hidden)),
-                          ann_beta=float(a.get("beta", cfg.ann_beta)),
-                          ann_epochs=int(a.get("epochs", cfg.ann_epochs)))
-        if "gknn" in doc:
-            cfg = replace(cfg, gknn_k=int(doc["gknn"].get("k", cfg.gknn_k)))
-        if "svm" in doc:
-            s = doc["svm"]
-            cfg = replace(cfg, svm_a=float(s.get("A", cfg.svm_a)),
-                          svm_tol=float(s.get("tol", cfg.svm_tol)),
-                          svm_max_iter=int(s.get("max_iter", cfg.svm_max_iter)))
-        if "extractors" in doc:
-            cfg = replace(cfg, extractors=tuple(doc["extractors"]))
-        if "classifiers" in doc:
-            cfg = replace(cfg, classifiers=tuple(doc["classifiers"]))
+        """Config from a to_dict-shaped document: absent keys keep their defaults,
+        and an unknown key is a ParameterError, so a typo cannot train silently."""
+        if not isinstance(doc, dict):
+            raise ParameterError("config must be a JSON object")
+        merged = PipelineConfig().to_dict()
+        for key, value in doc.items():
+            if key not in merged:
+                raise ParameterError(f"unknown config key {key!r}")
+            if not isinstance(merged[key], dict):
+                merged[key] = value
+                continue
+            if not isinstance(value, dict):
+                raise ParameterError(f"config key {key!r} must be an object")
+            for name in value:
+                if name not in merged[key]:
+                    raise ParameterError(f"unknown config key {key + '.' + name!r}")
+            merged[key].update(value)
+        g, a, s = merged["grayscale"], merged["ann"], merged["svm"]
+        basis = merged["cmi"]["basis"]
+        cfg = PipelineConfig(
+            grayscale=GrayscaleCoefficients(g["alpha"], g["beta"], g["gamma"], g["mu"]),
+            median_window=int(merged["median_window"]),
+            gfd_radial=int(merged["gfd"]["radial"]), gfd_angular=int(merged["gfd"]["angular"]),
+            elm_max_order=int(merged["elm"]["max_order"]),
+            cmi_basis=None if basis is None else tuple(
+                MomentProductSpec(tuple(tuple(f) for f in spec)) for spec in basis),
+            ann_hidden=int(a["hidden"]), ann_beta=float(a["beta"]), ann_epochs=int(a["epochs"]),
+            gknn_k=int(merged["gknn"]["k"]),
+            svm_a=float(s["A"]), svm_tol=float(s["tol"]), svm_max_iter=int(s["max_iter"]),
+            extractors=tuple(merged["extractors"]), classifiers=tuple(merged["classifiers"]))
         cfg.validate()
         cfg.grayscale.validate()
         return cfg
@@ -187,16 +185,19 @@ def _profiles(models: PipelineModels, scaled_features, digest: int) -> list[np.n
     return profiles
 
 
-def _decide(models: PipelineModels, profiles: list[np.ndarray]):
-    """Two-stage fusion of one image's profiles: (final, stage1, per-pair argmax)."""
+def _stage1(models: PipelineModels, profiles: list[np.ndarray]) -> list[ClassSupport]:
+    """Fuse each extractor's classifier rows against its stage-1 templates."""
+    return [fuse(profile, models.stage1_templates[ext])
+            for ext, profile in zip(models.config.extractors, profiles)]
+
+
+def _decide(models: PipelineModels, profiles: list[np.ndarray], stage1: list[ClassSupport]):
+    """Stage-2 fusion of one image's stage-1 supports: (final, stage1, per-pair argmax)."""
     per_pair = {}
     for ext, profile in zip(models.config.extractors, profiles):
         for row, clf in zip(profile, models.config.classifiers):
             per_pair[(ext, clf)] = int(np.argmax(row))
-    final, stage1 = two_stage_fuse(profiles,
-                                   [models.stage1_templates[ext]
-                                    for ext in models.config.extractors],
-                                   models.stage2_templates)
+    final = fuse(np.stack([s.support for s in stage1]), models.stage2_templates)
     return final, stage1, per_pair
 
 
@@ -208,6 +209,7 @@ class _Entry:
     hexdigest: str
     features: dict | None = None
     profiles: list | None = None
+    stage1: list | None = None
 
 
 def _prepare_entries(entries, config, base_dir, failures):
@@ -225,7 +227,7 @@ def _prepare_entries(entries, config, base_dir, failures):
             crop = largest_shape(load_gray(raw, config), config)
             ent.features = {ext: extract_one(crop, ext, config).values
                             for ext in config.extractors}
-        except FinspectError as exc:
+        except (DataError, ShapeError) as exc:
             failures.append({"path": item["path"], "stage": "preprocess", "error": str(exc)})
             continue
         prepared.append(ent)
@@ -271,18 +273,19 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
     models = PipelineModels(class_names, config, seed, scalers, ann_models,
                             svm_models, gknn_sets, gknn_contexts, {}, None)
 
-    # profiles of the standardised training rows feed both template stages and eval
+    # profiles and stage-1 supports of the standardised training rows feed
+    # both template stages and eval
     for idx, ent in enumerate(prepared):
         ent.profiles = _profiles(models, [gknn_sets[ext].inputs[idx] for ext in config.extractors],
                                  ent.digest)
-    stage1_templates = {ext: compute_templates([e.profiles[j] for e in prepared], labels,
-                                               len(class_names))
-                        for j, ext in enumerate(config.extractors)}
-    stage2_profiles = [np.stack([fuse(profile, stage1_templates[ext]).support
-                                 for ext, profile in zip(config.extractors, e.profiles)])
-                       for e in prepared]
-    models = replace(models, stage1_templates=stage1_templates,
-                     stage2_templates=compute_templates(stage2_profiles, labels, len(class_names)))
+    models = replace(models, stage1_templates={
+        ext: compute_templates([e.profiles[j] for e in prepared], labels, len(class_names))
+        for j, ext in enumerate(config.extractors)})
+    for ent in prepared:
+        ent.stage1 = _stage1(models, ent.profiles)
+    stage2_profiles = [np.stack([s.support for s in e.stage1]) for e in prepared]
+    models = replace(models, stage2_templates=compute_templates(stage2_profiles, labels,
+                                                                len(class_names)))
     return models, prepared, failures
 
 
@@ -295,7 +298,8 @@ def classify_image(models: PipelineModels, img: GrayImage, digest: int):
     for ext in models.config.extractors:
         mean, std = models.scalers[ext]
         scaled.append((extract_one(img, ext, models.config).values - mean) / std)
-    return _decide(models, _profiles(models, scaled, digest))
+    profiles = _profiles(models, scaled, digest)
+    return _decide(models, profiles, _stage1(models, profiles))
 
 
 def classify_segments(models: PipelineModels, img: GrayImage, digest: int) -> list[dict]:
@@ -327,7 +331,7 @@ def run_pipeline(manifest_entries, config: PipelineConfig | None = None, seed: i
     predictions = []
     for ent in prepared:
         truth = models.class_names.index(ent.label)
-        final, stage1, per_pair = _decide(models, ent.profiles)
+        final, stage1, per_pair = _decide(models, ent.profiles, ent.stage1)
         for (ext, clf), pred in per_pair.items():
             pair_confusion[ext][clf][truth, pred] += 1
         for ext, sup in zip(exts, stage1):
@@ -435,8 +439,11 @@ def load_models(directory: str | Path) -> PipelineModels:
                           (k, len(config.classifiers), k))
         stage2 = _templates_from_dict(meta["stage2_templates"])
         _expect_shape("stage2_templates", stage2.matrices.shape, (k, len(exts), k))
+        seed = meta["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ParameterError(f"seed must be an integer, got {seed!r}")
         models = PipelineModels(
-            class_names, config, meta["seed"], scalers, {}, {}, gknn_sets,
+            class_names, config, seed, scalers, {}, {}, gknn_sets,
             {ext: gknn_mod.build_context(gknn_sets[ext].inputs) for ext in exts},
             stage1, stage2)
         for ext in exts:

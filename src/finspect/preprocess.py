@@ -19,7 +19,9 @@ import scipy.sparse.linalg
 
 from .errors import (
     DegenerateHistogramError,
+    EmptyBackgroundError,
     EmptyForegroundError,
+    ImageTooSmallError,
     ParameterError,
     ShapeError,
     SolverError,
@@ -39,7 +41,7 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     if side < 1 or side % 2 == 0:
         raise ParameterError(f"median window side must be odd and positive, got {side}")
     if side > min(img.width, img.height):
-        raise ParameterError(
+        raise ImageTooSmallError(
             f"median window {side} exceeds image extent {img.width}x{img.height}"
         )
     if side == 1:
@@ -290,7 +292,7 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
 
     bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=structure)
     if bg_count == 0:
-        raise ParameterError("image has no background pixels to seed")
+        raise EmptyBackgroundError("image has no background pixels to seed")
     sizes = scipy.ndimage.sum_labels(np.ones_like(bits), bg_labels, index=range(1, bg_count + 1))
     largest = 1 + int(np.argmax(sizes))
     ys, xs = np.nonzero(bg_labels == largest)
@@ -309,16 +311,12 @@ def segment_image(img: GrayImage, median_side: int = 3) -> tuple[Segmentation, l
     return seg, fg
 
 
-def export_segmentation(seg: Segmentation, directory: str | Path,
-                        labels: list[int] | None = None) -> Path:
+def export_segmentation(seg: Segmentation, directory: str | Path) -> Path:
     """Write one cropped PGM per shape plus a JSON sidecar. Returns the sidecar path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    wanted = set(labels) if labels is not None else None
     records = []
     for crop in seg.shapes:
-        if wanted is not None and crop.label not in wanted:
-            continue
         name = f"shape_{crop.label:02d}.pgm"
         (directory / name).write_bytes(encode_pgm(crop.image))
         records.append(

@@ -217,13 +217,14 @@ class TestTrainClassifyEval:
         ("pipeline.json", edited(lambda d: [m.pop()
                                             for m in d["stage1_templates"]["elm"]["matrices"]])),
         ("pipeline.json", edited(lambda d: [t.pop() for t in d["stage2_templates"].values()])),
+        ("pipeline.json", edited(lambda d: d.update(seed=str(d["seed"])))),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-scalers",
             "pipeline-scalers-not-object", "pipeline-scalers-missing-extractor",
             "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
             "svm-extra-class", "ann-input-dimension", "pipeline-scalers-std-length",
             "pipeline-scalers-mean-not-a-vector", "pipeline-gknn-inputs-dimension",
             "pipeline-gknn-targets-classes", "pipeline-stage1-template-rows",
-            "pipeline-stage2-template-classes"])
+            "pipeline-stage2-template-classes", "pipeline-seed-not-integer"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, name, tamper):
         tampered = tmp_path / "models"
@@ -238,6 +239,32 @@ class TestTrainClassifyEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert not (tmp_path / "decision.json").exists()
+
+    def test_classify_image_smaller_than_median_window_is_data_error(self, model_dir, tmp_path,
+                                                                      capsys):
+        tiny = tmp_path / "tiny.pgm"
+        tiny.write_bytes(b"P5\n2 2\n255\n\x00\xff\xff\x00")
+        rc = main(["classify", "--model-dir", str(model_dir), "--input", str(tiny),
+                   "--output", str(tmp_path / "decision.json")])
+        assert rc == 2
+        assert "exceeds image extent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"median_window": 4}, "median window side must be odd"),
+        ({"gfd": {"radial": 0}}, "frequency counts must be at least 1"),
+        ({"svm": {"C": 10}, "ann": {"hiden": 4}}, "unknown config key 'svm.C'"),
+    ], ids=["even-median-window", "zero-gfd-radial", "unknown-key"])
+    def test_bad_config_is_usage_error_with_its_own_message(self, corpus_dir, tmp_path, capsys,
+                                                            doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        for command in (["train", "--model-dir", str(tmp_path / "models")],
+                        ["eval", "--report", str(tmp_path / "report.json")]):
+            rc = main([*command, "--manifest", str(corpus_dir / "manifest.json"),
+                       "--config", str(config)])
+            assert rc == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "models").exists() and not (tmp_path / "report.json").exists()
 
     def test_train_rejects_zero_svm_budget(self, corpus_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -3,7 +3,7 @@ import pytest
 import sympy
 
 from finspect import DegenerateBeliefError, ParameterError, ShapeError
-from finspect import fusion
+from finspect import fusion, pipeline
 
 
 WORKED_PROFILE = np.array([
@@ -144,6 +144,15 @@ class TestBelief:
         with pytest.raises(DegenerateBeliefError):
             fusion.belief(np.array([1.0, 1.0]))
 
+    def test_columns_match_one_dimensional_calls(self, rng):
+        for k, l in ((2, 1), (3, 4), (4, 3), (9, 2)):
+            lam = rng.random((k, l))
+            lam /= lam.sum(axis=0)
+            out = fusion.belief(lam)
+            assert out.shape == (k, l)
+            for i in range(l):
+                assert np.abs(out[:, i] - fusion.belief(lam[:, i])).max() <= 1e-15
+
 
 class TestFuse:
     def test_worked_example_values(self):
@@ -197,17 +206,29 @@ class TestFuse:
         assert result.predicted == 0
 
 
+def two_stage(profiles, stage1_templates, stage2_templates, classifiers):
+    """The pipeline's two fusion stages, one extractor per profile."""
+    exts = pipeline.EXTRACTORS[:len(profiles)]
+    config = pipeline.PipelineConfig(extractors=exts, classifiers=classifiers)
+    models = pipeline.PipelineModels(("a", "b"), config, 0, {}, {}, {}, {}, {},
+                                     dict(zip(exts, stage1_templates)), stage2_templates)
+    final, stage1, _ = pipeline._decide(models, profiles, pipeline._stage1(models, profiles))
+    return final, stage1
+
+
 class TestTwoStage:
     def test_single_row_profiles(self):
         # l = 1 degenerates to template matching on each stage
         t0 = np.array([[[0.9, 0.1]], [[0.2, 0.8]]])
         stage1 = fusion.DecisionTemplates(t0, np.array([1, 1]))
         stage2 = fusion.DecisionTemplates(t0.copy(), np.array([1, 1]))
-        final, per_ext = fusion.two_stage_fuse([np.array([[0.88, 0.12]])],
-                                               [stage1], stage2)
+        final, per_ext = two_stage([np.array([[0.88, 0.12]])], [stage1], stage2, ("svm",))
         assert len(per_ext) == 1
         assert per_ext[0].predicted == 0
         assert final.predicted == 0
+        # the second stage is fuse on the stacked stage-1 supports
+        direct = fusion.fuse(per_ext[0].support[None, :], stage2)
+        assert np.array_equal(final.support, direct.support)
 
     def test_identical_one_hot_rows_all_stages(self):
         # every classifier of every extractor is certain of class 1
@@ -217,13 +238,8 @@ class TestTwoStage:
         stage1 = fusion.DecisionTemplates(mats, np.array([1, 1]))
         stage2_mats = np.stack([np.array([[1.0, 0.0]] * 3), np.array([[0.0, 1.0]] * 3)])
         stage2 = fusion.DecisionTemplates(stage2_mats, np.array([1, 1]))
-        final, per_ext = fusion.two_stage_fuse([row, row, row],
-                                               [stage1, stage1, stage1], stage2)
+        final, per_ext = two_stage([row, row, row], [stage1, stage1, stage1], stage2,
+                                   pipeline.CLASSIFIERS)
         assert all(s.predicted == 1 for s in per_ext)
         assert final.predicted == 1
         assert final.support[1] > 0.9
-
-    def test_template_count_mismatch(self):
-        stage2 = worked_templates()
-        with pytest.raises(ParameterError):
-            fusion.two_stage_fuse([WORKED_PROFILE], [], stage2)

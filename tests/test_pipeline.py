@@ -111,6 +111,16 @@ class TestTraining:
         _, report = run_pipeline(broken, FAST, seed=0, base_dir=directory)
         assert any(f["stage"] == "preprocess" for f in report["failures"])
 
+    def test_image_smaller_than_median_window_is_one_failure(self, corpus, tmp_path):
+        directory, entries = corpus
+        tiny = tmp_path / "tiny.pgm"
+        tiny.write_bytes(encode_pgm(GrayImage(np.eye(2))))
+        broken = entries + [{"path": str(tiny), "label": "other"}]
+        _, report = run_pipeline(broken, FAST, seed=0, base_dir=directory)
+        assert report["n_images"] == len(entries)
+        assert [(f["path"], f["stage"]) for f in report["failures"]] == [(str(tiny), "preprocess")]
+        assert "exceeds image extent" in report["failures"][0]["error"]
+
     def test_empty_manifest_rejected(self):
         with pytest.raises(ParameterError):
             train_models([], FAST)
@@ -125,7 +135,7 @@ class TestTraining:
 class TestOnePassPerImage:
     def test_features_and_classifiers_run_once_per_image(self, corpus, monkeypatch):
         directory, entries = corpus
-        calls = {"extract": 0, "ann": 0, "gknn": 0, "svm": 0, "context": 0}
+        calls = {"extract": 0, "ann": 0, "gknn": 0, "svm": 0, "context": 0, "fuse": 0}
 
         def counted(key, module, name):
             original = getattr(module, name)
@@ -141,11 +151,14 @@ class TestOnePassPerImage:
         counted("gknn", gknn_mod, "gknn_classify")
         counted("svm", svm_mod, "predict_proba")
         counted("context", gknn_mod, "build_context")
+        counted("fuse", pipeline_mod, "fuse")
         _, report = run_pipeline(entries, FAST, seed=0, base_dir=directory)
-        expected = report["n_images"] * len(FAST.extractors)
-        # the Mahalanobis context is per training set, not per query
+        n = report["n_images"]
+        expected = n * len(FAST.extractors)
+        # the Mahalanobis context is per training set, not per query; eval
+        # reuses training's stage-1 supports and fuses only stage 2 again
         assert calls == {"extract": expected, "ann": expected, "gknn": expected, "svm": expected,
-                         "context": len(FAST.extractors)}
+                         "context": len(FAST.extractors), "fuse": expected + n}
 
     def test_report_matches_classifying_each_file_again(self, corpus):
         directory, entries = corpus
@@ -219,6 +232,21 @@ class TestPersistence:
             PipelineConfig.from_dict({"extractors": ["hog"]})
         with pytest.raises(ParameterError):
             PipelineConfig.from_dict({"classifiers": []})
+        with pytest.raises(ParameterError, match="'ann.hiden'"):
+            PipelineConfig.from_dict({"ann": {"hiden": 4}})
+        with pytest.raises(ParameterError, match="'svm.C'"):
+            PipelineConfig.from_dict({"svm": {"C": 10}, "ann": {"hiden": 4}})
+        with pytest.raises(ParameterError, match="'median'"):
+            PipelineConfig.from_dict({"median": 5})
+        with pytest.raises(ParameterError, match="'gfd' must be an object"):
+            PipelineConfig.from_dict({"gfd": 4})
+        with pytest.raises(ParameterError, match="JSON object"):
+            PipelineConfig.from_dict([])
+
+    def test_default_config_dict_roundtrip(self):
+        doc = PipelineConfig().to_dict()
+        assert PipelineConfig.from_dict(doc) == PipelineConfig()
+        assert PipelineConfig.from_dict(doc).to_dict() == doc
 
 
 class TestDigest:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finspect import (BinaryImage, DegenerateHistogramError, EmptyForegroundError, GrayImage,
-                      ParameterError, ShapeError, SolverError, binarize, build_pixel_graph,
-                      derive_seeds, histogram256, median_filter, otsu_threshold,
-                      random_walker_segment, segment_image)
+from finspect import (BinaryImage, DegenerateHistogramError, EmptyBackgroundError,
+                      EmptyForegroundError, GrayImage, ImageTooSmallError, ParameterError,
+                      ShapeError, SolverError, binarize, build_pixel_graph, derive_seeds,
+                      histogram256, median_filter, otsu_threshold, random_walker_segment,
+                      segment_image)
 
 from conftest import random_gray
 
@@ -46,7 +47,7 @@ class TestMedianFilter:
             median_filter(GrayImage(np.zeros((4, 4))), 2)
 
     def test_side_larger_than_image_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ImageTooSmallError):
             median_filter(GrayImage(np.zeros((3, 5))), 5)
 
     def test_constant_region_untouched(self):
@@ -280,7 +281,7 @@ class TestDeriveSeeds:
             derive_seeds(BinaryImage(np.zeros((3, 3), dtype=np.uint8)))
 
     def test_no_background_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(EmptyBackgroundError):
             derive_seeds(BinaryImage(np.ones((3, 3), dtype=np.uint8)))
 
 
