@@ -3,6 +3,9 @@
 The output layer is sigmoid (not softmax); the loss is the mean binary
 cross-entropy summed over output units, so the output delta reduces to
 (o - y) exactly and the hidden deltas carry the o(1-o) factor.
+
+Training runs one forward pass per epoch: the pass that scores an epoch's
+step for the loss trace is the next epoch's backprop pass.
 """
 
 from __future__ import annotations
@@ -103,6 +106,11 @@ def backprop(model: MlpModel, inputs, targets):
     acts = feedforward(model, inputs)
     if acts[-1].shape != y.shape:
         raise ShapeError("targets must be (n, k) matching the output layer")
+    return _gradients(model, acts, y)
+
+
+def _gradients(model: MlpModel, acts: list[np.ndarray], y: np.ndarray):
+    """backprop's backward pass, from the activations feedforward returned."""
     n = y.shape[0]
     delta = acts[-1] - y
     grads_w, grads_b = [], []
@@ -138,10 +146,12 @@ def train(data: LabeledSet, config: TrainConfig | None = None) -> MlpModel:
     layers = (data.inputs.shape[1], config.hidden, data.n_classes)
     model = init_model(layers, rng, _INIT_SCALE)
     trace = []
+    acts = feedforward(model, data.inputs)
     for epoch in range(config.epochs):
-        grads_w, grads_b = backprop(model, data.inputs, data.targets)
+        grads_w, grads_b = _gradients(model, acts, data.targets)
         model = sgd_step(model, grads_w, grads_b, config.learning_rate)
-        loss = cross_entropy(feedforward(model, data.inputs)[-1], data.targets)
+        acts = feedforward(model, data.inputs)
+        loss = cross_entropy(acts[-1], data.targets)
         params_ok = all(np.isfinite(p).all() for p in model.weights + model.biases)
         if not np.isfinite(loss) or not params_ok:
             raise TrainingDivergedError(epoch)

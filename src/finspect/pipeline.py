@@ -60,7 +60,8 @@ class PipelineConfig:
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
         """Config from a to_dict-shaped document: absent keys keep their defaults,
-        and an unknown key is a ParameterError, so a typo cannot train silently."""
+        and an unknown key is a ParameterError, so a typo cannot train silently;
+        so is a value of the wrong type, named by its key."""
         if not isinstance(doc, dict):
             raise ParameterError("config must be a JSON object")
         merged = PipelineConfig().to_dict()
@@ -76,19 +77,30 @@ class PipelineConfig:
                 if name not in merged[key]:
                     raise ParameterError(f"unknown config key {key + '.' + name!r}")
             merged[key].update(value)
-        g, a, s = merged["grayscale"], merged["ann"], merged["svm"]
-        basis = merged["cmi"]["basis"]
+
+        def typed(kind, key):
+            section, _, name = key.partition(".")
+            value = merged[section][name] if name else merged[section]
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ParameterError(
+                    f"config key {key!r} has a value of the wrong type: {value!r}") from None
+
         cfg = PipelineConfig(
-            grayscale=GrayscaleCoefficients(g["alpha"], g["beta"], g["gamma"], g["mu"]),
-            median_window=int(merged["median_window"]),
-            gfd_radial=int(merged["gfd"]["radial"]), gfd_angular=int(merged["gfd"]["angular"]),
-            elm_max_order=int(merged["elm"]["max_order"]),
-            cmi_basis=None if basis is None else tuple(
-                MomentProductSpec(tuple(tuple(f) for f in spec)) for spec in basis),
-            ann_hidden=int(a["hidden"]), ann_beta=float(a["beta"]), ann_epochs=int(a["epochs"]),
-            gknn_k=int(merged["gknn"]["k"]),
-            svm_a=float(s["A"]), svm_tol=float(s["tol"]), svm_max_iter=int(s["max_iter"]),
-            extractors=tuple(merged["extractors"]), classifiers=tuple(merged["classifiers"]))
+            grayscale=GrayscaleCoefficients(
+                typed(float, "grayscale.alpha"), typed(float, "grayscale.beta"),
+                typed(float, "grayscale.gamma"), merged["grayscale"]["mu"]),
+            median_window=typed(int, "median_window"),
+            gfd_radial=typed(int, "gfd.radial"), gfd_angular=typed(int, "gfd.angular"),
+            elm_max_order=typed(int, "elm.max_order"),
+            cmi_basis=typed(_cmi_basis, "cmi.basis"),
+            ann_hidden=typed(int, "ann.hidden"), ann_beta=typed(float, "ann.beta"),
+            ann_epochs=typed(int, "ann.epochs"),
+            gknn_k=typed(int, "gknn.k"),
+            svm_a=typed(float, "svm.A"), svm_tol=typed(float, "svm.tol"),
+            svm_max_iter=typed(int, "svm.max_iter"),
+            extractors=typed(tuple, "extractors"), classifiers=typed(tuple, "classifiers"))
         cfg.validate()
         cfg.grayscale.validate()
         return cfg
@@ -113,7 +125,21 @@ class PipelineConfig:
 def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    return PipelineConfig.from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{path}: config is not valid JSON: {exc}") from None
+    return PipelineConfig.from_dict(doc)
+
+
+def _cmi_basis(doc) -> tuple | None:
+    """A config's cmi.basis as validated moment products; None keeps the default."""
+    if doc is None:
+        return None
+    basis = tuple(MomentProductSpec(tuple(tuple(f) for f in spec)) for spec in doc)
+    for spec in basis:
+        spec.validate()
+    return basis
 
 
 def content_digest(raw: bytes) -> int:

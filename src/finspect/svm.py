@@ -13,12 +13,19 @@ x_i . W - K_ii eta_i, and each row step adds x_i (outer) the change in eta_i
 to W (the sequential dual method of Keerthi et al., KDD 2008). K is never
 formed and eta is only a working array of training; classification picks
 the class with the largest (W^T x_q)_c. There is no bias term.
+
+k is the number of classes, a handful, so a row step on numpy k-vectors
+would be mostly per-call overhead. A sweep takes every K_ii with one einsum
+and eta as lists; each row step makes two numpy calls (x_i . W, and the
+rank-one update of W when the step is taken) and does the rest (residual,
+breakpoint scan, gain and accept test) in Python floats.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul, sub
 from pathlib import Path
 
 import numpy as np
@@ -71,42 +78,47 @@ def dual_objective(kernel_matrix: np.ndarray, eta: np.ndarray, targets: np.ndarr
 # root does not pass its right end. Testing the left end as well can reject
 # both segments of a root that sits on a breakpoint, by rounding.
 
-def _project_row(v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    tau = v - u
-    order = np.argsort(tau)
-    tau_sorted = tau[order]
-    v_sorted = v[order]
-    u_total = u.sum()
-    sum_v = 0.0
-    sum_u = 0.0
-    k = v.size
-    for m in range(1, k + 1):
-        sum_v += v_sorted[m - 1]
-        sum_u += u[order[m - 1]]
+def _project(v: list, u: list) -> list:
+    """The breakpoint scan on lists of Python floats, for short rows."""
+    k = len(v)
+    breakpoints = sorted([(vc - uc, vc, uc) for vc, uc in zip(v, u)])
+    u_total = sum(u)
+    sum_v = sum_u = 0.0
+    for m, (_, vc, uc) in enumerate(breakpoints, 1):
+        sum_v += vc
+        sum_u += uc
         candidate = (sum_v + u_total - sum_u) / m
-        if m == k or candidate <= tau_sorted[m]:
-            return np.minimum(u, v - candidate)
+        if m == k or candidate <= breakpoints[m][0]:
+            break
+    return [w if w < uc else uc for w, uc in zip([vc - candidate for vc in v], u)]
+
+
+def _project_row(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.array(_project(np.asarray(v, dtype=np.float64).tolist(),
+                             np.asarray(u, dtype=np.float64).tolist()))
 
 
 def svm_sweep_core(X: np.ndarray, W: np.ndarray, eta: np.ndarray, U: np.ndarray,
                    A: float) -> float:
     """One cyclic pass of exact per-row ascent. Mutates W and eta, returns max gain."""
-    n = X.shape[0]
+    kiis = np.einsum("ij,ij->i", X, X).tolist()
+    rows = eta.tolist()
     best = 0.0
-    for i in range(n):
-        x = X[i]
-        kii = x @ x
+    for i, (x, kii, u) in enumerate(zip(X, kiis, U.tolist())):
         if kii < 1e-12:
             continue
-        r = x @ W - kii * eta[i]
-        v = (A * U[i] - 2.0 * r) / (2.0 * kii)
-        new = _project_row(v, U[i])
-        d_obj = (A * U[i] - 2.0 * r) @ (new - eta[i]) - kii * (new @ new - eta[i] @ eta[i])
+        old = rows[i]
+        # g = A u_i - 2 r_i, where r_i = x_i . W - K_ii eta_i is row i's residual
+        g = [A * uc - 2.0 * (xw - kii * ec) for uc, xw, ec in zip(u, (x @ W).tolist(), old)]
+        new = _project([gc / (2.0 * kii) for gc in g], u)
+        delta = list(map(sub, new, old))
+        d_obj = sum(map(mul, g, delta)) - kii * (sum(map(mul, new, new)) - sum(map(mul, old, old)))
         if d_obj > 0.0:
-            W += np.outer(x, new - eta[i])
-            eta[i] = new
+            W += np.multiply.outer(x, delta)
+            rows[i] = new
             if d_obj > best:
                 best = d_obj
+    eta[:] = rows
     return best
 
 

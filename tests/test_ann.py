@@ -90,6 +90,25 @@ class TestTraining:
         assert len(model.loss_trace) == 300
         assert model.loss_trace[-1] < model.loss_trace[0]
 
+    def test_equals_a_loop_of_the_public_steps(self, rng):
+        for _ in range(2):
+            n, p, k = int(rng.integers(5, 12)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            data = LabeledSet(rng.normal(size=(n, p)), one_hot(rng.integers(0, k, n), k))
+            config = ann.TrainConfig(hidden=5, learning_rate=0.7, epochs=50,
+                                     rng_seed=int(rng.integers(1000)))
+            model = ann.train(data, config)
+            ref = ann.init_model((p, config.hidden, k), np.random.default_rng(config.rng_seed),
+                                 ann._INIT_SCALE)
+            trace = []
+            for _ in range(config.epochs):
+                ref = ann.sgd_step(ref, *ann.backprop(ref, data.inputs, data.targets),
+                                   config.learning_rate)
+                trace.append(ann.cross_entropy(ann.feedforward(ref, data.inputs)[-1],
+                                               data.targets))
+            assert all(np.array_equal(a, b) for a, b in zip(model.weights, ref.weights))
+            assert all(np.array_equal(a, b) for a, b in zip(model.biases, ref.biases))
+            assert model.loss_trace == tuple(trace)
+
     def test_zero_epochs_rejected(self):
         x = np.eye(2)
         data = LabeledSet(x, x)

@@ -253,17 +253,23 @@ class TestTrainClassifyEval:
         ({"median_window": 4}, "median window side must be odd"),
         ({"gfd": {"radial": 0}}, "frequency counts must be at least 1"),
         ({"svm": {"C": 10}, "ann": {"hiden": 4}}, "unknown config key 'svm.C'"),
-    ], ids=["even-median-window", "zero-gfd-radial", "unknown-key"])
+        ({"median_window": "abc"}, "config key 'median_window' has a value of the wrong type"),
+        ("{", "config.json: config is not valid JSON"),
+        ({"extractors": 5}, "config key 'extractors' has a value of the wrong type"),
+        ({"cmi": {"basis": [[["2", 0, 1]]]}}, "config key 'cmi.basis' has a value of the wrong"),
+    ], ids=["even-median-window", "zero-gfd-radial", "unknown-key", "value-not-a-number",
+            "not-json", "extractors-not-a-list", "basis-order-not-a-number"])
     def test_bad_config_is_usage_error_with_its_own_message(self, corpus_dir, tmp_path, capsys,
                                                             doc, message):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
+        config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         for command in (["train", "--model-dir", str(tmp_path / "models")],
                         ["eval", "--report", str(tmp_path / "report.json")]):
             rc = main([*command, "--manifest", str(corpus_dir / "manifest.json"),
                        "--config", str(config)])
             assert rc == 1
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "models").exists() and not (tmp_path / "report.json").exists()
 
     def test_train_rejects_zero_svm_budget(self, corpus_dir, tmp_path, capsys):

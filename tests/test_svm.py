@@ -57,6 +57,44 @@ def gram_sweep(K, eta, U, A):
     return best, close_calls
 
 
+def numpy_project_row(v, u):
+    """The breakpoint scan in numpy calls, as the weight form first wrote it."""
+    tau = v - u
+    order = np.argsort(tau)
+    tau_sorted = tau[order]
+    v_sorted = v[order]
+    u_total = u.sum()
+    sum_v = 0.0
+    sum_u = 0.0
+    k = v.size
+    for m in range(1, k + 1):
+        sum_v += v_sorted[m - 1]
+        sum_u += u[order[m - 1]]
+        candidate = (sum_v + u_total - sum_u) / m
+        if m == k or candidate <= tau_sorted[m]:
+            return np.minimum(u, v - candidate)
+
+
+def numpy_sweep(X, W, eta, U, A):
+    """Reference row step on numpy k-vectors, about ten numpy calls per row."""
+    best = 0.0
+    for i in range(X.shape[0]):
+        x = X[i]
+        kii = x @ x
+        if kii < 1e-12:
+            continue
+        r = x @ W - kii * eta[i]
+        v = (A * U[i] - 2.0 * r) / (2.0 * kii)
+        new = numpy_project_row(v, U[i])
+        d_obj = (A * U[i] - 2.0 * r) @ (new - eta[i]) - kii * (new @ new - eta[i] @ eta[i])
+        if d_obj > 0.0:
+            W += np.outer(x, new - eta[i])
+            eta[i] = new
+            if d_obj > best:
+                best = d_obj
+    return best
+
+
 def random_problem(rng):
     """Random rows and labels, with one duplicated row and one all-zero row."""
     n, p, k = int(rng.integers(6, 16)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -154,6 +192,33 @@ class TestSweep:
             assert (eta[-1] == 0.0).all()  # the all-zero row is skipped
         assert close_sweeps * 10 <= compared
 
+    def test_train_svm_matches_the_numpy_row_step(self, rng, monkeypatch):
+        sweeps = []
+        sweep = svm.svm_sweep_core
+        monkeypatch.setattr(svm, "svm_sweep_core", lambda *args: sweeps.append(1) or sweep(*args))
+        compared = close_problems = 0
+        for _ in range(20):
+            x, targets = random_problem(rng)
+            regularization = float(rng.uniform(0.5, 3.0))
+            sweeps.clear()
+            model = svm.train_svm(LabeledSet(x, targets), regularization)
+            eta = np.zeros_like(targets)
+            weights = np.zeros((x.shape[1], targets.shape[1]))
+            close_calls = ref_sweeps = 0
+            converged = False
+            while ref_sweeps < 1000 and not converged:
+                close_calls += gram_sweep(x @ x.T, eta.copy(), targets, regularization)[1]
+                converged = numpy_sweep(x, weights, eta, targets, regularization) < 1e-3
+                ref_sweeps += 1
+            if close_calls:
+                close_problems += 1
+                continue
+            assert model.converged == converged
+            assert len(sweeps) == ref_sweeps
+            assert np.abs(model.weights - weights).max() <= 1e-9
+            compared += 1
+        assert close_problems * 4 <= compared
+
     def test_dual_objective_hand_case(self):
         gram = np.eye(2)
         eta = np.array([[0.5, -0.5], [-0.25, 0.25]])
@@ -178,6 +243,17 @@ class TestTraining:
     def test_not_converged_when_starved(self):
         model = svm.train_svm(conic_blobs(), tol=1e-9, max_iter=1)
         assert not model.converged
+
+    def test_every_sweep_goes_through_the_module_function(self, monkeypatch):
+        # a profiler counts sweeps by wrapping svm.svm_sweep_core
+        calls = []
+        sweep = svm.svm_sweep_core
+        monkeypatch.setattr(svm, "svm_sweep_core", lambda *args: calls.append(1) or sweep(*args))
+        assert not svm.train_svm(conic_blobs(), tol=1e-12, max_iter=5).converged
+        assert len(calls) == 5
+        calls.clear()
+        svm.train_svm(conic_blobs(), max_iter=1)
+        assert len(calls) == 1
 
     def test_parameter_errors(self):
         data = conic_blobs(per_class=3)
