@@ -26,8 +26,8 @@ from .svm import predict as svm_predict
 from .svm import predict_proba as svm_predict_proba
 from .fusion import ClassSupport, DecisionTemplates, belief, compute_templates, fuse, proximity
 from .synth import SHAPE_CLASS, SyntheticShapeSpec, generate_synthetic
-from .pipeline import (PipelineConfig, PipelineModels, classify_image, classify_segments,
-                       load_models, run_pipeline, run_pipeline_from_manifest, save_models,
-                       train_models)
+from .pipeline import (Family, PipelineConfig, PipelineModels, classify_image,
+                       classify_segments, load_models, run_pipeline, run_pipeline_from_manifest,
+                       save_models, train_models)
 
 __version__ = "0.1.0"

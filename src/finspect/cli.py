@@ -150,16 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="shape classification toolkit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None, help="JSON config path")
-
     p = sub.add_parser("preprocess", help="grayscale + median filter (+ optional extras)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--binarize", action="store_true")
     p.add_argument("--segment-dir", default=None)
-    common(p)
+    p.add_argument("--config", default=None, help="JSON config path")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("extract", help="feature vector from an image")
@@ -169,13 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-csv", default=None)
     p.add_argument("--segment", action="store_true",
                    help="extract from the largest segmented shape instead of the raw image")
-    common(p)
+    p.add_argument("--config", default=None, help="JSON config path")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train classifiers + fusion templates from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model-dir", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="JSON config path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("classify", help="fused prediction for one image")
@@ -183,20 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--per-segment", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("fuse", help="fuse a decision profile against templates")
     p.add_argument("--profile", required=True)
     p.add_argument("--templates", required=True)
     p.add_argument("--output", required=True)
-    common(p)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("eval", help="train + resubstitution evaluation report")
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="JSON config path")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canvas", type=int, default=96)
     p.add_argument("--size", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.01)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
     return parser
 

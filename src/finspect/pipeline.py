@@ -52,16 +52,19 @@ class PipelineConfig:
     classifiers: tuple[str, ...] = CLASSIFIERS
 
     def validate(self):
-        if not self.extractors or any(e not in EXTRACTORS for e in self.extractors):
-            raise ParameterError(f"extractors must be a nonempty subset of {EXTRACTORS}")
-        if not self.classifiers or any(c not in CLASSIFIERS for c in self.classifiers):
-            raise ParameterError(f"classifiers must be a nonempty subset of {CLASSIFIERS}")
+        for key, names, allowed in (("extractors", self.extractors, EXTRACTORS),
+                                    ("classifiers", self.classifiers, CLASSIFIERS)):
+            if (not names or any(n not in allowed for n in names)
+                    or len(set(names)) != len(names)):
+                raise ParameterError(f"{key} must be a nonempty subset of {allowed}, "
+                                     f"each name once")
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
         """Config from a to_dict-shaped document: absent keys keep their defaults,
         and an unknown key is a ParameterError, so a typo cannot train silently;
-        so is a value of the wrong type, named by its key."""
+        so is a value of the wrong type, named by its key. Integer keys take only
+        JSON integers and float keys only JSON numbers; booleans are neither."""
         if not isinstance(doc, dict):
             raise ParameterError("config must be a JSON object")
         merged = PipelineConfig().to_dict()
@@ -81,7 +84,10 @@ class PipelineConfig:
         def typed(kind, key):
             section, _, name = key.partition(".")
             value = merged[section][name] if name else merged[section]
+            exact = {int: int, float: (int, float)}.get(kind, object)
             try:
+                if isinstance(value, bool) or not isinstance(value, exact):
+                    raise TypeError
                 return kind(value)
             except (TypeError, ValueError, OverflowError):
                 raise ParameterError(
@@ -90,7 +96,7 @@ class PipelineConfig:
         cfg = PipelineConfig(
             grayscale=GrayscaleCoefficients(
                 typed(float, "grayscale.alpha"), typed(float, "grayscale.beta"),
-                typed(float, "grayscale.gamma"), merged["grayscale"]["mu"]),
+                typed(float, "grayscale.gamma"), typed(int, "grayscale.mu")),
             median_window=typed(int, "median_window"),
             gfd_radial=typed(int, "gfd.radial"), gfd_angular=typed(int, "gfd.angular"),
             elm_max_order=typed(int, "elm.max_order"),
@@ -172,17 +178,27 @@ def extract_one(img: GrayImage, extractor: str, config: PipelineConfig) -> Featu
 
 
 @dataclass(frozen=True)
+class Family:
+    """One extractor's standardiser, classifiers and stage-1 templates.
+
+    ``models`` maps each configured classifier, in config order, to an
+    MlpModel (ann), an SvmModel (svm) or, for gknn, the standardised training
+    set and its MahalanobisContext.
+    """
+
+    mean: np.ndarray
+    std: np.ndarray
+    models: dict
+    templates: DecisionTemplates | None
+
+
+@dataclass(frozen=True)
 class PipelineModels:
     class_names: tuple[str, ...]
     config: PipelineConfig
     seed: int
-    scalers: dict          # extractor -> (mean, std) arrays
-    ann_models: dict       # extractor -> MlpModel
-    svm_models: dict       # extractor -> SvmModel
-    gknn_sets: dict        # extractor -> LabeledSet (standardized)
-    gknn_contexts: dict    # extractor -> MahalanobisContext of its gknn_sets inputs
-    stage1_templates: dict  # extractor -> DecisionTemplates
-    stage2_templates: DecisionTemplates
+    families: dict  # extractor -> Family, in config order
+    stage2_templates: DecisionTemplates | None
 
 
 def _standardize(rows: np.ndarray):
@@ -192,28 +208,30 @@ def _standardize(rows: np.ndarray):
     return (rows - mean) / std, mean, std
 
 
-def _profiles(models: PipelineModels, scaled_features, digest: int) -> list[np.ndarray]:
-    """One profile per extractor (rows in config order): a support row per classifier."""
+def _profiles(models: PipelineModels, features: dict, digest: int) -> list[np.ndarray]:
+    """One profile per extractor (rows in config order): a support row per classifier
+    on the extractor's standardised feature vector."""
     profiles = []
-    for ext, x in zip(models.config.extractors, scaled_features):
+    for ext, fam in models.families.items():
+        x = (features[ext] - fam.mean) / fam.std
         rows = []
-        for clf in models.config.classifiers:
+        for clf, model in fam.models.items():
             if clf == "ann":
-                rows.append(ann_mod.predict_proba(models.ann_models[ext], x)[0])
+                rows.append(ann_mod.predict_proba(model, x)[0])
             elif clf == "gknn":
-                rows.append(gknn_mod.gknn_classify(x, models.gknn_sets[ext],
-                                                   models.config.gknn_k,
+                data, context = model
+                rows.append(gknn_mod.gknn_classify(x, data, models.config.gknn_k,
                                                    rng_seed=models.seed ^ digest,
-                                                   context=models.gknn_contexts[ext]))
+                                                   context=context))
             else:
-                rows.append(svm_mod.predict_proba(models.svm_models[ext], x))
+                rows.append(svm_mod.predict_proba(model, x))
         profiles.append(np.stack(rows))
     return profiles
 
 
 def _stage1(models: PipelineModels, profiles: list[np.ndarray]) -> list[ClassSupport]:
     """Fuse each extractor's classifier rows against its stage-1 templates."""
-    return [fuse(profile, models.stage1_templates[ext])
+    return [fuse(profile, models.families[ext].templates)
             for ext, profile in zip(models.config.extractors, profiles)]
 
 
@@ -264,7 +282,7 @@ def _prepare_entries(entries, config, base_dir, failures):
 
 def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
                  base_dir: str | Path | None = None):
-    """Fit all enabled classifiers plus fusion templates.
+    """Fit the configured classifiers on each feature family, then both template stages.
 
     Returns (PipelineModels, prepared entries, failures).
     """
@@ -282,31 +300,32 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
     labels = np.array([class_names.index(e.label) for e in prepared])
     targets = one_hot(labels, len(class_names))
 
-    scalers, ann_models, svm_models, gknn_sets, gknn_contexts = {}, {}, {}, {}, {}
+    families = {}
     for ext in config.extractors:
-        rows = np.stack([e.features[ext] for e in prepared])
-        scaled, mean, std = _standardize(rows)
-        scalers[ext] = (mean, std)
+        scaled, mean, std = _standardize(np.stack([e.features[ext] for e in prepared]))
         data = LabeledSet(scaled, targets, class_names)
-        ann_models[ext] = ann_mod.train(data, ann_mod.TrainConfig(
-            hidden=config.ann_hidden, learning_rate=config.ann_beta,
-            epochs=config.ann_epochs, rng_seed=seed))
-        svm_models[ext] = svm_mod.train_svm(data, regularization=config.svm_a,
-                                            tol=config.svm_tol, max_iter=config.svm_max_iter)
-        gknn_sets[ext] = data
-        gknn_contexts[ext] = gknn_mod.build_context(data.inputs)
-
-    models = PipelineModels(class_names, config, seed, scalers, ann_models,
-                            svm_models, gknn_sets, gknn_contexts, {}, None)
+        fitted = {}
+        for clf in config.classifiers:
+            if clf == "ann":
+                fitted[clf] = ann_mod.train(data, ann_mod.TrainConfig(
+                    hidden=config.ann_hidden, learning_rate=config.ann_beta,
+                    epochs=config.ann_epochs, rng_seed=seed))
+            elif clf == "gknn":
+                fitted[clf] = (data, gknn_mod.build_context(data.inputs))
+            else:
+                fitted[clf] = svm_mod.train_svm(data, regularization=config.svm_a,
+                                                tol=config.svm_tol, max_iter=config.svm_max_iter)
+        families[ext] = Family(mean, std, fitted, None)
+    models = PipelineModels(class_names, config, seed, families, None)
 
     # profiles and stage-1 supports of the standardised training rows feed
     # both template stages and eval
-    for idx, ent in enumerate(prepared):
-        ent.profiles = _profiles(models, [gknn_sets[ext].inputs[idx] for ext in config.extractors],
-                                 ent.digest)
-    models = replace(models, stage1_templates={
-        ext: compute_templates([e.profiles[j] for e in prepared], labels, len(class_names))
-        for j, ext in enumerate(config.extractors)})
+    for ent in prepared:
+        ent.profiles = _profiles(models, ent.features, ent.digest)
+    models = replace(models, families={
+        ext: replace(fam, templates=compute_templates([e.profiles[j] for e in prepared],
+                                                      labels, len(class_names)))
+        for j, (ext, fam) in enumerate(families.items())})
     for ent in prepared:
         ent.stage1 = _stage1(models, ent.profiles)
     stage2_profiles = [np.stack([s.support for s in e.stage1]) for e in prepared]
@@ -320,11 +339,9 @@ def classify_image(models: PipelineModels, img: GrayImage, digest: int):
 
     Returns (final ClassSupport, stage1 supports, per-pair argmax dict).
     """
-    scaled = []
-    for ext in models.config.extractors:
-        mean, std = models.scalers[ext]
-        scaled.append((extract_one(img, ext, models.config).values - mean) / std)
-    profiles = _profiles(models, scaled, digest)
+    features = {ext: extract_one(img, ext, models.config).values
+                for ext in models.config.extractors}
+    profiles = _profiles(models, features, digest)
     return _decide(models, profiles, _stage1(models, profiles))
 
 
@@ -387,7 +404,8 @@ def run_pipeline(manifest_entries, config: PipelineConfig | None = None, seed: i
         "final_accuracy": float(np.trace(final_confusion)) / n,
         "final_confusion": final_confusion.tolist(),
         "per_class_rates": per_class,
-        "svm_converged": {ext: models.svm_models[ext].converged for ext in exts},
+        "svm_converged": {ext: fam.models["svm"].converged
+                          for ext, fam in models.families.items() if "svm" in fam.models},
         "predictions": predictions,
         "seed": seed,
         "config": config.to_dict(),
@@ -409,25 +427,30 @@ def _templates_from_dict(doc: dict) -> DecisionTemplates:
 
 
 def save_models(models: PipelineModels, directory: str | Path) -> None:
+    """Write pipeline.json, plus ann_<ext>.json and svm_<ext>.json for the
+    classifiers in the ensemble; gknn's training rows go into pipeline.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    families = models.families
     meta = {
         "class_names": list(models.class_names),
         "seed": models.seed,
         "config": models.config.to_dict(),
-        "scalers": {ext: {"mean": m.tolist(), "std": s.tolist()}
-                    for ext, (m, s) in models.scalers.items()},
-        "stage1_templates": {ext: _templates_to_dict(t)
-                             for ext, t in models.stage1_templates.items()},
+        "scalers": {ext: {"mean": fam.mean.tolist(), "std": fam.std.tolist()}
+                    for ext, fam in families.items()},
+        "stage1_templates": {ext: _templates_to_dict(fam.templates)
+                             for ext, fam in families.items()},
         "stage2_templates": _templates_to_dict(models.stage2_templates),
-        "gknn": {ext: {"inputs": d.inputs.tolist(), "targets": d.targets.tolist()}
-                 for ext, d in models.gknn_sets.items()},
     }
+    if "gknn" in models.config.classifiers:
+        meta["gknn"] = {ext: {"inputs": fam.models["gknn"][0].inputs.tolist(),
+                              "targets": fam.models["gknn"][0].targets.tolist()}
+                        for ext, fam in families.items()}
     (directory / "pipeline.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for ext, model in models.ann_models.items():
-        ann_mod.save_model(model, directory / f"ann_{ext}.json")
-    for ext, model in models.svm_models.items():
-        svm_mod.save_model(model, directory / f"svm_{ext}.json")
+    for ext, fam in families.items():
+        for clf, module in (("ann", ann_mod), ("svm", svm_mod)):
+            if clf in fam.models:
+                module.save_model(fam.models[clf], directory / f"{clf}_{ext}.json")
 
 
 def _expect_shape(what: str, actual: tuple, expected: tuple) -> None:
@@ -438,48 +461,52 @@ def _expect_shape(what: str, actual: tuple, expected: tuple) -> None:
 def load_models(directory: str | Path) -> PipelineModels:
     """Read a directory written by save_models; a malformed file is a DataError.
 
-    Every model's input dimension and class count must agree with the
-    scalers and class names in pipeline.json, so a mismatched file fails
-    here, named, and not at the first query.
+    Only the configured classifiers' models are read. Every model's input
+    dimension and class count must agree with the scalers and class names in
+    pipeline.json, so a mismatched file fails here, named, and not at the
+    first query.
     """
     directory = Path(directory)
-    path = directory / "pipeline.json"
+    meta_path = path = directory / "pipeline.json"
     try:
         meta = json.loads(path.read_text())
         config = PipelineConfig.from_dict(meta["config"])
         class_names, exts = tuple(meta["class_names"]), config.extractors
         k = len(class_names)
-        scalers, dims, gknn_sets, stage1 = {}, {}, {}, {}
-        for ext in exts:
-            mean = np.asarray(meta["scalers"][ext]["mean"], dtype=np.float64)
-            std = np.asarray(meta["scalers"][ext]["std"], dtype=np.float64)
-            scalers[ext], dims[ext] = (mean, std), mean.size
-            _expect_shape(f"scalers[{ext}].mean", mean.shape, (dims[ext],))
-            _expect_shape(f"scalers[{ext}].std", std.shape, (dims[ext],))
-            gknn_sets[ext] = LabeledSet(np.asarray(meta["gknn"][ext]["inputs"]),
-                                        np.asarray(meta["gknn"][ext]["targets"]), class_names)
-            _expect_shape(f"gknn[{ext}].inputs", gknn_sets[ext].inputs.shape,
-                          (gknn_sets[ext].n, dims[ext]))
-            stage1[ext] = _templates_from_dict(meta["stage1_templates"][ext])
-            _expect_shape(f"stage1_templates[{ext}]", stage1[ext].matrices.shape,
-                          (k, len(config.classifiers), k))
         stage2 = _templates_from_dict(meta["stage2_templates"])
         _expect_shape("stage2_templates", stage2.matrices.shape, (k, len(exts), k))
         seed = meta["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ParameterError(f"seed must be an integer, got {seed!r}")
-        models = PipelineModels(
-            class_names, config, seed, scalers, {}, {}, gknn_sets,
-            {ext: gknn_mod.build_context(gknn_sets[ext].inputs) for ext in exts},
-            stage1, stage2)
+        families = {}
         for ext in exts:
-            path = directory / f"ann_{ext}.json"
-            ann = models.ann_models[ext] = ann_mod.load_model(path)
-            _expect_shape("layers (input, output)", (ann.layers[0], ann.layers[-1]),
-                          (dims[ext], k))
-            path = directory / f"svm_{ext}.json"
-            svm = models.svm_models[ext] = svm_mod.load_model(path)
-            _expect_shape("weights", svm.weights.shape, (dims[ext], k))
+            path = meta_path
+            mean = np.asarray(meta["scalers"][ext]["mean"], dtype=np.float64)
+            std = np.asarray(meta["scalers"][ext]["std"], dtype=np.float64)
+            dim = mean.size
+            _expect_shape(f"scalers[{ext}].mean", mean.shape, (dim,))
+            _expect_shape(f"scalers[{ext}].std", std.shape, (dim,))
+            templates = _templates_from_dict(meta["stage1_templates"][ext])
+            _expect_shape(f"stage1_templates[{ext}]", templates.matrices.shape,
+                          (k, len(config.classifiers), k))
+            fitted = {}
+            for clf in config.classifiers:
+                path = meta_path if clf == "gknn" else directory / f"{clf}_{ext}.json"
+                if clf == "ann":
+                    ann = fitted[clf] = ann_mod.load_model(path)
+                    _expect_shape("layers (input, output)", (ann.layers[0], ann.layers[-1]),
+                                  (dim, k))
+                elif clf == "gknn":
+                    data = LabeledSet(np.asarray(meta["gknn"][ext]["inputs"]),
+                                      np.asarray(meta["gknn"][ext]["targets"]), class_names)
+                    _expect_shape(f"gknn[{ext}].inputs", data.inputs.shape, (data.n, dim))
+                    fitted[clf] = (data, gknn_mod.build_context(data.inputs))
+                else:
+                    svm = fitted[clf] = svm_mod.load_model(path)
+                    _expect_shape("weights", svm.weights.shape, (dim, k))
+            families[ext] = Family(mean, std, fitted, templates)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read model file ({exc.strerror})") from exc
     except (AttributeError, KeyError, TypeError, ValueError, ParameterError, ShapeError) as exc:
         raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
-    return models
+    return PipelineModels(class_names, config, seed, families, stage2)

@@ -173,17 +173,16 @@ class Segmentation:
 
 
 def _crops(img: GrayImage, labels: np.ndarray, shape_count: int) -> tuple[ShapeCrop, ...]:
+    """One crop per label; seed pixels keep one-hot gamma, so no label is empty."""
     out = []
     for j in range(shape_count):
         mask = labels == j
-        count = int(mask.sum())
-        if count == 0:
-            continue
         ys, xs = np.nonzero(mask)
         y0, y1 = int(ys.min()), int(ys.max()) + 1
         x0, x1 = int(xs.min()), int(xs.max()) + 1
         crop = np.where(mask, img.pixels, 0.0)[y0:y1, x0:x1]
-        out.append(ShapeCrop(label=j, image=GrayImage(crop), bbox=(y0, x0, y1, x1), pixel_count=count))
+        out.append(ShapeCrop(label=j, image=GrayImage(crop), bbox=(y0, x0, y1, x1),
+                             pixel_count=ys.size))
     return tuple(out)
 
 

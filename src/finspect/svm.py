@@ -57,10 +57,6 @@ class SvmModel:
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[1]
-
 
 def dual_objective(kernel_matrix: np.ndarray, eta: np.ndarray, targets: np.ndarray,
                    regularization: float) -> float:

@@ -135,6 +135,28 @@ class TestInference:
         assert ann.sigmoid(1000.0) == 1.0
         assert ann.sigmoid(-1000.0) == 0.0
 
+    def test_sigmoid_bit_identical_to_two_mask_form(self):
+        def two_mask(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        rng = np.random.default_rng(11)
+        inputs = [rng.normal(scale=scale, size=(80, 16))
+                  for scale in (1.0, 10.0, 100.0, 1000.0) for _ in range(200)]
+        inputs.append(np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0,
+                                np.inf, -np.inf, np.nan]))
+        for z in inputs:
+            expected, got = two_mask(z), ann.sigmoid(z)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            # NaN stays NaN; only its sign bit, which carries no value, may differ
+            nan = np.isnan(expected)
+            assert np.array_equal(nan, np.isnan(got))
+            assert expected[~nan].tobytes() == got[~nan].tobytes()
+
     def test_cross_entropy_clamps(self):
         # exact 0/1 outputs must not produce infinities
         val = ann.cross_entropy([[0.0, 1.0]], [[1.0, 0.0]])

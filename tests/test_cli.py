@@ -257,8 +257,18 @@ class TestTrainClassifyEval:
         ("{", "config.json: config is not valid JSON"),
         ({"extractors": 5}, "config key 'extractors' has a value of the wrong type"),
         ({"cmi": {"basis": [[["2", 0, 1]]]}}, "config key 'cmi.basis' has a value of the wrong"),
+        ({"median_window": 3.7}, "config key 'median_window' has a value of the wrong type"),
+        ({"svm": {"max_iter": 2.9}}, "config key 'svm.max_iter' has a value of the wrong type"),
+        ({"ann": {"epochs": True}}, "config key 'ann.epochs' has a value of the wrong type"),
+        ({"gknn": {"k": "3"}}, "config key 'gknn.k' has a value of the wrong type"),
+        ({"ann": {"beta": "0.5"}}, "config key 'ann.beta' has a value of the wrong type"),
+        ({"grayscale": {"mu": True}}, "config key 'grayscale.mu' has a value of the wrong type"),
+        ({"classifiers": ["ann", "ann"]}, "classifiers must be a nonempty subset"),
     ], ids=["even-median-window", "zero-gfd-radial", "unknown-key", "value-not-a-number",
-            "not-json", "extractors-not-a-list", "basis-order-not-a-number"])
+            "not-json", "extractors-not-a-list", "basis-order-not-a-number",
+            "integer-key-fractional", "nested-integer-key-fractional", "integer-key-boolean",
+            "integer-key-string", "float-key-string", "grayscale-mu-boolean",
+            "classifier-repeated"])
     def test_bad_config_is_usage_error_with_its_own_message(self, corpus_dir, tmp_path, capsys,
                                                             doc, message):
         config = tmp_path / "config.json"
@@ -271,6 +281,22 @@ class TestTrainClassifyEval:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "models").exists() and not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("classify", ["--seed", "3"]), ("classify", ["--config", "x.json"]),
+        ("synth", ["--config", "x.json"]),
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, corpus_dir, model_dir,
+                                                             tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        if command == "classify":
+            argv = ["classify", "--model-dir", str(model_dir),
+                    "--input", str(corpus_dir / "disk_001.pgm"), "--output", str(out)]
+        else:
+            argv = ["synth", "--out-dir", str(out), "--count", "1", "--canvas", "32"]
+        assert main(argv + flag) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_rejects_zero_svm_budget(self, corpus_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

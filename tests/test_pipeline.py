@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finspect import ParameterError
+from finspect import DataError, ParameterError
 from finspect import ann as ann_mod
 from finspect import gknn as gknn_mod
 from finspect import pipeline as pipeline_mod
@@ -204,6 +204,54 @@ class TestClassification:
         a1, _, _ = classify_image(models, img, digest=99)
         a2, _, _ = classify_image(models, img, digest=99)
         assert np.array_equal(a1.support, a2.support)
+
+
+class TestTrimmedEnsemble:
+    def test_unconfigured_classifiers_are_not_trained(self, corpus, monkeypatch):
+        directory, entries = corpus
+        calls = {"ann": 0, "svm": 0}
+        for key, module, name in (("ann", ann_mod, "train"), ("svm", svm_mod, "train_svm")):
+            def wrapper(*args, _key=key, _original=getattr(module, name), **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        models, report = run_pipeline(entries, replace(FAST, classifiers=("gknn",)), seed=0,
+                                      base_dir=directory)
+        assert calls == {"ann": 0, "svm": 0}
+        assert report["svm_converged"] == {}
+        assert [list(fam.models) for fam in models.families.values()] == [["gknn"]] * 3
+
+    @pytest.mark.parametrize("classifiers, files", [
+        (("gknn",), ["pipeline.json"]),
+        (("ann", "svm"), ["ann_cmi.json", "ann_elm.json", "ann_gfd.json", "pipeline.json",
+                          "svm_cmi.json", "svm_elm.json", "svm_gfd.json"]),
+    ])
+    def test_directory_holds_only_the_configured_models(self, corpus, tmp_path, classifiers,
+                                                        files):
+        directory, entries = corpus
+        models, _, _ = train_models(entries, replace(FAST, classifiers=classifiers), seed=0,
+                                    base_dir=directory)
+        save_models(models, tmp_path / "models")
+        assert sorted(p.name for p in (tmp_path / "models").iterdir()) == files
+        meta = json.loads((tmp_path / "models" / "pipeline.json").read_text())
+        assert ("gknn" in meta) == ("gknn" in classifiers)
+        back = load_models(tmp_path / "models")
+        assert [list(fam.models) for fam in back.families.values()] == [list(classifiers)] * 3
+        img, _ = generate_synthetic(SyntheticShapeSpec("triangle", 18, canvas=96))
+        f1, s1, p1 = classify_image(models, img, digest=42)
+        f2, s2, p2 = classify_image(back, img, digest=42)
+        assert np.array_equal(f1.support, f2.support)
+        assert [a.support.tolist() for a in s1] == [b.support.tolist() for b in s2]
+        assert p1 == p2
+
+    def test_configured_model_file_is_still_required(self, corpus, tmp_path):
+        directory, entries = corpus
+        models, _, _ = train_models(entries, replace(FAST, classifiers=("svm",)), seed=0,
+                                    base_dir=directory)
+        save_models(models, tmp_path / "models")
+        (tmp_path / "models" / "svm_cmi.json").unlink()
+        with pytest.raises(DataError, match="svm_cmi.json"):
+            load_models(tmp_path / "models")
 
 
 class TestPersistence:
