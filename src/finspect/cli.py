@@ -96,9 +96,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    profile = np.asarray(json.loads(Path(args.profile).read_text()), dtype=np.float64)
-    tdoc = json.loads(Path(args.templates).read_text())
-    templates = DecisionTemplates(np.asarray(tdoc["matrices"]), np.asarray(tdoc["counts"]))
+    path = args.profile
+    try:
+        profile = np.asarray(json.loads(Path(path).read_text()), dtype=np.float64)
+        path = args.templates
+        tdoc = json.loads(Path(path).read_text())
+        matrices, counts = np.asarray(tdoc["matrices"]), np.asarray(tdoc["counts"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed input file ({type(exc).__name__}: {exc})") from exc
+    templates = DecisionTemplates(matrices, counts)
     support = fuse(profile, templates)
     _write_json(args.output, support.to_dict())
     return 0

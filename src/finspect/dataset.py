@@ -60,18 +60,23 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
 
 
 def load_manifest(path: str | Path, catalog: tuple[str, ...] = CLASS_CATALOG) -> list[dict]:
-    """JSON array of {path, label}. Labels must be in the catalog, paths unique."""
-    entries = json.loads(Path(path).read_text())
+    """JSON array of {path, label}. Labels must be in the catalog, paths unique strings."""
+    try:
+        entries = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParameterError(f"{path}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(entries, list) or not entries:
-        raise ParameterError("manifest must be a nonempty JSON array")
+        raise ParameterError(f"{path}: manifest must be a nonempty JSON array")
     seen = set()
     for entry in entries:
         if not isinstance(entry, dict) or "path" not in entry or "label" not in entry:
-            raise ParameterError("each manifest entry needs 'path' and 'label'")
+            raise ParameterError(f"{path}: each manifest entry needs 'path' and 'label'")
+        if not isinstance(entry["path"], str):
+            raise ParameterError(f"{path}: manifest path {entry['path']!r} is not a string")
         if entry["label"] not in catalog:
-            raise ParameterError(f"label {entry['label']!r} not in catalog {catalog}")
+            raise ParameterError(f"{path}: label {entry['label']!r} not in catalog {catalog}")
         if entry["path"] in seen:
-            raise ParameterError(f"duplicate manifest path {entry['path']!r}")
+            raise ParameterError(f"{path}: duplicate manifest path {entry['path']!r}")
         seen.add(entry["path"])
     return entries
 

@@ -428,7 +428,11 @@ def _templates_from_dict(doc: dict) -> DecisionTemplates:
 
 def save_models(models: PipelineModels, directory: str | Path) -> None:
     """Write pipeline.json, plus ann_<ext>.json and svm_<ext>.json for the
-    classifiers in the ensemble; gknn's training rows go into pipeline.json."""
+    classifiers in the ensemble; gknn's training rows go into pipeline.json.
+
+    The ann_<ext>.json and svm_<ext>.json of every pair the config leaves
+    out are deleted, so the directory holds exactly the model it describes.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     families = models.families
@@ -447,10 +451,13 @@ def save_models(models: PipelineModels, directory: str | Path) -> None:
                               "targets": fam.models["gknn"][0].targets.tolist()}
                         for ext, fam in families.items()}
     (directory / "pipeline.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for ext, fam in families.items():
+    for ext in EXTRACTORS:
         for clf, module in (("ann", ann_mod), ("svm", svm_mod)):
-            if clf in fam.models:
-                module.save_model(fam.models[clf], directory / f"{clf}_{ext}.json")
+            path = directory / f"{clf}_{ext}.json"
+            if ext in families and clf in families[ext].models:
+                module.save_model(families[ext].models[clf], path)
+            else:
+                path.unlink(missing_ok=True)
 
 
 def _expect_shape(what: str, actual: tuple, expected: tuple) -> None:

@@ -4,10 +4,18 @@ The segmentation path is: median filter, Otsu threshold, binarize, derive
 one seed per 4-connected foreground component plus a background seed set,
 then solve the random-walker Dirichlet problem on the pixel graph and
 assign each pixel to its argmax shape.
+
+The median filter is an exact min/max selection network: Batcher's
+odd-even merge sort, pruned to the comparators the middle output depends
+on, applied to shifted views of the edge-padded image. The random walker
+assembles its reduced system only from the edges inside the free pixels'
+bounding box grown by one pixel, so both costs follow the shape rather
+than the canvas, and both give the same bits as a whole-canvas pass.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,11 +40,87 @@ SIGMA_FLOOR = 1e-6
 RESIDUAL_TOL = 1e-8
 
 
+def _batcher_pairs(size: int):
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on ``size`` wires.
+
+    ``size`` is a power of two. Each comparator leaves the smaller value on
+    wire i and the larger on wire j, so the network sorts ascending.
+    """
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(min(k, size - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        yield i + j, i + j + k
+            k //= 2
+        p *= 2
+
+
+@functools.lru_cache(maxsize=None)
+def _median_network(side: int) -> tuple[int, tuple[tuple, ...], int]:
+    """Min/max program that selects the median of side * side inputs.
+
+    Batcher's network is padded to a power of two with +inf wires. Every
+    comparator that touches a +inf wire is dropped, and so is every min or
+    max the middle output does not depend on. Registers 0 .. side**2 - 1
+    hold the inputs and are only read; each step is ``(ufunc, a, b, out)``
+    and writes a scratch register, reusing the one of an operand it is the
+    last reader of. Returns the scratch register count, the steps and the
+    register that ends up holding the median.
+    """
+    count = side * side
+    wire = list(range(count))  # the value each real wire holds
+    ops: list[tuple] = []  # value count + k is ops[k] = (ufunc, a, b)
+    for i, j in _batcher_pairs(1 << (count - 1).bit_length()):
+        # the padding wires count.. hold +inf; as i < j, a comparator that
+        # touches one leaves it in place, so padding never moves and is dropped
+        if j >= count:
+            continue
+        a, b = wire[i], wire[j]
+        ops.append((np.minimum, a, b))
+        wire[i] = count + len(ops) - 1
+        ops.append((np.maximum, a, b))
+        wire[j] = count + len(ops) - 1
+    median = wire[count // 2]
+
+    needed = {median}
+    for k in range(len(ops) - 1, -1, -1):
+        if count + k in needed:
+            needed.update(ops[k][1:])
+    kept = [k for k in range(len(ops)) if count + k in needed]
+    last_read = {v: k for k in kept for v in ops[k][1:]}
+
+    register = {v: v for v in range(count)}
+    spare: list[int] = []
+    scratch = 0
+    steps = []
+    for k in kept:
+        ufunc, a, b = ops[k]
+        dying = [register[v] for v in (a, b) if v >= count and last_read[v] == k]
+        if dying:
+            out = dying.pop()
+            spare.extend(dying)
+        elif spare:
+            out = spare.pop()
+        else:
+            out = count + scratch
+            scratch += 1
+        steps.append((ufunc, register[a], register[b], out))
+        register[count + k] = out
+    return scratch, tuple(steps), register[median]
+
+
 def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     """Replace each pixel by the median of its side x side neighborhood.
 
     Borders replicate the edge row/column, so output dimensions match the
     input and no intensity value outside the input set is ever produced.
+    The median is selected by a pruned min/max network (``_median_network``)
+    run over the side**2 shifted views of the edge-padded image; its output
+    is an order statistic of the window, so it equals a sorting median
+    exactly.
     """
     if side < 1 or side % 2 == 0:
         raise ParameterError(f"median window side must be odd and positive, got {side}")
@@ -46,7 +130,14 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
         )
     if side == 1:
         return img
-    return GrayImage(scipy.ndimage.median_filter(img.pixels, size=side, mode="nearest"))
+    scratch, steps, median = _median_network(side)
+    h, w = img.pixels.shape
+    padded = np.pad(img.pixels, side // 2, mode="edge")
+    registers = [padded[dy:dy + h, dx:dx + w] for dy in range(side) for dx in range(side)]
+    registers += [np.empty((h, w)) for _ in range(scratch)]
+    for ufunc, a, b, out in steps:
+        ufunc(registers[a], registers[b], out=registers[out])
+    return GrayImage(registers[median])
 
 
 @dataclass(frozen=True)
@@ -194,7 +285,8 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
     pixels solve Grady's reduced system L_U x = -B^T m ("Random Walks for
     Image Segmentation", IEEE TPAMI 2006), one right-hand column per shape.
     L_U and the right-hand side are built straight from the edges that
-    touch a free pixel; the full Laplacian is never formed. L_U is symmetric
+    touch a free pixel, read from the free pixels' bounding box grown by
+    one pixel; the full Laplacian is never formed. L_U is symmetric
     positive definite when every free region touches a seed, so SuperLU
     factors it once in symmetric mode (minimum-degree ordering of A^T + A,
     diagonal pivots). Each pixel is assigned to its argmax shape; ties pick
@@ -221,22 +313,33 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
 
     gamma = np.zeros((n, s_count), dtype=np.float64)
     gamma[seeded, owner[seeded]] = 1.0
+    labels = owner.copy()  # a seeded pixel's one-hot gamma row peaks at its own set
     free = owner < 0
     m = n - seeded.size
     if m:
-        pos = np.cumsum(free) - 1  # row of each free pixel in the reduced system
-        grid = np.arange(n).reshape(h, w)
+        # Every edge that touches a free pixel lies in the free pixels' bounding
+        # box grown by one pixel. Row-major order inside that box keeps the
+        # edges in their whole-image order and numbers the free pixels as the
+        # whole image does, so L_U and the right-hand side are unchanged.
+        free_grid = free.reshape(h, w)
+        ys = np.flatnonzero(free_grid.any(axis=1))
+        xs = np.flatnonzero(free_grid.any(axis=0))
+        box = (slice(max(ys[0] - 1, 0), ys[-1] + 2), slice(max(xs[0] - 1, 0), xs[-1] + 2))
+        box_free = free_grid[box].ravel()
+        grid = np.arange(box_free.size).reshape(free_grid[box].shape)
+        box_owner = owner.reshape(h, w)[box].ravel()
+        flat = pixels[box].ravel()
+        pos = np.cumsum(box_free) - 1  # row of each free pixel in the reduced system
         a = np.concatenate([grid[:, :-1].ravel(), grid[:-1, :].ravel()])
         b = np.concatenate([grid[:, 1:].ravel(), grid[1:, :].ravel()])
-        touch = free[a] | free[b]
+        touch = box_free[a] | box_free[b]
         # orient every edge touching a free pixel so that u is free
-        u = np.where(free[a], a, b)[touch]
-        v = np.where(free[a], b, a)[touch]
-        flat = pixels.ravel()
+        u = np.where(box_free[a], a, b)[touch]
+        v = np.where(box_free[a], b, a)[touch]
         sigma = max(float(pixels.var()), SIGMA_FLOOR)
         weight = np.exp(-((flat[v] - flat[u]) ** 2) / sigma)
 
-        inner = free[v]  # both ends free: a symmetric off-diagonal pair of L_U
+        inner = box_free[v]  # both ends free: a symmetric off-diagonal pair of L_U
         pu, pv, w_in = pos[u[inner]], pos[v[inner]], weight[inner]
         degree = np.bincount(np.concatenate([pos[u], pv]),
                              np.concatenate([weight, w_in]), minlength=m)
@@ -246,7 +349,7 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
              (np.concatenate([diag, pu, pv]), np.concatenate([diag, pv, pu]))),
             shape=(m, m))
         # an edge to a pixel of seed set j adds its weight to column j of its free end's row
-        rhs = np.bincount(pos[u[~inner]] * s_count + owner[v[~inner]], weight[~inner],
+        rhs = np.bincount(pos[u[~inner]] * s_count + box_owner[v[~inner]], weight[~inner],
                           minlength=m * s_count).reshape(m, s_count)
         try:
             solver = scipy.sparse.linalg.splu(L_uu, permc_spec="MMD_AT_PLUS_A",
@@ -261,9 +364,10 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         scale = max(float(np.abs(rhs).max()), 1.0)
         if float(np.abs(residual).max()) / scale > RESIDUAL_TOL:
             raise SolverError("linear solve exceeded the 1e-8 relative residual budget")
-        gamma[free] = np.clip(solution, 0.0, 1.0)
+        gamma[free] = solution = np.clip(solution, 0.0, 1.0)
+        labels[free] = np.argmax(solution, axis=1)
 
-    labels = np.argmax(gamma, axis=1).reshape(h, w)
+    labels = labels.reshape(h, w)
     return Segmentation(labels=labels, gamma=gamma.reshape(h, w, s_count),
                         shapes=_crops(img, labels, s_count))
 
@@ -292,10 +396,8 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=structure)
     if bg_count == 0:
         raise EmptyBackgroundError("image has no background pixels to seed")
-    sizes = scipy.ndimage.sum_labels(np.ones_like(bits), bg_labels, index=range(1, bg_count + 1))
-    largest = 1 + int(np.argmax(sizes))
-    ys, xs = np.nonzero(bg_labels == largest)
-    seeds.append((ys * w + xs).astype(np.int64))
+    largest = 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
+    seeds.append(np.flatnonzero(bg_labels == largest))
     return seeds
 
 

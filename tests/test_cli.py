@@ -307,6 +307,41 @@ class TestTrainClassifyEval:
         assert "max_iter" in capsys.readouterr().err
         assert not (tmp_path / "models").exists()
 
+    def test_retrain_smaller_ensemble_removes_stale_model_files(self, corpus_dir, tmp_path,
+                                                                capsys):
+        models = tmp_path / "models"
+        manifest = str(corpus_dir / "manifest.json")
+        assert main(["train", "--manifest", manifest, "--model-dir", str(models)]) == 0
+        assert {"ann_cmi.json", "svm_elm.json"} <= {p.name for p in models.iterdir()}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"classifiers": ["gknn"]}))
+        assert main(["train", "--manifest", manifest, "--model-dir", str(models),
+                     "--config", str(config)]) == 0
+        assert [p.name for p in models.iterdir()] == ["pipeline.json"]
+        rc = main(["classify", "--model-dir", str(models),
+                   "--input", str(corpus_dir / "disk_001.pgm"),
+                   "--output", str(tmp_path / "decision.json")])
+        assert rc == 0
+        decision = json.loads((tmp_path / "decision.json").read_text())
+        assert decision["predicted"] in decision["class_names"]
+        assert list(load_models(models).families["cmi"].models) == ["gknn"]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("text, message", [
+        ("[{", "manifest is not valid JSON"),
+        (json.dumps([{"path": ["a.pgm"], "label": "other"}]), "is not a string"),
+    ], ids=["not-json", "path-not-a-string"])
+    def test_malformed_manifest_is_usage_error(self, tmp_path, capsys, command, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        output = ["--model-dir", str(tmp_path / "models")] if command == "train" else [
+            "--report", str(tmp_path / "report.json")]
+        assert main([command, "--manifest", str(manifest), *output]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "models").exists() and not (tmp_path / "report.json").exists()
+
     def test_eval_report_fields(self, corpus_dir, fast_config, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         rc = main(["eval", "--manifest", str(corpus_dir / "manifest.json"),
@@ -341,6 +376,23 @@ class TestFuse:
         doc = json.loads(opath.read_text())
         assert doc["predicted"] == 0
         assert doc["support"][0] == pytest.approx(0.693, abs=1e-3)
+
+    @pytest.mark.parametrize("profile, templates, bad", [
+        ("[[1.0, 0.0]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]]}, "templates"),
+        ("[[1.0, 0.0", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]}, "profile"),
+    ], ids=["templates-without-counts", "profile-not-json"])
+    def test_malformed_input_file_is_data_error(self, tmp_path, capsys, profile, templates,
+                                                bad):
+        paths = {"profile": tmp_path / "profile.json", "templates": tmp_path / "templates.json"}
+        paths["profile"].write_text(profile)
+        paths["templates"].write_text(json.dumps(templates))
+        rc = main(["fuse", "--profile", str(paths["profile"]),
+                   "--templates", str(paths["templates"]),
+                   "--output", str(tmp_path / "support.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(paths[bad]) in err and "Traceback" not in err
+        assert not (tmp_path / "support.json").exists()
 
 
 def installed_distribution():

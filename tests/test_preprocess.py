@@ -250,6 +250,37 @@ class TestRandomWalker:
         assert not decided.reshape(5, 7)[:, 3].any()
         assert decided.reshape(5, 7)[:, [1, 2, 4, 5]].all()
 
+    @staticmethod
+    def _seeds_around(free_mask):
+        """Three seed sets that interleave over every pixel outside ``free_mask``."""
+        h, w = free_mask.shape
+        ys, xs = np.nonzero(~free_mask)
+        index, which = ys * w + xs, (ys + 2 * xs) % 3
+        return [index[which == j] for j in range(3)]
+
+    @pytest.mark.parametrize("region", [
+        (slice(0, 2), slice(0, 3)), (slice(0, 2), slice(4, 8)), (slice(0, 3), slice(9, 11)),
+        (slice(3, 6), slice(9, 11)), (slice(7, 9), slice(8, 11)), (slice(6, 9), slice(3, 6)),
+        (slice(6, 9), slice(0, 2)), (slice(2, 6), slice(0, 3)),
+    ], ids=["top-left", "top", "top-right", "right", "bottom-right", "bottom",
+            "bottom-left", "left"])
+    def test_free_box_clipped_at_the_border_matches_dense_solve(self, rng, region):
+        # the free block touches the border, so its grown box is clipped there
+        free_mask = np.zeros((9, 11), dtype=bool)
+        free_mask[region] = True
+        _, decided = self._check_against_dense(GrayImage(rng.random((9, 11))),
+                                               self._seeds_around(free_mask))
+        assert decided.all()
+
+    def test_free_regions_in_opposite_corners_span_the_image(self, rng):
+        free_mask = np.zeros((10, 8), dtype=bool)
+        free_mask[:3, :2] = True
+        free_mask[-2:, -3:] = True
+        free_mask[4:6, 3:5] = True
+        _, decided = self._check_against_dense(GrayImage(rng.random((10, 8))),
+                                               self._seeds_around(free_mask))
+        assert decided.all()
+
 
 class TestDeriveSeeds:
     def test_one_seed_per_component_plus_background(self):
@@ -269,6 +300,16 @@ class TestDeriveSeeds:
         assert flat[seeds[0][0]] == 1
         # nearest pixel to the centroid of a solid square is its middle
         assert seeds[0][0] == 3 * 6 + 3
+
+    def test_background_seed_is_largest_background_component(self):
+        # the foreground outnumbers every background component, and the larger
+        # background part is the inner hole, not the strip along the border
+        bits = np.ones((12, 12), dtype=np.uint8)
+        bits[0, :5] = 0
+        bits[3:9, 3:9] = 0
+        seeds = derive_seeds(BinaryImage(bits))
+        hole = np.arange(144).reshape(12, 12)[3:9, 3:9].ravel()
+        assert len(seeds) == 2 and np.array_equal(np.sort(seeds[-1]), hole)
 
     def test_diagonal_pixels_are_separate_components(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
