@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import load_manifest, save_manifest
 from .errors import DataError, FinspectError, ParameterError, ShapeError
-from .fusion import DecisionTemplates, fuse
+from .fusion import DecisionTemplates, check_profile, fuse
 from .pipeline import (PipelineConfig, classify_image, classify_segments, content_digest,
                        extract_one, largest_shape, load_config, load_gray, load_models,
                        run_pipeline, save_models, train_models)
@@ -104,7 +104,18 @@ def _cmd_fuse(args) -> int:
         matrices, counts = np.asarray(tdoc["matrices"]), np.asarray(tdoc["counts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed input file ({type(exc).__name__}: {exc})") from exc
-    templates = DecisionTemplates(matrices, counts)
+    try:
+        templates = DecisionTemplates(matrices, counts)
+    except (ParameterError, ShapeError, TypeError, ValueError) as exc:
+        raise DataError(f"{args.templates}: unusable templates ({exc})") from exc
+    try:
+        check_profile(profile)
+    except (ParameterError, ShapeError) as exc:
+        raise DataError(f"{args.profile}: unusable profile ({exc})") from exc
+    if profile.shape != templates.matrices.shape[1:]:
+        (rows, cols), (t_rows, t_cols) = profile.shape, templates.matrices.shape[1:]
+        raise DataError(f"{args.profile}: a {rows}x{cols} profile does not match "
+                        f"the {t_rows}x{t_cols} templates of {args.templates}")
     support = fuse(profile, templates)
     _write_json(args.output, support.to_dict())
     return 0

@@ -21,7 +21,8 @@ _ROW_SUM_TOL = 1e-6
 _DENOM_FLOOR = 1e-12
 
 
-def _check_profile(profile) -> np.ndarray:
+def check_profile(profile) -> np.ndarray:
+    """The profile as floats, checked to be 2-D with rows in [0, 1] that sum to 1."""
     p = np.asarray(profile, dtype=np.float64)
     if p.ndim != 2:
         raise ShapeError("decision profile must be 2-D (classifiers x classes)")
@@ -70,7 +71,7 @@ class ClassSupport:
 
 def compute_templates(profiles, labels, n_classes: int) -> DecisionTemplates:
     """Elementwise mean of each class's training profiles."""
-    stack = np.stack([_check_profile(p) for p in profiles])
+    stack = np.stack([check_profile(p) for p in profiles])
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (stack.shape[0],):
         raise ShapeError("one label per profile")
@@ -116,7 +117,7 @@ def belief(lam: np.ndarray) -> np.ndarray:
 
 def fuse(profile, templates: DecisionTemplates) -> ClassSupport:
     """Per-class product of belief degrees across classifiers."""
-    p = _check_profile(profile)
+    p = check_profile(profile)
     if templates.matrices.shape[1:] != p.shape:
         raise ParameterError("template classifier count does not match the profile")
     raw = np.prod(belief(proximity(templates.matrices, p)), axis=1)

@@ -1,9 +1,14 @@
 """Noise removal, Otsu binarization, and random-walker segmentation.
 
 The segmentation path is: median filter, Otsu threshold, binarize, derive
-one seed per 4-connected foreground component plus a background seed set,
-then solve the random-walker Dirichlet problem on the pixel graph and
-assign each pixel to its argmax shape.
+one seed set per 4-connected foreground component plus a background seed
+set, then solve the random-walker Dirichlet problem on the pixel graph and
+assign each pixel to its argmax shape. A component's seed set is its core,
+the component eroded by ``SEED_EROSION`` = 3 pixels, so that seeds lie on
+both sides of every boundary, as Grady's method assumes, and the walker
+decides only a thin band along each boundary (the automatic markers of
+marker-controlled watershed, Beucher & Meyer 1993). A speck that erosion
+empties keeps the one pixel nearest its centroid.
 
 The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
@@ -38,6 +43,8 @@ from .raster import BinaryImage, GrayImage, encode_pgm
 
 SIGMA_FLOOR = 1e-6
 RESIDUAL_TOL = 1e-8
+SEED_EROSION = 3  # depth in pixels of each foreground seed core inside its component
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def _batcher_pairs(size: int):
@@ -372,31 +379,65 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
                         shapes=_crops(img, labels, s_count))
 
 
+def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
+    """Binary erosion by the 4-connected cross, pixels outside the image counting as 0.
+
+    Equals ``scipy.ndimage.binary_erosion(bits, _CROSS, iterations,
+    border_value=0)``, the tests' reference; shifted ANDs of a zero-padded
+    copy take a few times less than that call on a 192 px image.
+    """
+    core = np.pad(bits.astype(bool), 1)
+    for _ in range(iterations):
+        inner = core[1:-1, 1:-1] & core[:-2, 1:-1]
+        inner &= core[2:, 1:-1]
+        inner &= core[1:-1, :-2]
+        inner &= core[1:-1, 2:]
+        core[1:-1, 1:-1] = inner
+    return core[1:-1, 1:-1]
+
+
 def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     """Seed sets from a binary image.
 
-    One single-pixel seed per 4-connected foreground component (the pixel
-    nearest its component centroid), then every pixel of the largest
-    background component as the final set.
+    One seed set per 4-connected foreground component: its core, the
+    component eroded by ``SEED_EROSION`` pixels with the 4-connected cross,
+    pixels outside the image counting as background. Only a band about
+    ``SEED_EROSION`` pixels wide along each boundary is left to the walker,
+    as with the markers of marker-controlled watershed. A component that
+    erosion empties (a speck) keeps one seed, the pixel nearest its
+    centroid. The final set is every pixel of the largest background
+    component, not eroded. Two 4-connected components never share a
+    4-neighbour, so one erosion of the whole image erodes each component
+    on its own.
     """
     bits = binary.bits
     if not bits.any():
         raise EmptyForegroundError("binary image has no foreground pixels")
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    fg_labels, fg_count = scipy.ndimage.label(bits, structure=structure)
+    fg_labels, fg_count = scipy.ndimage.label(bits, structure=_CROSS)
     w = bits.shape[1]
 
-    seeds: list[np.ndarray] = []
-    for comp in range(1, fg_count + 1):
-        ys, xs = np.nonzero(fg_labels == comp)
+    core = np.flatnonzero(_erode(bits, SEED_EROSION))
+    if fg_count == 1:
+        seeds = [core]
+    else:
+        owner = fg_labels.ravel()[core]
+        sizes = np.bincount(owner, minlength=fg_count + 1)[1:]
+        # a stable sort keeps each core in row-major order
+        seeds = np.split(core[np.argsort(owner, kind="stable")], np.cumsum(sizes)[:-1])
+    specks = [comp for comp, seed in enumerate(seeds) if not seed.size]
+    boxes = scipy.ndimage.find_objects(fg_labels) if specks else []
+    for comp in specks:
+        box = boxes[comp]
+        ys, xs = np.nonzero(fg_labels[box] == comp + 1)
+        ys, xs = ys + box[0].start, xs + box[1].start
         cy, cx = ys.mean(), xs.mean()
         nearest = np.argmin((ys - cy) ** 2 + (xs - cx) ** 2)
-        seeds.append(np.array([ys[nearest] * w + xs[nearest]], dtype=np.int64))
+        seeds[comp] = np.array([ys[nearest] * w + xs[nearest]], dtype=np.int64)
 
-    bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=structure)
+    bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=_CROSS)
     if bg_count == 0:
         raise EmptyBackgroundError("image has no background pixels to seed")
-    largest = 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
+    largest = 1 if bg_count == 1 else 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
     seeds.append(np.flatnonzero(bg_labels == largest))
     return seeds
 

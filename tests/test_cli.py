@@ -378,9 +378,16 @@ class TestFuse:
         assert doc["support"][0] == pytest.approx(0.693, abs=1e-3)
 
     @pytest.mark.parametrize("profile, templates, bad", [
-        ("[[1.0, 0.0]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]]}, "templates"),
-        ("[[1.0, 0.0", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]}, "profile"),
-    ], ids=["templates-without-counts", "profile-not-json"])
+        ("[[1.0, 0.0]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]]}, ("templates",)),
+        ("[[1.0, 0.0", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]},
+         ("profile",)),
+        ("[[1.0, 0.0]]", {"matrices": [[1.0, 0.0]], "counts": [1]}, ("templates",)),
+        ("[[0.7, 0.7]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]},
+         ("profile",)),
+        ("[[0.2, 0.3, 0.5]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]},
+         ("profile", "templates")),
+    ], ids=["templates-without-counts", "profile-not-json", "templates-2d", "profile-row-sum",
+            "profile-3-columns-vs-2-classes"])
     def test_malformed_input_file_is_data_error(self, tmp_path, capsys, profile, templates,
                                                 bad):
         paths = {"profile": tmp_path / "profile.json", "templates": tmp_path / "templates.json"}
@@ -391,7 +398,9 @@ class TestFuse:
                    "--output", str(tmp_path / "support.json")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(paths[bad]) in err and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for name, path in paths.items():
+            assert (str(path) in err) == (name in bad), name
         assert not (tmp_path / "support.json").exists()
 
 

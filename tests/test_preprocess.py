@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finspect import (BinaryImage, DegenerateHistogramError, EmptyBackgroundError,
                       EmptyForegroundError, GrayImage, ImageTooSmallError, ParameterError,
-                      ShapeError, SolverError, binarize, build_pixel_graph, derive_seeds,
-                      histogram256, median_filter, otsu_threshold, random_walker_segment,
-                      segment_image)
+                      ShapeError, SolverError, SyntheticShapeSpec, binarize, build_pixel_graph,
+                      derive_seeds, generate_synthetic, histogram256, median_filter,
+                      otsu_threshold, random_walker_segment, segment_image)
+from finspect.preprocess import SEED_EROSION
 
 from conftest import random_gray
 
@@ -282,6 +284,13 @@ class TestRandomWalker:
         assert decided.all()
 
 
+def eroded_core(bits: np.ndarray) -> np.ndarray:
+    """Flat indices of the foreground eroded by SEED_EROSION with the 4-connected cross."""
+    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    return np.flatnonzero(scipy.ndimage.binary_erosion(bits, structure=cross,
+                                                       iterations=SEED_EROSION, border_value=0))
+
+
 class TestDeriveSeeds:
     def test_one_seed_per_component_plus_background(self):
         bits = np.zeros((8, 8), dtype=np.uint8)
@@ -295,11 +304,42 @@ class TestDeriveSeeds:
     def test_foreground_seed_inside_component(self):
         bits = np.zeros((6, 6), dtype=np.uint8)
         bits[2:5, 2:5] = 1
+        assert not eroded_core(bits).size  # a speck: erosion empties it
         seeds = derive_seeds(BinaryImage(bits))
         flat = bits.ravel()
-        assert flat[seeds[0][0]] == 1
+        assert seeds[0].size == 1 and flat[seeds[0][0]] == 1
         # nearest pixel to the centroid of a solid square is its middle
         assert seeds[0][0] == 3 * 6 + 3
+
+    def test_large_component_seeds_its_eroded_core(self):
+        yy, xx = np.mgrid[0:24, 0:24]
+        bits = ((yy - 11) ** 2 + (xx - 12) ** 2 <= 64).astype(np.uint8)
+        seeds = derive_seeds(BinaryImage(bits))
+        core = eroded_core(bits)
+        assert 0 < core.size < bits.sum()
+        assert len(seeds) == 2 and np.array_equal(seeds[0], core)
+
+    def test_component_touching_border_is_eroded_there(self):
+        bits = np.zeros((16, 16), dtype=np.uint8)
+        bits[:10, :12] = 1
+        seeds = derive_seeds(BinaryImage(bits))
+        assert np.array_equal(seeds[0], eroded_core(bits))
+        # pixels outside the image count as background, so the core keeps off row and column 0
+        ys, xs = np.divmod(seeds[0], 16)
+        assert ys.min() == SEED_EROSION and xs.min() == SEED_EROSION
+        assert ys.max() == 9 - SEED_EROSION and xs.max() == 11 - SEED_EROSION
+
+    def test_components_one_pixel_apart_get_disjoint_cores(self):
+        bits = np.zeros((16, 21), dtype=np.uint8)
+        bits[2:14, 2:10] = 1
+        bits[2:14, 11:19] = 1  # column 10 separates the two
+        seeds = derive_seeds(BinaryImage(bits))
+        assert len(seeds) == 3 and not np.intersect1d(seeds[0], seeds[1]).size
+        for seed, cols in zip(seeds, (slice(2, 10), slice(11, 19))):
+            alone = np.zeros_like(bits)
+            alone[:, cols] = bits[:, cols]
+            assert np.array_equal(seed, eroded_core(alone))
+            assert alone.ravel()[seed].all()
 
     def test_background_seed_is_largest_background_component(self):
         # the foreground outnumbers every background component, and the larger
@@ -346,6 +386,15 @@ class TestSegmentImage:
             assert crop.image.pixels.max() > 0
             y0, x0, y1, x1 = crop.bbox
             assert crop.image.pixels.shape == (y1 - y0, x1 - x0)
+
+    @pytest.mark.parametrize("kind", ["disk", "ellipse", "triangle", "fin_polygon"])
+    def test_largest_shape_keeps_otsu_foreground_under_noise(self, kind):
+        # a lone seed pixel per shape lets the background seed take most of a noisy shape
+        img, _ = generate_synthetic(SyntheticShapeSpec(kind=kind, size=28, canvas=96, noise=0.2))
+        smoothed = median_filter(img, 3)
+        otsu_count = binarize(smoothed, otsu_threshold(smoothed).theta).bits.sum()
+        seg, fg = segment_image(img)
+        assert max(seg.shapes[i].pixel_count for i in fg) >= 0.9 * otsu_count
 
 
 class TestPixelGraph:
