@@ -383,8 +383,9 @@ def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
     """Binary erosion by the 4-connected cross, pixels outside the image counting as 0.
 
     Equals ``scipy.ndimage.binary_erosion(bits, _CROSS, iterations,
-    border_value=0)``, the tests' reference; shifted ANDs of a zero-padded
-    copy take a few times less than that call on a 192 px image.
+    border_value=0)``, the tests' reference. Shifted ANDs of a zero-padded
+    copy take about a third of that call's time on a 192 px image; with the
+    call, ``derive_seeds`` was slower than single-pixel seeding had been.
     """
     core = np.pad(bits.astype(bool), 1)
     for _ in range(iterations):
@@ -417,13 +418,10 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     w = bits.shape[1]
 
     core = np.flatnonzero(_erode(bits, SEED_EROSION))
-    if fg_count == 1:
-        seeds = [core]
-    else:
-        owner = fg_labels.ravel()[core]
-        sizes = np.bincount(owner, minlength=fg_count + 1)[1:]
-        # a stable sort keeps each core in row-major order
-        seeds = np.split(core[np.argsort(owner, kind="stable")], np.cumsum(sizes)[:-1])
+    owner = fg_labels.ravel()[core]
+    sizes = np.bincount(owner, minlength=fg_count + 1)[1:]
+    # a stable sort keeps each core in row-major order
+    seeds = np.split(core[np.argsort(owner, kind="stable")], np.cumsum(sizes)[:-1])
     specks = [comp for comp, seed in enumerate(seeds) if not seed.size]
     boxes = scipy.ndimage.find_objects(fg_labels) if specks else []
     for comp in specks:
@@ -437,7 +435,7 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=_CROSS)
     if bg_count == 0:
         raise EmptyBackgroundError("image has no background pixels to seed")
-    largest = 1 if bg_count == 1 else 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
+    largest = 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
     seeds.append(np.flatnonzero(bg_labels == largest))
     return seeds
 
