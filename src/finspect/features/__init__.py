@@ -37,15 +37,6 @@ class FeatureVector:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "FeatureVector":
-        payload = json.loads(text)
-        return FeatureVector(
-            extractor=payload["extractor"],
-            descriptor=tuple(payload["descriptor"]),
-            values=np.asarray(payload["values"], dtype=np.float64),
-        )
-
 
 from .moments import (  # noqa: E402
     DEFAULT_CMI_BASIS,

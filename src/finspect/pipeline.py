@@ -265,8 +265,8 @@ def _prepare_entries(entries, config, base_dir, failures):
         except OSError as exc:
             failures.append({"path": item["path"], "stage": "read", "error": str(exc)})
             continue
-        hexdigest = hashlib.sha256(raw).hexdigest()
-        ent = _Entry(item["path"], item["label"], int(hexdigest[:16], 16), hexdigest)
+        ent = _Entry(item["path"], item["label"], content_digest(raw),
+                     hashlib.sha256(raw).hexdigest())
         try:
             crop = largest_shape(load_gray(raw, config), config)
             ent.features = {ext: extract_one(crop, ext, config).values

@@ -13,9 +13,11 @@ empties keeps the one pixel nearest its centroid.
 The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
 on, applied to shifted views of the edge-padded image. The random walker
-assembles its reduced system only from the edges inside the free pixels'
-bounding box grown by one pixel, so both costs follow the shape rather
-than the canvas, and both give the same bits as a whole-canvas pass.
+assembles its reduced system from each free pixel's own in-image
+4-neighbours, so its cost follows the free band rather than the canvas.
+Each degree is summed in the order the pixel's neighbours are gathered,
+not in the canvas's edge order, so gamma can differ from a whole-canvas
+assembly by about 1e-14.
 """
 
 from __future__ import annotations
@@ -291,13 +293,12 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
     pixels of set j are held at 1 and all other seeds at 0, and the free
     pixels solve Grady's reduced system L_U x = -B^T m ("Random Walks for
     Image Segmentation", IEEE TPAMI 2006), one right-hand column per shape.
-    L_U and the right-hand side are built straight from the edges that
-    touch a free pixel, read from the free pixels' bounding box grown by
-    one pixel; the full Laplacian is never formed. L_U is symmetric
-    positive definite when every free region touches a seed, so SuperLU
-    factors it once in symmetric mode (minimum-degree ordering of A^T + A,
-    diagonal pivots). Each pixel is assigned to its argmax shape; ties pick
-    the lower index.
+    L_U and the right-hand side are built straight from each free pixel's
+    in-image 4-neighbours, so a free-free edge is met once from each end;
+    the full Laplacian is never formed. L_U is symmetric positive definite
+    when every free region touches a seed, so SuperLU factors it once in
+    symmetric mode (minimum-degree ordering of A^T + A, diagonal pivots).
+    Each pixel is assigned to its argmax shape; ties pick the lower index.
     """
     pixels = img.pixels
     h, w = pixels.shape
@@ -321,42 +322,29 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
     gamma = np.zeros((n, s_count), dtype=np.float64)
     gamma[seeded, owner[seeded]] = 1.0
     labels = owner.copy()  # a seeded pixel's one-hot gamma row peaks at its own set
-    free = owner < 0
-    m = n - seeded.size
+    free = np.flatnonzero(owner < 0)
+    m = free.size
     if m:
-        # Every edge that touches a free pixel lies in the free pixels' bounding
-        # box grown by one pixel. Row-major order inside that box keeps the
-        # edges in their whole-image order and numbers the free pixels as the
-        # whole image does, so L_U and the right-hand side are unchanged.
-        free_grid = free.reshape(h, w)
-        ys = np.flatnonzero(free_grid.any(axis=1))
-        xs = np.flatnonzero(free_grid.any(axis=0))
-        box = (slice(max(ys[0] - 1, 0), ys[-1] + 2), slice(max(xs[0] - 1, 0), xs[-1] + 2))
-        box_free = free_grid[box].ravel()
-        grid = np.arange(box_free.size).reshape(free_grid[box].shape)
-        box_owner = owner.reshape(h, w)[box].ravel()
-        flat = pixels[box].ravel()
-        pos = np.cumsum(box_free) - 1  # row of each free pixel in the reduced system
-        a = np.concatenate([grid[:, :-1].ravel(), grid[:-1, :].ravel()])
-        b = np.concatenate([grid[:, 1:].ravel(), grid[1:, :].ravel()])
-        touch = box_free[a] | box_free[b]
-        # orient every edge touching a free pixel so that u is free
-        u = np.where(box_free[a], a, b)[touch]
-        v = np.where(box_free[a], b, a)[touch]
+        # row u of L_U and neighbour pixel q for each in-image 4-neighbour of a free pixel
+        y, x = np.divmod(free, w)
+        left, right, up, down = x > 0, x < w - 1, y > 0, y < h - 1
+        u = np.concatenate([np.flatnonzero(side) for side in (left, right, up, down)])
+        q = np.concatenate([free[left] - 1, free[right] + 1, free[up] - w, free[down] + w])
+        flat = pixels.ravel()
         sigma = max(float(pixels.var()), SIGMA_FLOOR)
-        weight = np.exp(-((flat[v] - flat[u]) ** 2) / sigma)
-
-        inner = box_free[v]  # both ends free: a symmetric off-diagonal pair of L_U
-        pu, pv, w_in = pos[u[inner]], pos[v[inner]], weight[inner]
-        degree = np.bincount(np.concatenate([pos[u], pv]),
-                             np.concatenate([weight, w_in]), minlength=m)
+        weight = np.exp(-((flat[q] - flat[free[u]]) ** 2) / sigma)
+        degree = np.bincount(u, weight, minlength=m)
+        # both ends free: the edge is met once from each end, which gives each of
+        # its two symmetric off-diagonal entries of L_U once
+        inner = owner[q] < 0
         diag = np.arange(m)
         L_uu = scipy.sparse.csc_matrix(
-            (np.concatenate([degree, -w_in, -w_in]),
-             (np.concatenate([diag, pu, pv]), np.concatenate([diag, pv, pu]))),
+            (np.concatenate([degree, -weight[inner]]),
+             (np.concatenate([diag, u[inner]]),
+              np.concatenate([diag, np.searchsorted(free, q[inner])]))),
             shape=(m, m))
         # an edge to a pixel of seed set j adds its weight to column j of its free end's row
-        rhs = np.bincount(pos[u[~inner]] * s_count + box_owner[v[~inner]], weight[~inner],
+        rhs = np.bincount(u[~inner] * s_count + owner[q[~inner]], weight[~inner],
                           minlength=m * s_count).reshape(m, s_count)
         try:
             solver = scipy.sparse.linalg.splu(L_uu, permc_spec="MMD_AT_PLUS_A",

@@ -27,7 +27,7 @@ from finspect.pipeline import PipelineConfig, run_pipeline
 from finspect.raster import encode_pgm
 from finspect.synth import SyntheticShapeSpec, generate_synthetic
 
-from conftest import random_gray
+from conftest import dense_gamma, random_gray
 from test_ann import fd_gradients
 from test_fusion import fuse_exact
 from test_preprocess import otsu_oracle
@@ -226,20 +226,6 @@ def test_criterion_08_otsu_oracle_equivalence():
 
     ok = matches == 100 and worst_gap <= 1e-9
     assert _line(8, ok, f"{matches}/100 thresholds match, decomposition gap {worst_gap:.1e}")
-
-
-def dense_gamma(img, seed_sets):
-    from finspect import build_pixel_graph
-    lap = build_pixel_graph(img).laplacian.toarray()
-    n = img.pixels.size
-    seeded = np.concatenate(seed_sets)
-    unk = np.setdiff1d(np.arange(n), seeded)
-    gamma = np.zeros((n, len(seed_sets)))
-    for s, seeds in enumerate(seed_sets):
-        gamma[seeds, s] = 1.0
-        rhs = -lap[np.ix_(unk, seeded)] @ gamma[seeded, s]
-        gamma[unk, s] = np.linalg.solve(lap[np.ix_(unk, unk)], rhs)
-    return gamma.reshape(img.pixels.shape + (len(seed_sets),))
 
 
 def test_criterion_09_random_walker():

@@ -11,7 +11,7 @@ from finspect import (BinaryImage, DegenerateHistogramError, EmptyBackgroundErro
                       otsu_threshold, random_walker_segment, segment_image)
 from finspect.preprocess import SEED_EROSION
 
-from conftest import random_gray
+from conftest import dense_gamma, random_gray
 
 
 def median_oracle(pixels, side):
@@ -132,29 +132,17 @@ class TestBinarize:
 
 
 class TestRandomWalker:
-    def _dense_gamma(self, img, seed_sets):
-        lap = build_pixel_graph(img).laplacian.toarray()
-        n = img.pixels.size
-        seeded = np.concatenate(seed_sets)
-        unk = np.setdiff1d(np.arange(n), seeded)
-        gamma = np.zeros((n, len(seed_sets)))
-        for s, seeds in enumerate(seed_sets):
-            gamma[seeds, s] = 1.0
-            rhs = -lap[np.ix_(unk, seeded)] @ gamma[seeded, s]
-            gamma[unk, s] = np.linalg.solve(lap[np.ix_(unk, unk)], rhs)
-        return gamma.reshape(img.pixels.shape + (len(seed_sets),))
-
     def test_2x2_matches_dense_solve(self):
         img = GrayImage(np.array([[0.1, 0.9], [0.2, 0.8]]))
         seeds = [np.array([0]), np.array([3])]
         seg = random_walker_segment(img, seeds)
-        assert np.abs(seg.gamma - self._dense_gamma(img, seeds)).max() < 1e-8
+        assert np.abs(seg.gamma - dense_gamma(img, seeds)).max() < 1e-8
 
     def test_3x3_matches_dense_solve(self):
         img = GrayImage(np.array([[0.1, 0.9, 0.8], [0.2, 0.5, 0.9], [0.1, 0.2, 0.85]]))
         seeds = [np.array([0]), np.array([8])]
         seg = random_walker_segment(img, seeds)
-        assert np.abs(seg.gamma - self._dense_gamma(img, seeds)).max() < 1e-8
+        assert np.abs(seg.gamma - dense_gamma(img, seeds)).max() < 1e-8
 
     def test_memberships_sum_to_one(self, rng):
         img = random_gray(rng, lo=5, hi=10)
@@ -218,7 +206,7 @@ class TestRandomWalker:
 
     def _check_against_dense(self, img, seeds):
         seg = random_walker_segment(img, seeds)
-        dense = self._dense_gamma(img, seeds)
+        dense = dense_gamma(img, seeds)
         assert np.abs(seg.gamma - dense).max() < 1e-10
         flat = dense.reshape(-1, len(seeds))
         labels = seg.labels.ravel()
@@ -266,13 +254,20 @@ class TestRandomWalker:
         (slice(6, 9), slice(0, 2)), (slice(2, 6), slice(0, 3)),
     ], ids=["top-left", "top", "top-right", "right", "bottom-right", "bottom",
             "bottom-left", "left"])
-    def test_free_box_clipped_at_the_border_matches_dense_solve(self, rng, region):
-        # the free block touches the border, so its grown box is clipped there
+    def test_free_region_at_each_border_matches_dense_solve(self, rng, region):
+        # the free block lies against the border, so the border masks drop the
+        # neighbours its edge pixels would have outside the image
         free_mask = np.zeros((9, 11), dtype=bool)
         free_mask[region] = True
         _, decided = self._check_against_dense(GrayImage(rng.random((9, 11))),
                                                self._seeds_around(free_mask))
         assert decided.all()
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1)], ids=["row", "column"])
+    def test_one_pixel_wide_image_matches_dense_solve(self, rng, shape):
+        # two of the four border masks are empty: no pixel has a neighbour across the line
+        self._check_against_dense(GrayImage(rng.random(shape)),
+                                  [np.array([0]), np.array([4]), np.array([8])])
 
     def test_free_regions_in_opposite_corners_span_the_image(self, rng):
         free_mask = np.zeros((10, 8), dtype=bool)
