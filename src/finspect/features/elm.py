@@ -24,32 +24,34 @@ from ..raster import GrayImage, as_pixels
 from . import FeatureVector
 
 
+def _legendre_table(max_order: int, x: np.ndarray) -> np.ndarray:
+    """Rows L_0(x) .. L_max_order(x), filled by the three-term recurrence."""
+    table = np.empty((max_order + 1,) + x.shape)
+    table[0] = 1.0
+    if max_order:
+        table[1] = x
+    for m in range(1, max_order):
+        table[m + 1] = ((2 * m + 1) * x * table[m] - m * table[m - 1]) / (m + 1)
+    return table
+
+
 def legendre_poly(a: int, x):
     """L_a(x) by the three-term recurrence; accepts scalars or arrays."""
     if a < 0:
         raise ParameterError("Legendre order must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(x)
-    if a == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = x.copy()
-    for m in range(1, a):
-        prev, cur = cur, ((2 * m + 1) * x * cur - m * prev) / (m + 1)
-    return float(cur) if cur.ndim == 0 else cur
+    row = _legendre_table(a, x)[a]
+    return float(row) if row.ndim == 0 else row
 
 
 def _cell_integrals(count: int, max_order: int) -> np.ndarray:
     """I_a over each of the `count` cells tiling [-1, 1], rows a = 1..max_order."""
     bounds = -1.0 + 2.0 * np.arange(count + 1) / count
     # antiderivative values F_a = x L_a - L_(a-1) at every boundary
-    table = np.empty((max_order + 1, bounds.size))
-    for order in range(max_order + 1):
-        table[order] = legendre_poly(order, bounds)
-    out = np.empty((max_order, count))
-    for a in range(1, max_order + 1):
-        anti = bounds * table[a] - table[a - 1]
-        out[a - 1] = (2 * a + 1) / (2 * a + 2) * np.diff(anti)
-    return out
+    table = _legendre_table(max_order, bounds)
+    anti = bounds * table[1:] - table[:-1]
+    a = np.arange(1, max_order + 1)[:, None]
+    return (2 * a + 1) / (2 * a + 2) * np.diff(anti, axis=1)
 
 
 def elm_features(img: GrayImage | np.ndarray, max_order: int = 5) -> FeatureVector:

@@ -10,10 +10,14 @@ The frequency sum is a DFT in the sample indices,
 
 so the angular phase is periodic in t and a lossless quarter-turn of the
 image circularly shifts the samples, leaving every |S| unchanged. All
-magnitudes are divided by |S(0, 0)|, which makes feature 0 exactly 1.
+magnitudes are divided by |S(0, 0)|, which makes feature 0 exactly 1. The
+two phase matrices depend only on the frequency counts, so they are built
+once per (radial_count, angular_count) and kept read-only.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.ndimage
@@ -32,9 +36,10 @@ def polar_samples(img: GrayImage | np.ndarray) -> np.ndarray:
     g = as_pixels(img)
     if g.sum() <= 0.0:
         raise ZeroMassError("polar resampling undefined for a zero-mass image")
-    xc, yc = centroid(img)
-    rows, cols = np.nonzero(g)
-    r_max = float(np.sqrt((cols - xc) ** 2 + (rows - yc) ** 2).max())
+    xc, yc = centroid(g)
+    h, w = g.shape
+    dist2 = (np.arange(w) - xc) ** 2 + ((np.arange(h) - yc) ** 2)[:, None]
+    r_max = float(np.sqrt(dist2[g != 0].max()))
     radii = (np.arange(RADIAL_SAMPLES) + 0.5) * r_max / RADIAL_SAMPLES
     thetas = 2.0 * np.pi * np.arange(ANGULAR_SAMPLES) / ANGULAR_SAMPLES
     xs = xc + radii[:, None] * np.cos(thetas)[None, :]
@@ -42,18 +47,26 @@ def polar_samples(img: GrayImage | np.ndarray) -> np.ndarray:
     return scipy.ndimage.map_coordinates(g, [ys, xs], order=1, mode="grid-constant", cval=0.0)
 
 
-def gfd_features(img: GrayImage | np.ndarray, radial_count: int = 4, angular_count: int = 9) -> FeatureVector:
-    """|S(rho, psi)| / |S(0, 0)| for rho < radial_count, psi < angular_count."""
-    if radial_count < 1 or angular_count < 1:
-        raise ParameterError("frequency counts must be at least 1")
-    polar = polar_samples(img)
-
+@functools.lru_cache(maxsize=None)
+def _phases(radial_count: int, angular_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only radial (rho, s) and angular (psi, t) DFT phase matrices."""
     s_idx = np.arange(RADIAL_SAMPLES) + 0.5
     t_idx = np.arange(ANGULAR_SAMPLES)
     rho = np.arange(radial_count)
     psi = np.arange(angular_count)
     radial_phase = np.exp(-2j * np.pi * np.outer(rho, s_idx) / RADIAL_SAMPLES)
     angular_phase = np.exp(-2j * np.pi * np.outer(psi, t_idx) / ANGULAR_SAMPLES)
+    radial_phase.setflags(write=False)
+    angular_phase.setflags(write=False)
+    return radial_phase, angular_phase
+
+
+def gfd_features(img: GrayImage | np.ndarray, radial_count: int = 4, angular_count: int = 9) -> FeatureVector:
+    """|S(rho, psi)| / |S(0, 0)| for rho < radial_count, psi < angular_count."""
+    if radial_count < 1 or angular_count < 1:
+        raise ParameterError("frequency counts must be at least 1")
+    polar = polar_samples(img)
+    radial_phase, angular_phase = _phases(radial_count, angular_count)
     spectrum = radial_phase @ polar @ angular_phase.T
 
     dc = abs(spectrum[0, 0])

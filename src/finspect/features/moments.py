@@ -8,11 +8,25 @@ where C_ab is the central complex moment
 
 Rotation invariance requires sum_i c_i(a_i - b_i) = 0; the scale powers
 cancel by construction of w_i; centering handles translation.
+
+Every moment comes from one table of central geometric moments,
+
+    mu[q, p] = sum_xy (x-x_c)^p (y-y_c)^q g(x, y) = (Py @ g @ Px^T)[q, p],
+
+with Px[p, x] = (x-x_c)^p and Py[q, y] = (y-y_c)^q, built once per image up
+to the highest order the basis needs. Each C_ab is then the binomial
+expansion of its kernel over that table (Flusser, "On the independence of
+rotation moment invariants", Pattern Recognition 2000):
+
+    C_ab = sum_k=0..a sum_m=0..b  binom(a, k) binom(b, m) (-1)^m j^(k+m)
+           mu[k+m, a+b-k-m].
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -21,27 +35,47 @@ from ..raster import GrayImage, as_pixels
 from . import FeatureVector
 
 
+def _moment_table(g: np.ndarray, order: int, xc: float, yc: float) -> np.ndarray:
+    """mu[q, p] = sum_xy (x-xc)^p (y-yc)^q g(x, y) for 0 <= p, q <= order."""
+    powers = np.arange(order + 1)[:, None]
+    px = (np.arange(g.shape[1]) - xc) ** powers
+    py = (np.arange(g.shape[0]) - yc) ** powers
+    return py @ g @ px.T
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(a: int, b: int) -> tuple[complex, ...]:
+    """Coefficient of mu[m, a+b-m] in C_ab, for m = 0 .. a+b."""
+    coef = [0] * (a + b + 1)
+    for k in range(a + 1):
+        for m in range(b + 1):
+            coef[k + m] += comb(a, k) * comb(b, m) * (-1) ** m
+    return tuple(c * 1j**m for m, c in enumerate(coef))
+
+
+def _complex_from_table(mu: list, a: int, b: int) -> complex:
+    """C_ab from a central moment table of order at least a + b, as nested lists."""
+    n = a + b
+    return complex(sum(w * mu[m][n - m] for m, w in enumerate(_expansion(a, b))))
+
+
 def geometric_moment(img: GrayImage | np.ndarray, a: int, b: int, central: bool = False) -> float:
     """Discrete moment sum_xy x^a y^b g(x, y); x runs over columns, y over rows."""
     if a < 0 or b < 0:
         raise ParameterError("moment orders must be nonnegative")
     g = as_pixels(img)
-    ys, xs = np.mgrid[0 : g.shape[0], 0 : g.shape[1]].astype(np.float64)
-    if central:
-        xc, yc = centroid(img)
-        xs = xs - xc
-        ys = ys - yc
-    return float(np.sum(xs**a * ys**b * g))
+    xc, yc = centroid(g) if central else (0.0, 0.0)
+    return float(_moment_table(g, max(a, b), xc, yc)[b, a])
 
 
 def centroid(img: GrayImage | np.ndarray) -> tuple[float, float]:
-    """Intensity centroid (mu10/mu00, mu01/mu00)."""
+    """Intensity centroid (mu10/mu00, mu01/mu00), from the row and column sums."""
     g = as_pixels(img)
     mass = g.sum()
     if mass <= 0.0:
         raise ZeroMassError("centroid undefined for a zero-mass image")
-    ys, xs = np.mgrid[0 : g.shape[0], 0 : g.shape[1]]
-    return float((xs * g).sum() / mass), float((ys * g).sum() / mass)
+    h, w = g.shape
+    return float(g.sum(axis=0) @ np.arange(w) / mass), float(g.sum(axis=1) @ np.arange(h) / mass)
 
 
 def complex_moment(img: GrayImage | np.ndarray, a: int, b: int) -> complex:
@@ -49,11 +83,7 @@ def complex_moment(img: GrayImage | np.ndarray, a: int, b: int) -> complex:
     if a < 0 or b < 0:
         raise ParameterError("moment orders must be nonnegative")
     g = as_pixels(img)
-    xc, yc = centroid(img)
-    ys, xs = np.mgrid[0 : g.shape[0], 0 : g.shape[1]].astype(np.float64)
-    u = (xs - xc) + 1j * (ys - yc)
-    v = (xs - xc) - 1j * (ys - yc)
-    return complex(np.sum(u**a * v**b * g))
+    return _complex_from_table(_moment_table(g, a + b, *centroid(g)).tolist(), a, b)
 
 
 @dataclass(frozen=True)
@@ -106,15 +136,10 @@ def cmi_features(img: GrayImage | np.ndarray, basis: tuple[MomentProductSpec, ..
     mass = float(g.sum())
     if mass <= 0.0:
         raise ZeroMassError("complex moment invariants undefined for a zero-mass image")
-    xc, yc = centroid(img)
-    ys, xs = np.mgrid[0 : g.shape[0], 0 : g.shape[1]].astype(np.float64)
-    u = (xs - xc) + 1j * (ys - yc)
-    v = np.conj(u)
-
     needed = {(a, b) for spec in basis for a, b, _ in spec.factors}
-    cache: dict[tuple[int, int], complex] = {}
-    for a, b in needed:
-        cache[(a, b)] = complex(np.sum(u**a * v**b * g))
+    order = max((a + b for a, b in needed), default=0)
+    mu = _moment_table(g, order, *centroid(g)).tolist()
+    cache = {(a, b): _complex_from_table(mu, a, b) for a, b in needed}
 
     values = []
     for spec in basis:

@@ -28,7 +28,8 @@ def check_profile(profile) -> np.ndarray:
         raise ShapeError("decision profile must be 2-D (classifiers x classes)")
     if (p < -_ROW_SUM_TOL).any() or (p > 1 + _ROW_SUM_TOL).any():
         raise ParameterError("profile entries must lie in [0, 1]")
-    if not np.allclose(p.sum(axis=1), 1.0, atol=_ROW_SUM_TOL):
+    # not np.allclose, whose default rtol adds 1e-5 to the tolerance; a NaN sum fails <=
+    if not (np.abs(p.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
         raise ParameterError("every profile row must sum to 1")
     return p
 

@@ -273,16 +273,22 @@ class Segmentation:
 
 
 def _crops(img: GrayImage, labels: np.ndarray, shape_count: int) -> tuple[ShapeCrop, ...]:
-    """One crop per label; seed pixels keep one-hot gamma, so no label is empty."""
+    """One crop per label; seed pixels keep one-hot gamma, so no label is empty.
+
+    The box comes from the rows and columns the label's mask touches, and
+    the other labels' pixels are zeroed inside the box only, so no call
+    lists a label's pixel indices over the whole canvas.
+    """
     out = []
     for j in range(shape_count):
         mask = labels == j
-        ys, xs = np.nonzero(mask)
-        y0, y1 = int(ys.min()), int(ys.max()) + 1
-        x0, x1 = int(xs.min()), int(xs.max()) + 1
-        crop = np.where(mask, img.pixels, 0.0)[y0:y1, x0:x1]
+        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        y0, y1 = int(rows[0]), int(rows[-1]) + 1
+        x0, x1 = int(cols[0]), int(cols[-1]) + 1
+        box = mask[y0:y1, x0:x1]
+        crop = np.where(box, img.pixels[y0:y1, x0:x1], 0.0)
         out.append(ShapeCrop(label=j, image=GrayImage(crop), bbox=(y0, x0, y1, x1),
-                             pixel_count=ys.size))
+                             pixel_count=int(np.count_nonzero(box))))
     return tuple(out)
 
 
@@ -308,6 +314,7 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         raise ParameterError("need at least 2 seed sets")
     s_count = len(seed_sets)
     owner = np.full(n, -1, dtype=np.int64)  # seed set of each pixel, -1 where free
+    gamma = np.zeros((n, s_count), dtype=np.float64)
     for j, s in enumerate(seed_sets):
         if s.size == 0:
             raise ParameterError("seed sets must be nonempty")
@@ -315,12 +322,10 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         if s.min() < 0 or s.max() >= n:
             raise ParameterError("seed index out of range")
         owner[s] = j
-    seeded = np.flatnonzero(owner >= 0)
-    if seeded.size != sum(s.size for s in seed_sets):
+        gamma[s, j] = 1.0
+    if np.count_nonzero(owner >= 0) != sum(s.size for s in seed_sets):
         raise ParameterError("seed sets overlap or repeat a pixel")
 
-    gamma = np.zeros((n, s_count), dtype=np.float64)
-    gamma[seeded, owner[seeded]] = 1.0
     labels = owner.copy()  # a seeded pixel's one-hot gamma row peaks at its own set
     free = np.flatnonzero(owner < 0)
     m = free.size

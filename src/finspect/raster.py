@@ -96,7 +96,7 @@ class BinaryImage:
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.size == 0:
             raise ShapeError("BinaryImage requires a non-empty 2-D array")
-        if not np.isin(b, (0, 1)).all():
+        if not ((b == 0) | (b == 1)).all():
             raise ShapeError("BinaryImage bits must be 0 or 1")
         object.__setattr__(self, "bits", _freeze(b.astype(np.uint8)))
 

@@ -384,10 +384,12 @@ class TestFuse:
         ("[[1.0, 0.0]]", {"matrices": [[1.0, 0.0]], "counts": [1]}, ("templates",)),
         ("[[0.7, 0.7]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]},
          ("profile",)),
+        ("[[0.5, 0.500009]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]},
+         ("profile",)),
         ("[[0.2, 0.3, 0.5]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]},
          ("profile", "templates")),
     ], ids=["templates-without-counts", "profile-not-json", "templates-2d", "profile-row-sum",
-            "profile-3-columns-vs-2-classes"])
+            "profile-row-sum-off-by-9e-6", "profile-3-columns-vs-2-classes"])
     def test_malformed_input_file_is_data_error(self, tmp_path, capsys, profile, templates,
                                                 bad):
         paths = {"profile": tmp_path / "profile.json", "templates": tmp_path / "templates.json"}

@@ -4,7 +4,7 @@ import sympy
 from numpy.polynomial import legendre as npleg
 
 from finspect import ParameterError, ShapeError, elm_features, legendre_poly
-from finspect.features.elm import _cell_integrals
+from finspect.features.elm import _cell_integrals, _legendre_table
 
 from conftest import shape_image
 
@@ -43,6 +43,18 @@ class TestCellIntegrals:
                 ref = (2 * a + 1) / 2 * (npleg.legval(bounds[i + 1], antider)
                                          - npleg.legval(bounds[i], antider))
                 assert table[a - 1, i] == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 96])
+    def test_shared_table_equals_per_order_polynomials(self, count):
+        bounds = -1.0 + 2.0 * np.arange(count + 1) / count
+        for max_order in range(1, 9):
+            table = _legendre_table(max_order, bounds)
+            rows = [legendre_poly(a, bounds) for a in range(max_order + 1)]
+            assert np.array_equal(table, rows)
+            # the integrals as one row per order, each from its own polynomials
+            expected = [(2 * a + 1) / (2 * a + 2)
+                        * np.diff(bounds * rows[a] - rows[a - 1]) for a in range(1, max_order + 1)]
+            assert np.array_equal(_cell_integrals(count, max_order), expected)
 
     def test_rows_sum_to_zero(self):
         # integral of L_a over [-1, 1] vanishes for a >= 1

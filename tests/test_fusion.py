@@ -80,6 +80,16 @@ class TestProfileChecks:
         with pytest.raises(ParameterError):
             fusion.compute_templates([np.array([[0.9, 0.3]])], [0], 1)
 
+    @pytest.mark.parametrize("excess", [9e-6, -9e-6, np.nan])
+    def test_row_sum_tolerance_is_absolute(self, excess):
+        # 9e-6 lies inside np.allclose's default rtol but outside the documented 1e-6
+        with pytest.raises(ParameterError):
+            fusion.check_profile(np.array([[0.5, 0.5 + excess], [0.3, 0.7]]))
+
+    def test_row_sum_within_tolerance_accepted(self):
+        profile = fusion.check_profile([[0.5, 0.5 + 5e-7], [0.3, 0.7]])
+        assert profile.shape == (2, 2)
+
     def test_range_enforced(self):
         with pytest.raises(ParameterError):
             fusion.compute_templates([np.array([[1.5, -0.5]])], [0], 1)

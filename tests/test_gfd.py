@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finspect import ParameterError, ZeroMassError, gfd_features
-from finspect.features.gfd import ANGULAR_SAMPLES, RADIAL_SAMPLES, polar_samples
+from finspect.features.gfd import ANGULAR_SAMPLES, RADIAL_SAMPLES, _phases, polar_samples
 
 from conftest import shape_image
 
@@ -121,3 +121,12 @@ class TestGfdFeatures:
     def test_values_nonnegative(self, rng):
         vals = gfd_features(rng.random((10, 10))).values
         assert (vals >= 0).all()
+
+    def test_phases_built_once_and_read_only(self, rng):
+        gfd_features(rng.random((9, 9)), radial_count=3, angular_count=5)
+        radial, angular = _phases(3, 5)
+        assert _phases(3, 5)[0] is radial
+        assert radial.shape == (3, RADIAL_SAMPLES) and angular.shape == (5, ANGULAR_SAMPLES)
+        for phase in (radial, angular):
+            with pytest.raises(ValueError):
+                phase[0, 0] = 0.0

@@ -9,7 +9,7 @@ from finspect import (BinaryImage, DegenerateHistogramError, EmptyBackgroundErro
                       ShapeError, SolverError, SyntheticShapeSpec, binarize, build_pixel_graph,
                       derive_seeds, generate_synthetic, histogram256, median_filter,
                       otsu_threshold, random_walker_segment, segment_image)
-from finspect.preprocess import SEED_EROSION
+from finspect.preprocess import SEED_EROSION, _crops
 
 from conftest import dense_gamma, random_gray
 
@@ -359,6 +359,43 @@ class TestDeriveSeeds:
     def test_no_background_rejected(self):
         with pytest.raises(EmptyBackgroundError):
             derive_seeds(BinaryImage(np.ones((3, 3), dtype=np.uint8)))
+
+
+def nonzero_crops(img, labels, shape_count):
+    """Per label: bbox, pixel count and masked crop, from a canvas-wide np.nonzero."""
+    for j in range(shape_count):
+        mask = labels == j
+        ys, xs = np.nonzero(mask)
+        y0, y1, x0, x1 = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
+        yield (y0, x0, y1, x1), ys.size, np.where(mask, img.pixels, 0.0)[y0:y1, x0:x1]
+
+
+class TestCrops:
+    @pytest.mark.parametrize("quarters", range(4))
+    def test_matches_nonzero_oracle(self, rng, quarters):
+        labels = np.full((7, 9), 4)
+        labels[0:2, 0:3] = 0                   # touches the top and left borders
+        labels[5:7, 6:9] = 1                   # touches the bottom and right borders
+        labels[3, 4] = 2                       # a single pixel
+        labels[0, 7] = labels[6, 0:2] = 3      # two pieces in opposite corners
+        labels = np.rot90(labels, quarters)    # label 4, the background, is the rest
+        img = GrayImage(rng.random(labels.shape))
+        crops = _crops(img, labels, 5)
+        assert [c.label for c in crops] == list(range(5))
+        for crop, (bbox, count, pixels) in zip(crops, nonzero_crops(img, labels, 5)):
+            assert crop.bbox == bbox and crop.pixel_count == count
+            assert np.array_equal(crop.image.pixels, pixels)
+        assert crops[2].pixel_count == 1
+
+    def test_segmentation_crops_match_nonzero_oracle(self):
+        img, _ = generate_synthetic(SyntheticShapeSpec(kind="fin_polygon", size=20, canvas=64,
+                                                       noise=0.1))
+        seg, fg = segment_image(img)
+        smoothed = median_filter(img, 3)
+        oracle = nonzero_crops(smoothed, seg.labels, len(seg.shapes))
+        for crop, (bbox, count, pixels) in zip(seg.shapes, oracle):
+            assert crop.bbox == bbox and crop.pixel_count == count
+            assert np.array_equal(crop.image.pixels, pixels)
 
 
 class TestSegmentImage:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finspect import (GrayImage, GrayscaleCoefficients, ParameterError, PnmDecodeError,
-                      RgbImage, ShapeError, decode_image, encode_pgm, to_grayscale)
+from finspect import (BinaryImage, GrayImage, GrayscaleCoefficients, ParameterError,
+                      PnmDecodeError, RgbImage, ShapeError, decode_image, encode_pgm,
+                      to_grayscale)
 from finspect import raster
 
 
@@ -190,3 +191,13 @@ class TestContainers:
         img = GrayImage(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_binary_rejects_values_other_than_0_and_1(self, bad):
+        with pytest.raises(ShapeError):
+            BinaryImage(np.array([[0.0, 1.0], [bad, 0.0]]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_binary_accepts_0_and_1_of_any_dtype(self, dtype):
+        bits = BinaryImage(np.array([[0, 1], [1, 0]], dtype=dtype)).bits
+        assert bits.dtype == np.uint8 and bits.tolist() == [[0, 1], [1, 0]]
