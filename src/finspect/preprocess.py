@@ -12,12 +12,17 @@ empties keeps the one pixel nearest its centroid.
 
 The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
-on, applied to shifted views of the edge-padded image. The random walker
-assembles its reduced system from each free pixel's own in-image
-4-neighbours, so its cost follows the free band rather than the canvas.
-Each degree is summed in the order the pixel's neighbours are gathered,
-not in the canvas's edge order, so gamma can differ from a whole-canvas
-assembly by about 1e-14.
+on, applied to shifted views of the edge-padded image. It runs on the
+uint8 levels of an image whose pixels are exactly level / 255, as every
+decoded PGM's are, and on the float pixels otherwise; both give the same
+output. The random walker assembles its reduced system from each free
+pixel's own in-image 4-neighbours, so its cost follows the free band
+rather than the canvas. Each degree is summed in the order the pixel's
+neighbours are gathered, not in the canvas's edge order, so gamma can
+differ from a whole-canvas assembly by about 1e-14. The system is solved
+by banded Cholesky in reverse Cuthill-McKee order, each connected free
+region only for the seed sets it touches, packed into as few right-hand
+columns as the region touching the most sets needs.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy.ndimage
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
+import scipy.sparse.csgraph
 
 from .errors import (
     DegenerateHistogramError,
@@ -41,12 +47,14 @@ from .errors import (
     ShapeError,
     SolverError,
 )
-from .raster import BinaryImage, GrayImage, encode_pgm
+from .raster import BinaryImage, GrayImage, encode_pgm, gray_levels
 
 SIGMA_FLOOR = 1e-6
 RESIDUAL_TOL = 1e-8
+ROW_SUM_TOL = 1e-6  # largest |sum_j gamma_ij - 1| accepted on a free row
 SEED_EROSION = 3  # depth in pixels of each foreground seed core inside its component
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+_LEVEL_VALUES = np.arange(256) / 255.0  # the intensity of each 8-bit level, as decoded
 
 
 def _batcher_pairs(size: int):
@@ -129,7 +137,11 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     The median is selected by a pruned min/max network (``_median_network``)
     run over the side**2 shifted views of the edge-padded image; its output
     is an order statistic of the window, so it equals a sorting median
-    exactly.
+    exactly. When every pixel is exactly its 8-bit level over 255, as every
+    decoded PGM is, the network runs on the uint8 levels and its output is
+    mapped back through ``_LEVEL_VALUES``; as the map is increasing, the
+    result is the one the float pixels give, with scratch arrays an eighth
+    of the size.
     """
     if side < 1 or side % 2 == 0:
         raise ParameterError(f"median window side must be odd and positive, got {side}")
@@ -140,13 +152,16 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     if side == 1:
         return img
     scratch, steps, median = _median_network(side)
-    h, w = img.pixels.shape
-    padded = np.pad(img.pixels, side // 2, mode="edge")
+    levels = gray_levels(img.pixels)
+    exact = np.array_equal(levels / 255.0, img.pixels)
+    values = levels if exact else img.pixels
+    h, w = values.shape
+    padded = np.pad(values, side // 2, mode="edge")
     registers = [padded[dy:dy + h, dx:dx + w] for dy in range(side) for dx in range(side)]
-    registers += [np.empty((h, w)) for _ in range(scratch)]
+    registers += [np.empty((h, w), dtype=values.dtype) for _ in range(scratch)]
     for ufunc, a, b, out in steps:
         ufunc(registers[a], registers[b], out=registers[out])
-    return GrayImage(registers[median])
+    return GrayImage(np.take(_LEVEL_VALUES, registers[median]) if exact else registers[median])
 
 
 @dataclass(frozen=True)
@@ -157,9 +172,8 @@ class OtsuResult:
 
 
 def histogram256(img: GrayImage) -> np.ndarray:
-    """Counts over 256 bins; intensity g lands in bin round(g * 255)."""
-    levels = np.floor(img.pixels * 255.0 + 0.5).astype(np.int64)
-    return np.bincount(levels.ravel(), minlength=256)
+    """Counts over 256 bins; intensity g lands in bin ``gray_levels(g)``, round(g * 255)."""
+    return np.bincount(gray_levels(img.pixels).ravel(), minlength=256)
 
 
 def otsu_threshold(img: GrayImage) -> OtsuResult:
@@ -301,10 +315,22 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
     Image Segmentation", IEEE TPAMI 2006), one right-hand column per shape.
     L_U and the right-hand side are built straight from each free pixel's
     in-image 4-neighbours, so a free-free edge is met once from each end;
-    the full Laplacian is never formed. L_U is symmetric positive definite
-    when every free region touches a seed, so SuperLU factors it once in
-    symmetric mode (minimum-degree ordering of A^T + A, diagonal pivots).
-    Each pixel is assigned to its argmax shape; ties pick the lower index.
+    the full Laplacian is never formed.
+
+    L_U is symmetric positive definite when every free region touches a
+    seed. Reverse Cuthill-McKee (Cuthill & McKee 1969) orders it, which
+    numbers each connected free region as one run and gives a thin free
+    band a small bandwidth, and LAPACK's banded Cholesky
+    (``scipy.linalg.solveh_banded``) solves it. A region's column for a
+    seed set it does not touch is exactly zero, so the columns are packed:
+    the sets each region touches take its first columns in ascending
+    order, k columns serve all regions, k being the most sets one region
+    touches, and the columns are scattered back to their sets after the
+    solve. A factor that is not positive definite, a residual above 1e-8 of
+    the right-hand side, or a free row whose probabilities miss a sum of 1
+    by more than 1e-6 (a region that reaches the seeds only through
+    underflowing weights) raises ``SolverError``. Each pixel is assigned to
+    its argmax shape; ties pick the lower index.
     """
     pixels = img.pixels
     h, w = pixels.shape
@@ -322,7 +348,7 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         if s.min() < 0 or s.max() >= n:
             raise ParameterError("seed index out of range")
         owner[s] = j
-        gamma[s, j] = 1.0
+        gamma[:, j][s] = 1.0
     if np.count_nonzero(owner >= 0) != sum(s.size for s in seed_sets):
         raise ParameterError("seed sets overlap or repeat a pixel")
 
@@ -330,42 +356,80 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
     free = np.flatnonzero(owner < 0)
     m = free.size
     if m:
-        # row u of L_U and neighbour pixel q for each in-image 4-neighbour of a free pixel
+        owner[free] = -1 - np.arange(m)  # free pixel i of L_U now holds -1 - i, still negative
+        # row u of L_U and neighbour pixel q for each in-image 4-neighbour of a free
+        # pixel, grouped by row, each row's neighbours in the order left, right, up, down
         y, x = np.divmod(free, w)
-        left, right, up, down = x > 0, x < w - 1, y > 0, y < h - 1
-        u = np.concatenate([np.flatnonzero(side) for side in (left, right, up, down)])
-        q = np.concatenate([free[left] - 1, free[right] + 1, free[up] - w, free[down] + w])
+        u, side = np.nonzero(np.stack((x > 0, x < w - 1, y > 0, y < h - 1), axis=1))
+        q = free[u] + np.array([-1, 1, -w, w])[side]
         flat = pixels.ravel()
         sigma = max(float(pixels.var()), SIGMA_FLOOR)
         weight = np.exp(-((flat[q] - flat[free[u]]) ** 2) / sigma)
         degree = np.bincount(u, weight, minlength=m)
-        # both ends free: the edge is met once from each end, which gives each of
-        # its two symmetric off-diagonal entries of L_U once
-        inner = owner[q] < 0
-        diag = np.arange(m)
-        L_uu = scipy.sparse.csc_matrix(
-            (np.concatenate([degree, -weight[inner]]),
-             (np.concatenate([diag, u[inner]]),
-              np.concatenate([diag, np.searchsorted(free, q[inner])]))),
-            shape=(m, m))
-        # an edge to a pixel of seed set j adds its weight to column j of its free end's row
-        rhs = np.bincount(u[~inner] * s_count + owner[q[~inner]], weight[~inner],
-                          minlength=m * s_count).reshape(m, s_count)
+        neighbour = owner[q]
+        # both ends free: the edge is met once from each end, so each of its two
+        # symmetric off-diagonal entries of L_U comes out once
+        inner = neighbour < 0
+        row, col, weight_in = u[inner], -1 - neighbour[inner], weight[inner]
+        graph = scipy.sparse.csr_array((weight_in, col, np.searchsorted(row, np.arange(m + 1))),
+                                       shape=(m, m))
+        order = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        rank = np.empty(m, dtype=np.int64)  # position of each free pixel in RCM order
+        rank[order] = np.arange(m)
+        row, col = rank[row], rank[col]
+
+        # positions 0 .. p hold whole regions when no edge from them reaches past p.
+        # Cuthill-McKee numbers each region in one breadth-first run, so each region
+        # is one run of positions (a coarser split would still pack correctly); this
+        # costs a tenth of csgraph.connected_components on a 192 px query
+        reach = np.arange(m)
+        np.maximum.at(reach, row, col)
+        closes = np.maximum.accumulate(reach) == np.arange(m)
+        region = np.cumsum(closes) - closes
+        edge = ~inner
+        bound_row, bound_set = rank[u[edge]], neighbour[edge]
+        bound_region = region[bound_row]
+        touched = np.zeros((int(region[-1]) + 1, s_count), dtype=bool)
+        touched[bound_region, bound_set] = True
+        slot = np.cumsum(touched, axis=1) - 1  # column of each touched set
+        k = int(slot[:, -1].max()) + 1  # every region borders a seed, so k >= 1
+        # the set of each column: a region's touched sets in ascending order, then
+        # untouched ones, whose columns solve to exactly 0
+        packed_set = np.argsort(~touched, axis=1, kind="stable")[:, :k]
+        # columns are the rows of (k, m) arrays; an edge to a pixel of seed set j adds
+        # its weight to j's column of its free end's row
+        rhs = np.bincount(slot[bound_region, bound_set] * m + bound_row, weight[edge],
+                          minlength=k * m).reshape(k, m)
+
+        # LAPACK's lower band storage: band[d, i] holds L_U[i + d, i] in RCM order
+        offset = np.abs(row - col)
+        band = np.zeros((int(offset.max(initial=0)) + 1, m))
+        band[0] = diag = degree[order]
+        band[offset, np.minimum(row, col)] = -weight_in
         try:
-            solver = scipy.sparse.linalg.splu(L_uu, permc_spec="MMD_AT_PLUS_A",
-                                              diag_pivot_thresh=0.0,
-                                              options={"SymmetricMode": True})
-            solution = solver.solve(rhs)
-        except RuntimeError as exc:
-            raise SolverError(f"reduced system is singular: {exc}") from exc
+            solution = scipy.linalg.solveh_banded(band, rhs.T, lower=True, overwrite_ab=True,
+                                                  check_finite=False).T
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"reduced system is not positive definite: {exc}") from exc
         if not np.isfinite(solution).all():
             raise SolverError("reduced system produced non-finite probabilities")
-        residual = L_uu @ solution - rhs
+        coupled = np.bincount((np.arange(k)[:, None] * m + row).ravel(),
+                              (weight_in * np.take(solution, col, axis=1)).ravel(),
+                              minlength=k * m).reshape(k, m)
+        residual = diag * solution - coupled - rhs
         scale = max(float(np.abs(rhs).max()), 1.0)
         if float(np.abs(residual).max()) / scale > RESIDUAL_TOL:
             raise SolverError("linear solve exceeded the 1e-8 relative residual budget")
-        gamma[free] = solution = np.clip(solution, 0.0, 1.0)
-        labels[free] = np.argmax(solution, axis=1)
+        if float(np.abs(solution.sum(axis=0) - 1.0).max()) > ROW_SUM_TOL:
+            raise SolverError("a free region is cut off from every seed: "
+                              "its probabilities do not sum to 1")
+
+        solution = np.clip(solution, 0.0, 1.0)
+        pixel = free[order]
+        # a row's maximum is positive, so its argmax is a touched set, and as those
+        # are packed in ascending order, a tie still picks the lower index
+        labels[pixel] = packed_set[region, np.argmax(solution, axis=0)]
+        gamma.ravel()[pixel * s_count + np.take(packed_set, region, axis=0).T] = solution
 
     labels = labels.reshape(h, w)
     return Segmentation(labels=labels, gamma=gamma.reshape(h, w, s_count),

@@ -239,9 +239,14 @@ def decode_image(data: bytes) -> RgbImage | GrayImage:
     return RgbImage(samples.reshape(height, width, 3))
 
 
+def gray_levels(pixels: np.ndarray) -> np.ndarray:
+    """8-bit level floor(g * 255 + 0.5) of each intensity g in [0, 1], as uint8."""
+    return np.floor(pixels * 255.0 + 0.5).astype(np.uint8)
+
+
 def encode_pgm(img: GrayImage) -> bytes:
-    """Encode a GrayImage as ASCII PGM (P2), quantizing to round(f * 255)."""
-    samples = np.floor(img.pixels * 255.0 + 0.5).astype(np.int64).ravel()
+    """Encode a GrayImage as ASCII PGM (P2), quantizing each pixel to its ``gray_levels``."""
+    samples = gray_levels(img.pixels).ravel()
     lines = [b"P2", f"{img.width} {img.height}".encode(), b"255"]
     # hold every line under the conventional 70-character limit
     per_line = 17

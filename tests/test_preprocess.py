@@ -10,6 +10,7 @@ from finspect import (BinaryImage, DegenerateHistogramError, EmptyBackgroundErro
                       derive_seeds, generate_synthetic, histogram256, median_filter,
                       otsu_threshold, random_walker_segment, segment_image)
 from finspect.preprocess import SEED_EROSION, _crops
+from finspect.raster import decode_image, gray_levels, to_grayscale
 
 from conftest import dense_gamma, random_gray
 
@@ -34,6 +35,38 @@ class TestMedianFilter:
                 if side <= min(img.pixels.shape):
                     got = median_filter(img, side)
                     assert np.array_equal(got.pixels, median_oracle(img.pixels, side))
+
+    @pytest.mark.parametrize("magic", [b"P5", b"P2"])
+    @pytest.mark.parametrize("level_count", [256, 3])
+    def test_decoded_pgm_matches_sort_oracle(self, rng, magic, level_count):
+        # decoded pixels are exactly level / 255, so the network runs on uint8 levels
+        levels = rng.choice(rng.permutation(256)[:level_count], (11, 13)).astype(np.uint8)
+        payload = (levels.tobytes() if magic == b"P5"
+                   else " ".join(str(v) for v in levels.ravel()).encode())
+        img = decode_image(magic + b"\n13 11\n255\n" + payload)
+        for side in (3, 5, 7):
+            assert np.array_equal(median_filter(img, side).pixels, median_oracle(img.pixels, side))
+
+    def test_grayscale_of_p6_matches_sort_oracle(self, rng):
+        rgb = rng.integers(0, 256, (11, 13, 3), dtype=np.uint8)
+        img = to_grayscale(decode_image(b"P6\n13 11\n255\n" + rgb.tobytes()))
+        assert not np.array_equal(gray_levels(img.pixels) / 255.0, img.pixels)  # the float path
+        for side in (3, 5, 7):
+            assert np.array_equal(median_filter(img, side).pixels, median_oracle(img.pixels, side))
+
+    def test_pixel_one_ulp_off_its_level_takes_the_float_path(self, rng):
+        px = rng.integers(0, 255, (11, 13)) / 255.0
+        oracle = median_oracle(px, 3)
+        # an inner pixel that is the median of its window and unique in it stays the
+        # median when nudged up by one ulp; the uint8 levels would lose the nudge
+        y, x = next((y, x) for y in range(1, 10) for x in range(1, 12)
+                    if oracle[y, x] == px[y, x]
+                    and np.count_nonzero(px[y - 1:y + 2, x - 1:x + 2] == px[y, x]) == 1)
+        px[y, x] = np.nextafter(px[y, x], 1.0)
+        img = GrayImage(px)
+        assert median_filter(img, 3).pixels[y, x] == px[y, x]
+        for side in (3, 5, 7):
+            assert np.array_equal(median_filter(img, side).pixels, median_oracle(px, side))
 
     def test_side_one_is_identity(self, rng):
         img = random_gray(rng)
@@ -204,6 +237,18 @@ class TestRandomWalker:
         with pytest.raises(SolverError):
             random_walker_segment(GrayImage(px), [np.array([0]), np.array([1599])])
 
+    def test_regions_cut_off_by_underflowing_weights_are_solver_errors(self):
+        # each block's edges to the zero canvas weigh exp(-400) or less, lost in
+        # rounding against its inner degrees, so gamma rows there would sum to about
+        # 0; with these draws both blocks are caught by the row-sum check, and with
+        # others the factor's last pivot can fail instead
+        rng = np.random.default_rng(2)
+        for block in ((2, 2), (3, 5)):
+            px = np.zeros((40, 40))
+            px[20:20 + block[0], 20:20 + block[1]] = 1.0 - 0.01 * rng.random(block)
+            with pytest.raises(SolverError):
+                random_walker_segment(GrayImage(px), [np.array([0]), np.array([1599])])
+
     def _check_against_dense(self, img, seeds):
         seg = random_walker_segment(img, seeds)
         dense = dense_gamma(img, seeds)
@@ -268,6 +313,41 @@ class TestRandomWalker:
         # two of the four border masks are empty: no pixel has a neighbour across the line
         self._check_against_dense(GrayImage(rng.random(shape)),
                                   [np.array([0]), np.array([4]), np.array([8])])
+
+    def test_free_regions_touching_different_seed_sets_match_dense_solve(self, rng):
+        # the regions touch sets {0, 1, 2}, {2, 3} and {2}: three packed columns, of
+        # which the second region uses two and the single pixel one
+        owner = np.full((12, 16), 2)
+        owner[:, :6], owner[:, 6:10], owner[11, :] = 0, 1, 3
+        owner[3:7, 4:12] = -1
+        owner[9:11, 12:14] = -1
+        owner[1, 14] = -1
+        seeds = [np.flatnonzero(owner == j) for j in range(4)]
+        seg, decided = self._check_against_dense(GrayImage(rng.random((12, 16))), seeds)
+        assert decided.all()
+        assert seg.labels[1, 14] == 2 and seg.gamma[1, 14].tolist() == [0.0, 0.0, 1.0, 0.0]
+
+    def test_ring_around_a_free_hole_matches_dense_solve(self, rng):
+        # the hole is background but not the largest background part, so it is free:
+        # a disk of free pixels, which reverse Cuthill-McKee orders with a wide band
+        yy, xx = np.mgrid[:30, :30]
+        radius = np.hypot(yy - 14.5, xx - 14.5)
+        ring = (radius < 13) & (radius >= 6)
+        img = GrayImage(np.where(ring, 0.8, 0.1) + 0.05 * rng.random((30, 30)))
+        seeds = derive_seeds(BinaryImage(ring.astype(np.uint8)))
+        assert len(seeds) == 2 and not np.isin(np.flatnonzero(radius < 6), seeds[1]).any()
+        seg, decided = self._check_against_dense(img, seeds)
+        assert decided.all()
+        assert (seg.labels[radius < 6] == 0).all()  # the hole joins the ring around it
+
+    def test_isolated_free_pixels_match_dense_solve(self, rng):
+        # no two free pixels are 4-neighbours: L_U is diagonal, a band of width 0
+        free_mask = np.zeros((9, 11), dtype=bool)
+        free_mask[1:8:2, 1:10:2] = True
+        free_mask[0, 0] = free_mask[8, 10] = True
+        _, decided = self._check_against_dense(GrayImage(rng.random((9, 11))),
+                                               self._seeds_around(free_mask))
+        assert decided.all()
 
     def test_free_regions_in_opposite_corners_span_the_image(self, rng):
         free_mask = np.zeros((10, 8), dtype=bool)
