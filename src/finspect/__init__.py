@@ -1,33 +1,65 @@
 """Shape classification toolkit: raster codec, segmentation, invariant
-features, three classifiers and decision-template fusion."""
+features, three classifiers and decision-template fusion.
 
-from .errors import (BasisError, DataError, DegenerateBeliefError, DegenerateHistogramError,
-                     DegeneratePopulationError, EmptyBackgroundError, EmptyForegroundError,
-                     FinspectError, ImageTooSmallError, ParameterError, PnmDecodeError,
-                     ShapeError, SolverError, TrainingDivergedError, ZeroMassError)
-from .raster import (BinaryImage, GrayImage, GrayscaleCoefficients, RgbImage, decode_image,
-                     encode_pgm, to_grayscale)
-from .preprocess import (OtsuResult, Segmentation, ShapeCrop, binarize, build_pixel_graph,
-                         derive_seeds, histogram256, median_filter, otsu_threshold,
-                         random_walker_segment, segment_image)
-from .features import (DEFAULT_CMI_BASIS, FeatureVector, MomentProductSpec, centroid,
-                       cmi_features, complex_moment, elm_features, geometric_moment,
-                       gfd_features, legendre_poly)
-from .dataset import CLASS_CATALOG, LabeledSet, load_manifest, one_hot, save_manifest
-from .ann import MlpModel, TrainConfig, backprop, cross_entropy, feedforward, sigmoid
-from .ann import predict as ann_predict
-from .ann import predict_proba as ann_predict_proba
-from .ann import train as ann_train
-from .gknn import (MahalanobisContext, build_context, chromosome_width, crossover, evolve,
-                   gknn_classify, mahalanobis, mutate)
-from .svm import (SvmModel, confidence, dual_objective, empirical_error, kernel_linear,
-                  train_svm, two_point_line)
-from .svm import predict as svm_predict
-from .svm import predict_proba as svm_predict_proba
-from .fusion import ClassSupport, DecisionTemplates, belief, compute_templates, fuse, proximity
-from .synth import SHAPE_CLASS, SyntheticShapeSpec, generate_synthetic
-from .pipeline import (Family, PipelineConfig, PipelineModels, classify_image,
-                       classify_segments, load_models, run_pipeline, run_pipeline_from_manifest,
-                       save_models, train_models)
+``import finspect`` loads no submodule: each public name is imported from
+its submodule on first use, so a name from ``preprocess``, ``features`` or
+``pipeline`` brings in scipy and the others only numpy. A name is looked up
+in its submodule on every access rather than cached here, so whatever the
+submodule holds now (a patched or restored function) is what
+``finspect.<name>`` returns.
+"""
 
+import importlib
+
+_SUBMODULE_NAMES = {
+    "errors": ("BasisError DataError DegenerateBeliefError DegenerateHistogramError "
+               "DegeneratePopulationError EmptyBackgroundError EmptyForegroundError "
+               "FinspectError ImageTooSmallError ParameterError PnmDecodeError ShapeError "
+               "SolverError TrainingDivergedError ZeroMassError"),
+    "raster": ("BinaryImage GrayImage GrayscaleCoefficients RgbImage decode_image encode_pgm "
+               "to_grayscale"),
+    "preprocess": ("OtsuResult Segmentation ShapeCrop binarize build_pixel_graph derive_seeds "
+                   "histogram256 median_filter otsu_threshold random_walker_segment "
+                   "segment_image"),
+    "features": ("DEFAULT_CMI_BASIS FeatureVector MomentProductSpec centroid cmi_features "
+                 "complex_moment elm_features geometric_moment gfd_features legendre_poly"),
+    "dataset": "CLASS_CATALOG LabeledSet load_manifest one_hot save_manifest",
+    "ann": "MlpModel TrainConfig backprop cross_entropy feedforward sigmoid",
+    "gknn": ("MahalanobisContext build_context chromosome_width crossover evolve "
+             "gknn_classify mahalanobis mutate"),
+    "svm": ("SvmModel confidence dual_objective empirical_error kernel_linear train_svm "
+            "two_point_line"),
+    "fusion": "ClassSupport DecisionTemplates belief compute_templates fuse proximity",
+    "synth": "SHAPE_CLASS SyntheticShapeSpec generate_synthetic",
+    "pipeline": ("Family PipelineConfig PipelineModels classify_image classify_segments "
+                 "load_models run_pipeline run_pipeline_from_manifest save_models "
+                 "train_models"),
+}
+
+# export name -> (submodule, attribute)
+_EXPORTS = {name: (module, name)
+            for module, names in _SUBMODULE_NAMES.items() for name in names.split()}
+_EXPORTS.update({
+    "ann_predict": ("ann", "predict"),
+    "ann_predict_proba": ("ann", "predict_proba"),
+    "ann_train": ("ann", "train"),
+    "svm_predict": ("svm", "predict"),
+    "svm_predict_proba": ("svm", "predict_proba"),
+})
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULE_NAMES:  # ``finspect.pipeline`` after a bare ``import finspect``
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        module, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), attr)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE_NAMES) | set(_EXPORTS))

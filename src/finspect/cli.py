@@ -15,10 +15,6 @@ import numpy as np
 from .dataset import load_manifest, save_manifest
 from .errors import DataError, FinspectError, ParameterError, ShapeError
 from .fusion import DecisionTemplates, check_profile, fuse
-from .pipeline import (PipelineConfig, classify_image, classify_segments, content_digest,
-                       extract_one, largest_shape, load_config, load_gray, load_models,
-                       run_pipeline, save_models, train_models)
-from .preprocess import binarize, export_segmentation, median_filter, otsu_threshold, segment_image
 from .raster import GrayImage, encode_pgm
 from .synth import SHAPE_CLASS, SyntheticShapeSpec, generate_synthetic
 
@@ -28,6 +24,10 @@ def _write_json(path, doc):
 
 
 def _cmd_preprocess(args) -> int:
+    from .pipeline import load_config, load_gray
+    from .preprocess import (binarize, export_segmentation, median_filter, otsu_threshold,
+                             segment_image)
+
     cfg = load_config(args.config)
     gray = load_gray(Path(args.input).read_bytes(), cfg)
     filtered = median_filter(gray, cfg.median_window)
@@ -45,6 +45,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .pipeline import extract_one, largest_shape, load_config, load_gray
+
     cfg = load_config(args.config)
     gray = load_gray(Path(args.input).read_bytes(), cfg)
     if args.segment:
@@ -60,6 +62,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .pipeline import load_config, save_models, train_models
+
     cfg = load_config(args.config)
     entries = load_manifest(args.manifest)
     models, prepared, failures = train_models(entries, cfg, seed=args.seed,
@@ -73,6 +77,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .pipeline import (classify_image, classify_segments, content_digest, largest_shape,
+                           load_gray, load_models)
+
     cfg_models = load_models(args.model_dir)
     raw = Path(args.input).read_bytes()
     gray = load_gray(raw, cfg_models.config)
@@ -122,6 +129,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .pipeline import load_config, run_pipeline
+
     cfg = load_config(args.config)
     entries = load_manifest(args.manifest)
     _, report = run_pipeline(entries, cfg, seed=args.seed,

@@ -123,7 +123,7 @@ def gknn_classify(x_q, training: LabeledSet, k: int, rng_seed: int = 0,
         return training.targets[0].copy()
     ctx = build_context(training.inputs) if context is None else context
     diff = training.inputs - np.asarray(x_q, dtype=np.float64)
-    dists = np.sqrt(np.einsum("ij,jk,ik->i", diff, ctx.inverse, diff))
+    dists = np.sqrt(((diff @ ctx.inverse) * diff).sum(axis=1))
     final = evolve(1.0 / (1.0 + dists), k, np.random.default_rng(rng_seed))
     votes = np.bincount(training.labels[list(final)], minlength=training.n_classes)
     return votes / k

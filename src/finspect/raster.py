@@ -244,15 +244,16 @@ def gray_levels(pixels: np.ndarray) -> np.ndarray:
     return np.floor(pixels * 255.0 + 0.5).astype(np.uint8)
 
 
+_LEVEL_TEXT = tuple(str(level).encode() for level in range(256))
+
+
 def encode_pgm(img: GrayImage) -> bytes:
     """Encode a GrayImage as ASCII PGM (P2), quantizing each pixel to its ``gray_levels``."""
-    samples = gray_levels(img.pixels).ravel()
+    words = [_LEVEL_TEXT[s] for s in gray_levels(img.pixels).ravel().tolist()]
     lines = [b"P2", f"{img.width} {img.height}".encode(), b"255"]
     # hold every line under the conventional 70-character limit
     per_line = 17
-    for i in range(0, samples.size, per_line):
-        chunk = samples[i : i + per_line]
-        lines.append(" ".join(str(int(s)) for s in chunk).encode())
+    lines += [b" ".join(words[i : i + per_line]) for i in range(0, len(words), per_line)]
     return b"\n".join(lines) + b"\n"
 
 

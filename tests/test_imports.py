@@ -1,0 +1,71 @@
+"""The package and the commands that draw no segmentation start without scipy,
+and every lazily exported name is its submodule's object."""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import finspect
+
+SOURCE_ROOT = str(Path(finspect.__file__).resolve().parents[1])
+
+
+def _fuse_args(directory: Path) -> list[str]:
+    profile, templates = directory / "profile.json", directory / "templates.json"
+    profile.write_text(json.dumps([[0.7, 0.3], [0.4, 0.6]]))
+    templates.write_text(json.dumps({"matrices": [[[0.8, 0.2], [0.6, 0.4]],
+                                                  [[0.3, 0.7], [0.2, 0.8]]],
+                                     "counts": [1, 1]}))
+    return ["fuse", "--profile", str(profile), "--templates", str(templates),
+            "--output", str(directory / "support.json")]
+
+
+def _synth_args(directory: Path) -> list[str]:
+    return ["synth", "--out-dir", str(directory / "corpus"), "--kinds", "disk,triangle",
+            "--count", "1", "--canvas", "32", "--seed", "3"]
+
+
+@pytest.mark.parametrize("case", ["import finspect", "import finspect.cli", "synth", "fuse"])
+def test_no_scipy_module_is_loaded(tmp_path, case):
+    if case in ("synth", "fuse"):
+        args = (_synth_args if case == "synth" else _fuse_args)(tmp_path)
+        case = f"from finspect.cli import main; assert main({args!r}) == 0"
+    code = (f"import sys; sys.path.insert(0, {SOURCE_ROOT!r}); {case}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_every_export_is_its_submodule_attribute():
+    for name in finspect.__all__:
+        module, attr = finspect._EXPORTS[name]
+        owner = importlib.import_module(f"finspect.{module}")
+        assert getattr(finspect, name) is getattr(owner, attr), name
+    assert set(finspect.__all__) <= set(dir(finspect))
+
+
+def test_an_export_follows_a_patched_submodule(monkeypatch):
+    from finspect import gknn
+    replacement = object()
+    monkeypatch.setattr(gknn, "gknn_classify", replacement)
+    assert finspect.gknn_classify is replacement
+
+
+def test_a_submodule_is_an_attribute_after_a_bare_import():
+    code = (f"import sys; sys.path.insert(0, {SOURCE_ROOT!r}); import finspect; "
+            "print(finspect.pipeline.__name__, 'finspect.fusion' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["finspect.pipeline", "True"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        finspect.no_such_name
+    with pytest.raises(ImportError):
+        exec("from finspect import no_such_name", {})

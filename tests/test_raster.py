@@ -155,6 +155,39 @@ class TestEncode:
         assert np.array_equal(once.pixels, twice.pixels)
 
 
+def encode_pgm_per_sample(img: GrayImage) -> bytes:
+    """The encoder before its lookup table: one ``str(int(s))`` per sample."""
+    samples = raster.gray_levels(img.pixels).ravel()
+    lines = [b"P2", f"{img.width} {img.height}".encode(), b"255"]
+    for i in range(0, samples.size, 17):
+        lines.append(" ".join(str(int(s)) for s in samples[i : i + 17]).encode())
+    return b"\n".join(lines) + b"\n"
+
+
+class TestEncodeMatchesPerSampleOracle:
+    def test_all_256_levels(self):
+        levels = np.arange(256, dtype=np.float64) / 255.0
+        for shape in ((16, 16), (1, 256), (256, 1)):
+            img = GrayImage(levels.reshape(shape))
+            raw = encode_pgm(img)
+            assert raw == encode_pgm_per_sample(img)
+            assert np.array_equal(decode_image(raw).pixels, img.pixels)
+
+    def test_one_pixel(self):
+        for value in (0.0, 0.5, 1.0):
+            img = GrayImage(np.array([[value]]))
+            assert encode_pgm(img) == encode_pgm_per_sample(img)
+
+    @pytest.mark.parametrize("h, w", [(1, 16), (1, 18), (2, 9), (3, 7), (5, 13), (96, 95)])
+    def test_sizes_off_the_line_length(self, rng, h, w):
+        assert (h * w) % 17 != 0
+        img = GrayImage(rng.random((h, w)))
+        raw = encode_pgm(img)
+        assert raw == encode_pgm_per_sample(img)
+        back = decode_image(raw)
+        assert np.array_equal(back.pixels, raster.gray_levels(img.pixels) / 255.0)
+
+
 class TestGrayscale:
     def test_defaults_luma(self):
         px = np.zeros((1, 1, 3), dtype=np.uint8)
