@@ -247,10 +247,7 @@ def main(argv=None) -> int:
     except (ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FinspectError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FinspectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

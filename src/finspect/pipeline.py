@@ -250,7 +250,6 @@ class _Entry:
     path: str
     label: str
     digest: int
-    hexdigest: str
     features: dict | None = None
     profiles: list | None = None
     stage1: list | None = None
@@ -265,8 +264,7 @@ def _prepare_entries(entries, config, base_dir, failures):
         except OSError as exc:
             failures.append({"path": item["path"], "stage": "read", "error": str(exc)})
             continue
-        ent = _Entry(item["path"], item["label"], content_digest(raw),
-                     hashlib.sha256(raw).hexdigest())
+        ent = _Entry(item["path"], item["label"], content_digest(raw))
         try:
             crop = largest_shape(load_gray(raw, config), config)
             ent.features = {ext: extract_one(crop, ext, config).values
@@ -275,7 +273,7 @@ def _prepare_entries(entries, config, base_dir, failures):
             failures.append({"path": item["path"], "stage": "preprocess", "error": str(exc)})
             continue
         prepared.append(ent)
-    prepared.sort(key=lambda e: (e.label, e.hexdigest, e.path))
+    prepared.sort(key=lambda e: (e.label, e.digest, e.path))
     failures.sort(key=lambda f: f["path"])
     return prepared
 

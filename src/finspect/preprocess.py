@@ -20,9 +20,8 @@ pixel's own in-image 4-neighbours, so its cost follows the free band
 rather than the canvas. Each degree is summed in the order the pixel's
 neighbours are gathered, not in the canvas's edge order, so gamma can
 differ from a whole-canvas assembly by about 1e-14. The system is solved
-by banded Cholesky in reverse Cuthill-McKee order, each connected free
-region only for the seed sets it touches, packed into as few right-hand
-columns as the region touching the most sets needs.
+by banded Cholesky in reverse Cuthill-McKee order, with one right-hand
+column per seed set.
 """
 
 from __future__ import annotations
@@ -321,16 +320,12 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
     seed. Reverse Cuthill-McKee (Cuthill & McKee 1969) orders it, which
     numbers each connected free region as one run and gives a thin free
     band a small bandwidth, and LAPACK's banded Cholesky
-    (``scipy.linalg.solveh_banded``) solves it. A region's column for a
-    seed set it does not touch is exactly zero, so the columns are packed:
-    the sets each region touches take its first columns in ascending
-    order, k columns serve all regions, k being the most sets one region
-    touches, and the columns are scattered back to their sets after the
-    solve. A factor that is not positive definite, a residual above 1e-8 of
-    the right-hand side, or a free row whose probabilities miss a sum of 1
-    by more than 1e-6 (a region that reaches the seeds only through
-    underflowing weights) raises ``SolverError``. Each pixel is assigned to
-    its argmax shape; ties pick the lower index.
+    (``scipy.linalg.solveh_banded``) solves it. A factor that is not
+    positive definite, a residual above 1e-8 of the right-hand side, or a
+    free row whose probabilities miss a sum of 1 by more than 1e-6 (a
+    region that reaches the seeds only through underflowing weights) raises
+    ``SolverError``. Each pixel is assigned to its argmax shape; ties pick
+    the lower index.
     """
     pixels = img.pixels
     h, w = pixels.shape
@@ -378,28 +373,11 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         rank[order] = np.arange(m)
         row, col = rank[row], rank[col]
 
-        # positions 0 .. p hold whole regions when no edge from them reaches past p.
-        # Cuthill-McKee numbers each region in one breadth-first run, so each region
-        # is one run of positions (a coarser split would still pack correctly); this
-        # costs a tenth of csgraph.connected_components on a 192 px query
-        reach = np.arange(m)
-        np.maximum.at(reach, row, col)
-        closes = np.maximum.accumulate(reach) == np.arange(m)
-        region = np.cumsum(closes) - closes
-        edge = ~inner
-        bound_row, bound_set = rank[u[edge]], neighbour[edge]
-        bound_region = region[bound_row]
-        touched = np.zeros((int(region[-1]) + 1, s_count), dtype=bool)
-        touched[bound_region, bound_set] = True
-        slot = np.cumsum(touched, axis=1) - 1  # column of each touched set
-        k = int(slot[:, -1].max()) + 1  # every region borders a seed, so k >= 1
-        # the set of each column: a region's touched sets in ascending order, then
-        # untouched ones, whose columns solve to exactly 0
-        packed_set = np.argsort(~touched, axis=1, kind="stable")[:, :k]
-        # columns are the rows of (k, m) arrays; an edge to a pixel of seed set j adds
+        # columns are the rows of an (s, m) array; an edge to a pixel of seed set j adds
         # its weight to j's column of its free end's row
-        rhs = np.bincount(slot[bound_region, bound_set] * m + bound_row, weight[edge],
-                          minlength=k * m).reshape(k, m)
+        edge = ~inner
+        rhs = np.bincount(neighbour[edge] * m + rank[u[edge]], weight[edge],
+                          minlength=s_count * m).reshape(s_count, m)
 
         # LAPACK's lower band storage: band[d, i] holds L_U[i + d, i] in RCM order
         offset = np.abs(row - col)
@@ -413,9 +391,9 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
             raise SolverError(f"reduced system is not positive definite: {exc}") from exc
         if not np.isfinite(solution).all():
             raise SolverError("reduced system produced non-finite probabilities")
-        coupled = np.bincount((np.arange(k)[:, None] * m + row).ravel(),
+        coupled = np.bincount((np.arange(s_count)[:, None] * m + row).ravel(),
                               (weight_in * np.take(solution, col, axis=1)).ravel(),
-                              minlength=k * m).reshape(k, m)
+                              minlength=s_count * m).reshape(s_count, m)
         residual = diag * solution - coupled - rhs
         scale = max(float(np.abs(rhs).max()), 1.0)
         if float(np.abs(residual).max()) / scale > RESIDUAL_TOL:
@@ -426,10 +404,8 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
 
         solution = np.clip(solution, 0.0, 1.0)
         pixel = free[order]
-        # a row's maximum is positive, so its argmax is a touched set, and as those
-        # are packed in ascending order, a tie still picks the lower index
-        labels[pixel] = packed_set[region, np.argmax(solution, axis=0)]
-        gamma.ravel()[pixel * s_count + np.take(packed_set, region, axis=0).T] = solution
+        labels[pixel] = np.argmax(solution, axis=0)
+        gamma[pixel] = solution.T
 
     labels = labels.reshape(h, w)
     return Segmentation(labels=labels, gamma=gamma.reshape(h, w, s_count),

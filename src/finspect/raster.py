@@ -77,14 +77,6 @@ class RgbImage:
             raise ShapeError("RgbImage channels must lie in [0, 255]")
         object.__setattr__(self, "pixels", _freeze(px.astype(np.uint8)))
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class BinaryImage:
@@ -99,14 +91,6 @@ class BinaryImage:
         if not ((b == 0) | (b == 1)).all():
             raise ShapeError("BinaryImage bits must be 0 or 1")
         object.__setattr__(self, "bits", _freeze(b.astype(np.uint8)))
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
 
 
 @dataclass(frozen=True)

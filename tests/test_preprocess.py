@@ -315,8 +315,8 @@ class TestRandomWalker:
                                   [np.array([0]), np.array([4]), np.array([8])])
 
     def test_free_regions_touching_different_seed_sets_match_dense_solve(self, rng):
-        # the regions touch sets {0, 1, 2}, {2, 3} and {2}: three packed columns, of
-        # which the second region uses two and the single pixel one
+        # the regions touch sets {0, 1, 2}, {2, 3} and {2}; each region's column of a
+        # set it does not touch must solve to exactly 0
         owner = np.full((12, 16), 2)
         owner[:, :6], owner[:, 6:10], owner[11, :] = 0, 1, 3
         owner[3:7, 4:12] = -1
@@ -326,6 +326,16 @@ class TestRandomWalker:
         seg, decided = self._check_against_dense(GrayImage(rng.random((12, 16))), seeds)
         assert decided.all()
         assert seg.labels[1, 14] == 2 and seg.gamma[1, 14].tolist() == [0.0, 0.0, 1.0, 0.0]
+
+    def test_many_seed_sets_from_specks_match_dense_solve(self, rng):
+        # every speck is its own seed set: about a hundred sets, where the benchmark
+        # images have two, each with its own right-hand column
+        mask = rng.random((40, 40)) < 0.1
+        mask[13:27, 13:27] = True
+        img = GrayImage(np.where(mask, 0.8, 0.1) + 0.05 * rng.random((40, 40)))
+        seeds = derive_seeds(BinaryImage(mask.astype(np.uint8)))
+        assert len(seeds) > 100
+        self._check_against_dense(img, seeds)
 
     def test_ring_around_a_free_hole_matches_dense_solve(self, rng):
         # the hole is background but not the largest background part, so it is free:
