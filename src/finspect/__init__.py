@@ -18,9 +18,8 @@ _SUBMODULE_NAMES = {
                "SolverError TrainingDivergedError ZeroMassError"),
     "raster": ("BinaryImage GrayImage GrayscaleCoefficients RgbImage decode_image encode_pgm "
                "to_grayscale"),
-    "preprocess": ("OtsuResult Segmentation ShapeCrop binarize build_pixel_graph derive_seeds "
-                   "histogram256 median_filter otsu_threshold random_walker_segment "
-                   "segment_image"),
+    "preprocess": ("OtsuResult Segmentation ShapeCrop binarize derive_seeds histogram256 "
+                   "median_filter otsu_threshold random_walker_segment segment_image"),
     "features": ("DEFAULT_CMI_BASIS FeatureVector MomentProductSpec centroid cmi_features "
                  "complex_moment elm_features geometric_moment gfd_features legendre_poly"),
     "dataset": "CLASS_CATALOG LabeledSet load_manifest one_hot save_manifest",

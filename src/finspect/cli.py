@@ -32,7 +32,7 @@ def _cmd_preprocess(args) -> int:
     gray = load_gray(Path(args.input).read_bytes(), cfg)
     filtered = median_filter(gray, cfg.median_window)
     if args.segment_dir:
-        seg, _ = segment_image(gray, median_side=cfg.median_window)
+        seg = segment_image(gray, median_side=cfg.median_window)
         sidecar = export_segmentation(seg, args.segment_dir)
         print(f"wrote segmentation to {sidecar}")
     if args.binarize:

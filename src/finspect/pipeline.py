@@ -161,9 +161,8 @@ def load_gray(raw: bytes, config: PipelineConfig) -> GrayImage:
 
 def largest_shape(img: GrayImage, config: PipelineConfig) -> GrayImage:
     """Segment and return the biggest foreground shape's masked crop."""
-    seg, fg_labels = segment_image(img, median_side=config.median_window)
-    crops = [seg.shapes[i] for i in fg_labels]
-    return max(crops, key=lambda c: c.pixel_count).image
+    seg = segment_image(img, median_side=config.median_window)
+    return seg.crop(int(np.argmax(seg.pixel_counts[:-1]))).image
 
 
 def extract_one(img: GrayImage, extractor: str, config: PipelineConfig) -> FeatureVector:
@@ -345,11 +344,13 @@ def classify_image(models: PipelineModels, img: GrayImage, digest: int):
 
 def classify_segments(models: PipelineModels, img: GrayImage, digest: int) -> list[dict]:
     """Classify every foreground shape of a composite image separately."""
-    seg, fg_labels = segment_image(img, median_side=models.config.median_window)
+    seg = segment_image(img, median_side=models.config.median_window)
     out = []
-    for i in sorted(fg_labels, key=lambda i: -seg.shapes[i].pixel_count):
-        final, _, _ = classify_image(models, seg.shapes[i].image, digest ^ i)
-        out.append({"shape": i, "bbox": list(seg.shapes[i].bbox),
+    # largest first; a stable sort keeps the lower label first on a tie
+    for i in np.argsort(-seg.pixel_counts[:-1], kind="stable").tolist():
+        crop = seg.crop(i)
+        final, _, _ = classify_image(models, crop.image, digest ^ i)
+        out.append({"shape": i, "bbox": list(crop.bbox),
                     "predicted": models.class_names[final.predicted],
                     "support": final.support.tolist()})
     return out

@@ -21,7 +21,9 @@ rather than the canvas. Each degree is summed in the order the pixel's
 neighbours are gathered, not in the canvas's edge order, so gamma can
 differ from a whole-canvas assembly by about 1e-14. The system is solved
 by banded Cholesky in reverse Cuthill-McKee order, with one right-hand
-column per seed set.
+column per seed set. The ``Segmentation`` keeps the label map, each
+label's pixel count and gamma for the free pixels only; a shape's masked
+crop is built when a caller asks for it (``Segmentation.crop``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .errors import (
     EmptyForegroundError,
     ImageTooSmallError,
     ParameterError,
-    ShapeError,
     SolverError,
 )
 from .raster import BinaryImage, GrayImage, encode_pgm, gray_levels
@@ -221,56 +222,6 @@ def binarize(img: GrayImage, theta: float) -> BinaryImage:
 
 
 @dataclass(frozen=True)
-class PixelGraph:
-    height: int
-    width: int
-    sigma: float
-    laplacian: scipy.sparse.csr_matrix
-
-
-def build_pixel_graph(img: GrayImage) -> PixelGraph:
-    """4-neighborhood graph with weights eta_ij = exp(-(g_i - g_j)^2 / sigma).
-
-    sigma is the intensity variance of the image, floored at 1e-6. The
-    Laplacian carries the degree on the diagonal and -eta off it. This full
-    Laplacian is the reference the tests solve densely; the library itself
-    builds only the reduced system inside ``random_walker_segment``.
-    """
-    g = img.pixels
-    h, w = g.shape
-    n = h * w
-    if n < 2:
-        raise ShapeError("pixel graph needs at least 2 pixels")
-    sigma = max(float(g.var()), SIGMA_FLOOR)
-
-    idx = np.arange(n).reshape(h, w)
-    rows = []
-    cols = []
-    vals = []
-    if w > 1:
-        diff = g[:, 1:] - g[:, :-1]
-        rows.append(idx[:, :-1].ravel())
-        cols.append(idx[:, 1:].ravel())
-        vals.append(np.exp(-(diff**2) / sigma).ravel())
-    if h > 1:
-        diff = g[1:, :] - g[:-1, :]
-        rows.append(idx[:-1, :].ravel())
-        cols.append(idx[1:, :].ravel())
-        vals.append(np.exp(-(diff**2) / sigma).ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-
-    weights = scipy.sparse.coo_matrix(
-        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
-    ).tocsr()
-    degree = np.asarray(weights.sum(axis=1)).ravel()
-    laplacian = scipy.sparse.diags(degree) - weights
-    return PixelGraph(height=h, width=w, sigma=sigma, laplacian=laplacian.tocsr())
-
-
-@dataclass(frozen=True)
 class ShapeCrop:
     label: int
     image: GrayImage
@@ -280,35 +231,34 @@ class ShapeCrop:
 
 @dataclass(frozen=True)
 class Segmentation:
-    labels: np.ndarray          # (h, w) argmax shape index per pixel
-    gamma: np.ndarray           # (h, w, s) per-shape probabilities
-    shapes: tuple[ShapeCrop, ...]
+    image: GrayImage            # the image the walker ran on
+    labels: np.ndarray          # (h, w) argmax seed set per pixel; the last set is the background
+    pixel_counts: np.ndarray    # (s,) pixels per label
+    free: np.ndarray            # flat indices of the unseeded pixels, in solve order
+    gamma: np.ndarray           # (s, free.size) clipped probabilities of the free pixels
 
+    def crop(self, j: int) -> ShapeCrop:
+        """Label j's pixels, the other labels zeroed, in the box its mask touches.
 
-def _crops(img: GrayImage, labels: np.ndarray, shape_count: int) -> tuple[ShapeCrop, ...]:
-    """One crop per label; seed pixels keep one-hot gamma, so no label is empty.
-
-    The box comes from the rows and columns the label's mask touches, and
-    the other labels' pixels are zeroed inside the box only, so no call
-    lists a label's pixel indices over the whole canvas.
-    """
-    out = []
-    for j in range(shape_count):
-        mask = labels == j
+        Seeds keep their own label, so no label is empty. The other labels'
+        pixels are zeroed inside the box only, so no call lists a label's
+        pixel indices over the whole canvas.
+        """
+        mask = self.labels == j
         rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         y0, y1 = int(rows[0]), int(rows[-1]) + 1
         x0, x1 = int(cols[0]), int(cols[-1]) + 1
-        box = mask[y0:y1, x0:x1]
-        crop = np.where(box, img.pixels[y0:y1, x0:x1], 0.0)
-        out.append(ShapeCrop(label=j, image=GrayImage(crop), bbox=(y0, x0, y1, x1),
-                             pixel_count=int(np.count_nonzero(box))))
-    return tuple(out)
+        crop = np.where(mask[y0:y1, x0:x1], self.image.pixels[y0:y1, x0:x1], 0.0)
+        return ShapeCrop(label=j, image=GrayImage(crop), bbox=(y0, x0, y1, x1),
+                         pixel_count=int(self.pixel_counts[j]))
 
 
 def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentation:
     """Per-shape Dirichlet solves on the free pixels of the 4-neighbour graph.
 
-    Edge weights are those of ``build_pixel_graph``. For shape j the seeded
+    The edge between 4-neighbours i and j weighs
+    eta_ij = exp(-(g_i - g_j)^2 / sigma), sigma = max(var g, 1e-6), with
+    var g the intensity variance of the image. For shape j the seeded
     pixels of set j are held at 1 and all other seeds at 0, and the free
     pixels solve Grady's reduced system L_U x = -B^T m ("Random Walks for
     Image Segmentation", IEEE TPAMI 2006), one right-hand column per shape.
@@ -325,7 +275,8 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
     free row whose probabilities miss a sum of 1 by more than 1e-6 (a
     region that reaches the seeds only through underflowing weights) raises
     ``SolverError``. Each pixel is assigned to its argmax shape; ties pick
-    the lower index.
+    the lower index. Probabilities are kept for the free pixels only: a
+    seeded pixel's are one-hot on its own set.
     """
     pixels = img.pixels
     h, w = pixels.shape
@@ -335,7 +286,6 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         raise ParameterError("need at least 2 seed sets")
     s_count = len(seed_sets)
     owner = np.full(n, -1, dtype=np.int64)  # seed set of each pixel, -1 where free
-    gamma = np.zeros((n, s_count), dtype=np.float64)
     for j, s in enumerate(seed_sets):
         if s.size == 0:
             raise ParameterError("seed sets must be nonempty")
@@ -343,13 +293,13 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         if s.min() < 0 or s.max() >= n:
             raise ParameterError("seed index out of range")
         owner[s] = j
-        gamma[:, j][s] = 1.0
-    if np.count_nonzero(owner >= 0) != sum(s.size for s in seed_sets):
+    sizes = np.array([s.size for s in seed_sets])
+    if np.count_nonzero(owner >= 0) != sizes.sum():
         raise ParameterError("seed sets overlap or repeat a pixel")
 
-    labels = owner.copy()  # a seeded pixel's one-hot gamma row peaks at its own set
     free = np.flatnonzero(owner < 0)
     m = free.size
+    solution = np.zeros((s_count, 0))
     if m:
         owner[free] = -1 - np.arange(m)  # free pixel i of L_U now holds -1 - i, still negative
         # row u of L_U and neighbour pixel q for each in-image 4-neighbour of a free
@@ -382,7 +332,7 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         # LAPACK's lower band storage: band[d, i] holds L_U[i + d, i] in RCM order
         offset = np.abs(row - col)
         band = np.zeros((int(offset.max(initial=0)) + 1, m))
-        band[0] = diag = degree[order]
+        band[0] = degree[order]
         band[offset, np.minimum(row, col)] = -weight_in
         try:
             solution = scipy.linalg.solveh_banded(band, rhs.T, lower=True, overwrite_ab=True,
@@ -391,10 +341,8 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
             raise SolverError(f"reduced system is not positive definite: {exc}") from exc
         if not np.isfinite(solution).all():
             raise SolverError("reduced system produced non-finite probabilities")
-        coupled = np.bincount((np.arange(s_count)[:, None] * m + row).ravel(),
-                              (weight_in * np.take(solution, col, axis=1)).ravel(),
-                              minlength=s_count * m).reshape(s_count, m)
-        residual = diag * solution - coupled - rhs
+        unordered = solution[:, rank]  # back in free-pixel order, as graph and degree are
+        residual = degree * unordered - (graph @ unordered.T).T - rhs[:, rank]
         scale = max(float(np.abs(rhs).max()), 1.0)
         if float(np.abs(residual).max()) / scale > RESIDUAL_TOL:
             raise SolverError("linear solve exceeded the 1e-8 relative residual budget")
@@ -403,13 +351,12 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
                               "its probabilities do not sum to 1")
 
         solution = np.clip(solution, 0.0, 1.0)
-        pixel = free[order]
-        labels[pixel] = np.argmax(solution, axis=0)
-        gamma[pixel] = solution.T
+        free = free[order]
+        owner[free] = np.argmax(solution, axis=0)  # owner is now the label map
 
-    labels = labels.reshape(h, w)
-    return Segmentation(labels=labels, gamma=gamma.reshape(h, w, s_count),
-                        shapes=_crops(img, labels, s_count))
+    return Segmentation(image=img, labels=owner.reshape(h, w),
+                        pixel_counts=np.bincount(owner[free], minlength=s_count) + sizes,
+                        free=free, gamma=solution)
 
 
 def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
@@ -473,23 +420,27 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     return seeds
 
 
-def segment_image(img: GrayImage, median_side: int = 3) -> tuple[Segmentation, list[int]]:
-    """Full preprocessing chain. Returns the segmentation and the foreground labels."""
+def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
+    """Full preprocessing chain on the median-filtered image.
+
+    Labels 0 .. s - 2 are the foreground shapes and s - 1 the background.
+    """
     smoothed = median_filter(img, median_side)
     theta = otsu_threshold(smoothed).theta
     binary = binarize(smoothed, theta)
     seeds = derive_seeds(binary)
-    seg = random_walker_segment(smoothed, seeds)
-    fg = [crop.label for crop in seg.shapes if crop.label != len(seeds) - 1]
-    return seg, fg
+    return random_walker_segment(smoothed, seeds)
 
 
 def export_segmentation(seg: Segmentation, directory: str | Path) -> Path:
-    """Write one cropped PGM per shape plus a JSON sidecar. Returns the sidecar path."""
+    """Write one cropped PGM per label, the background included, plus a JSON sidecar.
+
+    Returns the sidecar path.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     records = []
-    for crop in seg.shapes:
+    for crop in map(seg.crop, range(seg.pixel_counts.size)):
         name = f"shape_{crop.label:02d}.pgm"
         (directory / name).write_bytes(encode_pgm(crop.image))
         records.append(

@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from finspect import GrayImage, SyntheticShapeSpec, build_pixel_graph, generate_synthetic
+from finspect import GrayImage, ShapeError, SyntheticShapeSpec, generate_synthetic
+from finspect.preprocess import SIGMA_FLOOR
 
 
 @pytest.fixture
@@ -19,6 +23,56 @@ def random_gray(rng, lo=4, hi=20) -> GrayImage:
     return GrayImage(rng.random((int(h), int(w))))
 
 
+@dataclass(frozen=True)
+class PixelGraph:
+    height: int
+    width: int
+    sigma: float
+    laplacian: scipy.sparse.csr_matrix
+
+
+def build_pixel_graph(img: GrayImage) -> PixelGraph:
+    """4-neighborhood graph with weights eta_ij = exp(-(g_i - g_j)^2 / sigma).
+
+    sigma is the intensity variance of the image, floored at 1e-6. The
+    Laplacian carries the degree on the diagonal and -eta off it. This full
+    Laplacian is the reference the tests solve densely; the library itself
+    builds only the reduced system inside ``random_walker_segment``.
+    """
+    g = img.pixels
+    h, w = g.shape
+    n = h * w
+    if n < 2:
+        raise ShapeError("pixel graph needs at least 2 pixels")
+    sigma = max(float(g.var()), SIGMA_FLOOR)
+
+    idx = np.arange(n).reshape(h, w)
+    rows = []
+    cols = []
+    vals = []
+    if w > 1:
+        diff = g[:, 1:] - g[:, :-1]
+        rows.append(idx[:, :-1].ravel())
+        cols.append(idx[:, 1:].ravel())
+        vals.append(np.exp(-(diff**2) / sigma).ravel())
+    if h > 1:
+        diff = g[1:, :] - g[:-1, :]
+        rows.append(idx[:-1, :].ravel())
+        cols.append(idx[1:, :].ravel())
+        vals.append(np.exp(-(diff**2) / sigma).ravel())
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+
+    weights = scipy.sparse.coo_matrix(
+        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    ).tocsr()
+    degree = np.asarray(weights.sum(axis=1)).ravel()
+    laplacian = scipy.sparse.diags(degree) - weights
+    return PixelGraph(height=h, width=w, sigma=sigma, laplacian=laplacian.tocsr())
+
+
 def dense_gamma(img, seed_sets):
     """Random-walker probabilities from a dense solve on the full Laplacian."""
     lap = build_pixel_graph(img).laplacian.toarray()
@@ -31,3 +85,11 @@ def dense_gamma(img, seed_sets):
         rhs = -lap[np.ix_(unk, seeded)] @ gamma[seeded, s]
         gamma[unk, s] = np.linalg.solve(lap[np.ix_(unk, unk)], rhs)
     return gamma.reshape(img.pixels.shape + (len(seed_sets),))
+
+
+def canvas_gamma(seg):
+    """The walker's gamma over the whole canvas, (h, w, s): one-hot on seeded pixels."""
+    s = seg.pixel_counts.size
+    gamma = np.eye(s)[seg.labels.ravel()]
+    gamma[seg.free] = seg.gamma.T
+    return gamma.reshape(seg.labels.shape + (s,))

@@ -27,7 +27,7 @@ from finspect.pipeline import PipelineConfig, run_pipeline
 from finspect.raster import encode_pgm
 from finspect.synth import SyntheticShapeSpec, generate_synthetic
 
-from conftest import dense_gamma, random_gray
+from conftest import canvas_gamma, dense_gamma, random_gray
 from test_ann import fd_gradients
 from test_fusion import fuse_exact
 from test_preprocess import otsu_oracle
@@ -231,20 +231,20 @@ def test_criterion_08_otsu_oracle_equivalence():
 def test_criterion_09_random_walker():
     img2 = GrayImage(np.array([[0.1, 0.9], [0.2, 0.8]]))
     seeds2 = [np.array([0]), np.array([3])]
-    dev2 = np.abs(random_walker_segment(img2, seeds2).gamma
+    dev2 = np.abs(canvas_gamma(random_walker_segment(img2, seeds2))
                   - dense_gamma(img2, seeds2)).max()
 
     img3 = GrayImage(np.array([[0.1, 0.9, 0.8], [0.2, 0.5, 0.9], [0.1, 0.2, 0.85]]))
     seeds3 = [np.array([0]), np.array([8])]
     seg3 = random_walker_segment(img3, seeds3)
-    dev3 = np.abs(seg3.gamma - dense_gamma(img3, seeds3)).max()
+    dev3 = np.abs(canvas_gamma(seg3) - dense_gamma(img3, seeds3)).max()
 
     rng = np.random.default_rng(5)
     img = random_gray(rng, lo=6, hi=9)
     seeds = [np.array([0, 1]), np.array([img.pixels.size - 1])]
-    seg = random_walker_segment(img, seeds)
-    sums_gap = np.abs(seg.gamma.sum(axis=2) - 1.0).max()
-    flat = seg.gamma.reshape(-1, 2)
+    gamma = canvas_gamma(random_walker_segment(img, seeds))
+    sums_gap = np.abs(gamma.sum(axis=2) - 1.0).max()
+    flat = gamma.reshape(-1, 2)
     seeded_exact = (flat[0, 0] == 1.0 and flat[1, 0] == 1.0 and flat[-1, 1] == 1.0
                     and flat[0, 1] == 0.0 and flat[-1, 0] == 0.0)
 

@@ -13,7 +13,11 @@ from finspect.cli import main
 from finspect.dataset import load_manifest
 from finspect.errors import DataError
 from finspect.pipeline import load_models
-from finspect.raster import decode_image
+from finspect.preprocess import (binarize, derive_seeds, median_filter, otsu_threshold,
+                                 segment_image)
+from finspect.raster import GrayImage, decode_image, encode_pgm
+
+from test_preprocess import nonzero_crops
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +111,19 @@ class TestPreprocess:
 
     def test_segment_sidecar_written(self, corpus_dir, tmp_path, capsys):
         out_dir = tmp_path / "segs"
-        rc = main(["preprocess", "--input", str(corpus_dir / "disk_000.pgm"),
+        path = corpus_dir / "disk_000.pgm"
+        rc = main(["preprocess", "--input", str(path),
                    "--output", str(tmp_path / "f.pgm"), "--segment-dir", str(out_dir)])
         assert rc == 0
-        assert any(out_dir.iterdir())
+        img = decode_image(path.read_bytes())
+        smoothed = median_filter(img, 3)
+        seed_count = len(derive_seeds(binarize(smoothed, otsu_threshold(smoothed).theta)))
+        records = json.loads((out_dir / "segments.json").read_text())["shapes"]
+        assert [r["shape"] for r in records] == list(range(seed_count))  # background included
+        oracle = nonzero_crops(smoothed, segment_image(img).labels, seed_count)
+        for record, (bbox, count, pixels) in zip(records, oracle):
+            assert record["bbox"] == [int(v) for v in bbox] and record["pixel_count"] == count
+            assert (out_dir / record["file"]).read_bytes() == encode_pgm(GrayImage(pixels))
 
 
 class TestExtract:

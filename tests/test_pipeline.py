@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finspect import DataError, ParameterError
+from finspect import DataError, ParameterError, segment_image
 from finspect import ann as ann_mod
 from finspect import gknn as gknn_mod
 from finspect import pipeline as pipeline_mod
@@ -195,6 +195,17 @@ class TestClassification:
         assert predicted == {"baby_shark", "other"}
         for r in results:
             assert sum(r["support"]) == pytest.approx(1.0)
+
+    def test_equal_shapes_keep_label_order(self, corpus):
+        directory, entries = corpus
+        models, _, _ = train_models(entries, FAST, seed=0, base_dir=directory)
+        disk, _ = generate_synthetic(SyntheticShapeSpec("disk", 11, canvas=96))
+        composite = GrayImage(np.hstack([disk.pixels, disk.pixels]))
+        counts = segment_image(composite, FAST.median_window).pixel_counts
+        assert counts.size == 3 and counts[0] == counts[1]  # two copies + background
+        results = classify_segments(models, composite, digest=7)
+        assert [r["shape"] for r in results] == [0, 1]
+        assert results[0]["bbox"][1] < 96 <= results[1]["bbox"][1]  # the left copy first
 
     def test_gknn_rows_are_query_seeded(self, corpus):
         directory, entries = corpus

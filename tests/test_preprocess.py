@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from finspect import (BinaryImage, DegenerateHistogramError, EmptyBackgroundError,
                       EmptyForegroundError, GrayImage, ImageTooSmallError, ParameterError,
-                      ShapeError, SolverError, SyntheticShapeSpec, binarize, build_pixel_graph,
+                      Segmentation, ShapeError, SolverError, SyntheticShapeSpec, binarize,
                       derive_seeds, generate_synthetic, histogram256, median_filter,
                       otsu_threshold, random_walker_segment, segment_image)
-from finspect.preprocess import SEED_EROSION, _crops
+from finspect.preprocess import SEED_EROSION
 from finspect.raster import decode_image, gray_levels, to_grayscale
 
-from conftest import dense_gamma, random_gray
+from conftest import build_pixel_graph, canvas_gamma, dense_gamma, random_gray
 
 
 def median_oracle(pixels, side):
@@ -169,27 +169,36 @@ class TestRandomWalker:
         img = GrayImage(np.array([[0.1, 0.9], [0.2, 0.8]]))
         seeds = [np.array([0]), np.array([3])]
         seg = random_walker_segment(img, seeds)
-        assert np.abs(seg.gamma - dense_gamma(img, seeds)).max() < 1e-8
+        assert np.abs(canvas_gamma(seg) - dense_gamma(img, seeds)).max() < 1e-8
 
     def test_3x3_matches_dense_solve(self):
         img = GrayImage(np.array([[0.1, 0.9, 0.8], [0.2, 0.5, 0.9], [0.1, 0.2, 0.85]]))
         seeds = [np.array([0]), np.array([8])]
         seg = random_walker_segment(img, seeds)
-        assert np.abs(seg.gamma - dense_gamma(img, seeds)).max() < 1e-8
+        assert np.abs(canvas_gamma(seg) - dense_gamma(img, seeds)).max() < 1e-8
 
     def test_memberships_sum_to_one(self, rng):
         img = random_gray(rng, lo=5, hi=10)
         seeds = [np.array([0, 1]), np.array([img.pixels.size - 1])]
         seg = random_walker_segment(img, seeds)
-        assert np.abs(seg.gamma.sum(axis=2) - 1.0).max() < 1e-6
+        assert np.abs(canvas_gamma(seg).sum(axis=2) - 1.0).max() < 1e-6
 
     def test_seeded_pixels_exact(self):
         img = GrayImage(np.linspace(0, 1, 16).reshape(4, 4))
         seeds = [np.array([0, 5]), np.array([15])]
         seg = random_walker_segment(img, seeds)
-        flat = seg.gamma.reshape(16, 2)
+        flat = canvas_gamma(seg).reshape(16, 2)
         assert flat[0, 0] == 1.0 and flat[5, 0] == 1.0 and flat[15, 1] == 1.0
         assert flat[0, 1] == 0.0 and flat[15, 0] == 0.0
+
+    def test_keeps_gamma_of_the_free_pixels_only(self, rng):
+        img = random_gray(rng, lo=6, hi=12)
+        n = img.pixels.size
+        seeds = [np.array([0, 1]), np.array([n // 2]), np.array([n - 1])]
+        seg = random_walker_segment(img, seeds)
+        assert np.array_equal(np.sort(seg.free), np.setdiff1d(np.arange(n), np.concatenate(seeds)))
+        assert seg.gamma.shape == (3, seg.free.size)
+        assert np.array_equal(seg.pixel_counts, np.bincount(seg.labels.ravel(), minlength=3))
 
     def test_label_tie_goes_to_lower_index(self):
         # symmetric image, symmetric seeds: center column is an exact tie
@@ -252,7 +261,7 @@ class TestRandomWalker:
     def _check_against_dense(self, img, seeds):
         seg = random_walker_segment(img, seeds)
         dense = dense_gamma(img, seeds)
-        assert np.abs(seg.gamma - dense).max() < 1e-10
+        assert np.abs(canvas_gamma(seg) - dense).max() < 1e-10
         flat = dense.reshape(-1, len(seeds))
         labels = seg.labels.ravel()
         top = flat.max(axis=1, keepdims=True)
@@ -325,7 +334,7 @@ class TestRandomWalker:
         seeds = [np.flatnonzero(owner == j) for j in range(4)]
         seg, decided = self._check_against_dense(GrayImage(rng.random((12, 16))), seeds)
         assert decided.all()
-        assert seg.labels[1, 14] == 2 and seg.gamma[1, 14].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert seg.labels[1, 14] == 2 and canvas_gamma(seg)[1, 14].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_many_seed_sets_from_specks_match_dense_solve(self, rng):
         # every speck is its own seed set: about a hundred sets, where the benchmark
@@ -470,7 +479,9 @@ class TestCrops:
         labels[0, 7] = labels[6, 0:2] = 3      # two pieces in opposite corners
         labels = np.rot90(labels, quarters)    # label 4, the background, is the rest
         img = GrayImage(rng.random(labels.shape))
-        crops = _crops(img, labels, 5)
+        seg = Segmentation(image=img, labels=labels, pixel_counts=np.bincount(labels.ravel()),
+                           free=np.zeros(0, dtype=np.int64), gamma=np.zeros((5, 0)))
+        crops = [seg.crop(j) for j in range(5)]
         assert [c.label for c in crops] == list(range(5))
         for crop, (bbox, count, pixels) in zip(crops, nonzero_crops(img, labels, 5)):
             assert crop.bbox == bbox and crop.pixel_count == count
@@ -480,10 +491,11 @@ class TestCrops:
     def test_segmentation_crops_match_nonzero_oracle(self):
         img, _ = generate_synthetic(SyntheticShapeSpec(kind="fin_polygon", size=20, canvas=64,
                                                        noise=0.1))
-        seg, fg = segment_image(img)
+        seg = segment_image(img)
         smoothed = median_filter(img, 3)
-        oracle = nonzero_crops(smoothed, seg.labels, len(seg.shapes))
-        for crop, (bbox, count, pixels) in zip(seg.shapes, oracle):
+        for j, (bbox, count, pixels) in enumerate(nonzero_crops(smoothed, seg.labels,
+                                                                seg.pixel_counts.size)):
+            crop = seg.crop(j)
             assert crop.bbox == bbox and crop.pixel_count == count
             assert np.array_equal(crop.image.pixels, pixels)
 
@@ -493,18 +505,18 @@ class TestSegmentImage:
         px = np.zeros((24, 24))
         px[3:9, 3:9] = 0.9
         px[14:21, 14:21] = 0.85
-        seg, fg = segment_image(GrayImage(px))
-        assert len(fg) == 2
-        counts = sorted(seg.shapes[i].pixel_count for i in fg)
+        seg = segment_image(GrayImage(px))
+        assert seg.pixel_counts.size == 3  # two shapes + background
+        counts = sorted(seg.crop(i).pixel_count for i in range(2))
         assert counts == [32, 45]  # the 3x3 median shaves each square's 4 corners
 
     def test_crop_masks_other_shapes(self):
         px = np.zeros((20, 20))
         px[2:6, 2:6] = 0.9
         px[12:17, 12:17] = 0.8
-        seg, fg = segment_image(GrayImage(px))
-        for i in fg:
-            crop = seg.shapes[i]
+        seg = segment_image(GrayImage(px))
+        for i in range(seg.pixel_counts.size - 1):
+            crop = seg.crop(i)
             assert crop.image.pixels.max() > 0
             y0, x0, y1, x1 = crop.bbox
             assert crop.image.pixels.shape == (y1 - y0, x1 - x0)
@@ -515,8 +527,8 @@ class TestSegmentImage:
         img, _ = generate_synthetic(SyntheticShapeSpec(kind=kind, size=28, canvas=96, noise=0.2))
         smoothed = median_filter(img, 3)
         otsu_count = binarize(smoothed, otsu_threshold(smoothed).theta).bits.sum()
-        seg, fg = segment_image(img)
-        assert max(seg.shapes[i].pixel_count for i in fg) >= 0.9 * otsu_count
+        seg = segment_image(img)
+        assert seg.pixel_counts[:-1].max() >= 0.9 * otsu_count
 
 
 class TestPixelGraph:
