@@ -402,15 +402,24 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     sizes = np.bincount(owner, minlength=fg_count + 1)[1:]
     # a stable sort keeps each core in row-major order
     seeds = np.split(core[np.argsort(owner, kind="stable")], np.cumsum(sizes)[:-1])
-    specks = [comp for comp, seed in enumerate(seeds) if not seed.size]
-    boxes = scipy.ndimage.find_objects(fg_labels) if specks else []
-    for comp in specks:
-        box = boxes[comp]
-        ys, xs = np.nonzero(fg_labels[box] == comp + 1)
-        ys, xs = ys + box[0].start, xs + box[1].start
-        cy, cx = ys.mean(), xs.mean()
-        nearest = np.argmin((ys - cy) ** 2 + (xs - cx) ** 2)
-        seeds[comp] = np.array([ys[nearest] * w + xs[nearest]], dtype=np.int64)
+    specks = np.flatnonzero(sizes == 0)
+    if specks.size:
+        # every speck pixel in row-major order, with its component's label
+        is_speck = np.zeros(fg_count + 1, dtype=bool)
+        is_speck[specks + 1] = True
+        flat = fg_labels.ravel()
+        pixels = np.flatnonzero(is_speck[flat])
+        label = flat[pixels]
+        ys, xs = np.divmod(pixels, w)
+        # integer sums are exact in float64, so these equal ys.mean(), xs.mean()
+        area = np.bincount(label)[label]
+        cy = np.bincount(label, weights=ys)[label] / area
+        cx = np.bincount(label, weights=xs)[label] / area
+        # each speck's nearest pixel first, ties to the lowest flat index (a stable sort)
+        order = np.lexsort(((ys - cy) ** 2 + (xs - cx) ** 2, label))
+        first = order[np.flatnonzero(np.diff(label[order], prepend=-1))]
+        for comp, at in zip(specks.tolist(), first.tolist()):
+            seeds[comp] = pixels[at : at + 1]
 
     bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=_CROSS)
     if bg_count == 0:

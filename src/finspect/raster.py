@@ -161,19 +161,24 @@ def _ascii_samples_by_token(data: bytes, pos: int, count: int) -> np.ndarray:
 
 
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
-    """Parse the ASCII payload in one step; input this rejects goes token by token.
+    """Parse the ASCII payload in one array pass; input it rejects goes token by token.
 
-    The token walker decides every rejected payload, so it alone reports the
+    The fast path takes payloads of digits and whitespace whose first
+    ``count`` tokens have at most 3 digits each and are at most 255. The
+    token walker decides every other payload, so it alone reports the
     failing byte offset, and a valid payload gives the same samples either way.
     """
     payload = data[pos:]
-    tokens = payload.split()[:count]
-    if len(tokens) == count and not payload.translate(None, _DIGITS + _WHITESPACE):
-        try:
-            samples = np.array(tokens, dtype=np.int64)
-        except OverflowError:  # past int64, so out of range too
-            pass
-        else:
+    if not payload.translate(None, _DIGITS + _WHITESPACE):
+        # each byte's digit value; every whitespace byte lies below b"0"
+        digits = np.frombuffer(payload, dtype=np.uint8).astype(np.int64) - ord("0")
+        edges = np.flatnonzero(np.diff(digits >= 0, prepend=False, append=False))
+        starts, ends = edges[0::2][:count], edges[1::2][:count]
+        length = ends - starts
+        if starts.size == count and length.max() <= 3:
+            # units, tens and hundreds, a place past the token's start adding 0
+            samples = sum(np.where(length > place, digits[ends - 1 - place], 0) * 10**place
+                          for place in range(3))
             if samples.max() <= 255:
                 return samples.astype(np.uint8)
     return _ascii_samples_by_token(data, pos, count)

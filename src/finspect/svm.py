@@ -5,17 +5,27 @@ eta_i <= onehot(y_i) and sum_c eta_ic = 0. The objective
 
     D = A * sum_i eta_i . onehot(y_i) - sum_{i,j} K_ij (eta_i . eta_j)
 
-is maximized by cyclic exact ascent: each row's subproblem is an isotropic
-quadratic, so its solution is the Euclidean projection of the unconstrained
-optimum onto the feasible set (_project_row). The kernel is linear, so the
-machine is its (p, k) weight matrix W = X^T eta: row i's residual is
-x_i . W - K_ii eta_i, and each row step adds x_i (outer) the change in eta_i
-to W (the sequential dual method of Keerthi et al., KDD 2008). K is never
-formed and eta is only a working array of training; classification picks
-the class with the largest (W^T x_q)_c. There is no bias term.
+is maximized by exact ascent one row at a time: each row's subproblem is an
+isotropic quadratic, so its solution is the Euclidean projection of the
+unconstrained optimum onto the feasible set (_project). The kernel is
+linear, so the machine is its (p, k) weight matrix W = X^T eta: row i's
+residual is x_i . W - K_ii eta_i, and each row step adds x_i (outer) the
+change in eta_i to W (the sequential dual method of Keerthi et al., KDD
+2008). K is never formed and eta is only a working array of training;
+classification picks the class with the largest (W^T x_q)_c. There is no
+bias term.
+
+Training runs passes of row steps. A full pass visits the rows round robin
+over the classes: the first row of each class, then the second, and so on,
+skipping a class that has run out; within a class rows keep their given
+order. The order uses no random numbers, so a run is deterministic. After a
+pass whose largest gain is >= tol, the next pass visits only the rows whose
+eta_i that pass changed (shrinking, Hsieh et al., ICML 2008); after a
+shrunk pass that gains less, the next pass is full again. Training has
+converged when a full pass gains < tol; max_iter counts every pass.
 
 k is the number of classes, a handful, so a row step on numpy k-vectors
-would be mostly per-call overhead. A sweep takes every K_ii with one einsum
+would be mostly per-call overhead. A pass takes every K_ii with one einsum
 and eta as lists; each row step makes two numpy calls (x_i . W, and the
 rank-one update of W when the step is taken) and does the rest (residual,
 breakpoint scan, gain and accept test) in Python floats.
@@ -89,21 +99,21 @@ def _project(v: list, u: list) -> list:
     return [w if w < uc else uc for w, uc in zip([vc - candidate for vc in v], u)]
 
 
-def _project_row(v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.array(_project(np.asarray(v, dtype=np.float64).tolist(),
-                             np.asarray(u, dtype=np.float64).tolist()))
-
-
 def svm_sweep_core(X: np.ndarray, W: np.ndarray, eta: np.ndarray, U: np.ndarray,
-                   A: float) -> float:
-    """One cyclic pass of exact per-row ascent. Mutates W and eta, returns max gain."""
+                   A: float, rows: list[int] | None = None) -> float:
+    """One pass of exact per-row ascent over ``rows`` (default: every row, in index order).
+
+    Mutates W and eta, returns the pass's largest gain.
+    """
     kiis = np.einsum("ij,ij->i", X, X).tolist()
-    rows = eta.tolist()
+    etas = eta.tolist()
+    caps = U.tolist()
     best = 0.0
-    for i, (x, kii, u) in enumerate(zip(X, kiis, U.tolist())):
+    for i in range(X.shape[0]) if rows is None else rows:
+        kii = kiis[i]
         if kii < 1e-12:
             continue
-        old = rows[i]
+        x, old, u = X[i], etas[i], caps[i]
         # g = A u_i - 2 r_i, where r_i = x_i . W - K_ii eta_i is row i's residual
         g = [A * uc - 2.0 * (xw - kii * ec) for uc, xw, ec in zip(u, (x @ W).tolist(), old)]
         new = _project([gc / (2.0 * kii) for gc in g], u)
@@ -111,15 +121,20 @@ def svm_sweep_core(X: np.ndarray, W: np.ndarray, eta: np.ndarray, U: np.ndarray,
         d_obj = sum(map(mul, g, delta)) - kii * (sum(map(mul, new, new)) - sum(map(mul, old, old)))
         if d_obj > 0.0:
             W += np.multiply.outer(x, delta)
-            rows[i] = new
+            etas[i] = new
             if d_obj > best:
                 best = d_obj
-    eta[:] = rows
+    eta[:] = etas
     return best
 
 
 def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
               max_iter: int = 1000) -> SvmModel:
+    """Sequential dual ascent until a pass over every row gains less than ``tol``.
+
+    ``max_iter`` bounds the passes, full and shrunk alike; ``converged`` is
+    False when it runs out first.
+    """
     if not regularization > 0:
         raise ParameterError("regularization must be positive")
     if not tol > 0:
@@ -135,11 +150,23 @@ def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
     targets = np.ascontiguousarray(data.targets)
     eta = np.zeros_like(targets)
     weights = np.zeros((inputs.shape[1], targets.shape[1]))
+    labels = data.labels
+    # a full pass visits row j of each class in turn, j = 0, 1, ...: sort by
+    # (rank of the row within its class, class)
+    seen = np.cumsum(np.eye(data.n_classes, dtype=np.int64)[labels], axis=0)
+    full = np.lexsort((labels, seen[np.arange(data.n), labels]))
+    rows = full
     converged = False
     for _ in range(max_iter):
-        if svm_sweep_core(inputs, weights, eta, targets, regularization) < tol:
+        before = eta.copy()
+        if svm_sweep_core(inputs, weights, eta, targets, regularization, rows.tolist()) >= tol:
+            # a gain >= tol took a step, so the next pass has at least one row
+            rows = full[(eta != before).any(axis=1)[full]]
+        elif rows.size == data.n:
             converged = True
             break
+        else:
+            rows = full
     return SvmModel(weights, regularization, converged)
 
 

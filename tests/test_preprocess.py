@@ -405,6 +405,30 @@ class TestDeriveSeeds:
         # nearest pixel to the centroid of a solid square is its middle
         assert seeds[0][0] == 3 * 6 + 3
 
+    def test_speck_seeds_match_the_per_speck_loop(self, rng):
+        # the reference: each speck's pixels, their centroid, and np.argmin of
+        # the squared distances, which breaks ties to the lowest flat index
+        cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        ties = 0
+        for _ in range(20):
+            bits = (rng.random((30, 40)) < rng.uniform(0.05, 0.3)).astype(np.uint8)
+            bits[:2, :2] = 1  # a 2 x 2 speck: all four pixels tie
+            bits[2, :3] = bits[:3, 2] = 0
+            labels, count = scipy.ndimage.label(bits, structure=cross)
+            seeds = derive_seeds(BinaryImage(bits))
+            assert len(seeds) == count + 1
+            core = eroded_core(bits)
+            for comp in range(1, count + 1):
+                if np.isin(core, np.flatnonzero(labels == comp)).any():
+                    continue
+                ys, xs = np.nonzero(labels == comp)
+                dist = (ys - ys.mean()) ** 2 + (xs - xs.mean()) ** 2
+                nearest = np.argmin(dist)
+                ties += np.count_nonzero(dist == dist[nearest]) > 1
+                assert np.array_equal(seeds[comp - 1], [ys[nearest] * 40 + xs[nearest]])
+            assert seeds[labels[0, 0] - 1][0] == 0
+        assert ties >= 20
+
     def test_large_component_seeds_its_eroded_core(self):
         yy, xx = np.mgrid[0:24, 0:24]
         bits = ((yy - 11) ** 2 + (xx - 12) ** 2 <= 64).astype(np.uint8)

@@ -107,8 +107,9 @@ class TestAsciiPayload:
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.lists(st.sampled_from(
-        [b"0", b"7", b"255", b"256", b"007", b"99999999999999999999", b"+1", b"#", b"a",
-         b"\x85", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]), max_size=12))
+        [b"0", b"7", b"42", b"255", b"256", b"007", b"0007", b"1000", b"99999999999999999999",
+         b"+1", b"#", b"a", b"\x85", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+        max_size=12))
     def test_matches_token_by_token_reader(self, count, pieces):
         # same samples, or the same error at the same offset, on any payload
         raw = f"P2 {count} 1 255".encode() + b" " + b"".join(pieces)
@@ -118,6 +119,34 @@ class TestAsciiPayload:
         except PnmDecodeError as exc:
             got = str(exc), exc.offset
         assert got == expected
+
+    def test_long_payloads_match_token_by_token_reader(self, rng, monkeypatch):
+        # tokens of 1-3 digits, leading zeros included, between runs of mixed
+        # whitespace; a quarter of the payloads each carry 256, 1000 or 0007,
+        # and payloads end early or run on past the header's count
+        walked = []
+        walker = raster._ascii_samples_by_token
+        monkeypatch.setattr(raster, "_ascii_samples_by_token",
+                            lambda *args: walked.append(1) or walker(*args))
+        spaces = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+        fast = 0
+        for trial in range(200):
+            count = int(rng.integers(1, 200))
+            tokens = [str(v).zfill(int(rng.integers(1, 4))).encode()
+                      for v in rng.integers(0, 256, count + int(rng.integers(-2, 4)))]
+            if trial % 4 and tokens:
+                tokens[int(rng.integers(len(tokens)))] = [b"256", b"1000", b"0007"][trial % 4 - 1]
+            gaps = [b"".join(rng.choice(spaces, int(rng.integers(1, 4)))) for _ in tokens]
+            raw = f"P2 {count} 1 255".encode() + b"".join(g + t for g, t in zip(gaps, tokens))
+            expected = decode_token_by_token(raw, count)
+            walked.clear()
+            try:
+                got = (decode_image(raw).pixels.ravel() * 255.0).round().astype(int).tolist()
+            except PnmDecodeError as exc:
+                got = str(exc), exc.offset
+            assert got == expected
+            fast += not walked
+        assert fast >= 20  # the one-pass parse decided a share of the payloads itself
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -5,7 +5,13 @@ import pytest
 
 from finspect import DataError, LabeledSet, ParameterError, ShapeError, one_hot
 from finspect import svm
-from finspect.svm import _project_row, svm_sweep_core
+from finspect.svm import _project, svm_sweep_core
+
+
+def project_row(v, u):
+    """The library's breakpoint scan on numpy rows."""
+    return np.array(_project(np.asarray(v, dtype=np.float64).tolist(),
+                             np.asarray(u, dtype=np.float64).tolist()))
 
 
 def project_by_bisection(v, u, iters=200):
@@ -34,7 +40,36 @@ def conic_blobs(per_class=10, spread=0.6, seed=0):
     return LabeledSet(x, one_hot(labels, 3))
 
 
-def gram_sweep(K, eta, U, A):
+def round_robin(labels):
+    """A full pass's row order: the first row of each class, then the second, ..."""
+    queues = [list(np.flatnonzero(labels == c)) for c in range(labels.max() + 1)]
+    order = []
+    while any(queues):
+        order += [queue.pop(0) for queue in queues if queue]
+    return order
+
+
+def scheduled_passes(eta, targets, sweep, tol=1e-3, max_passes=1000):
+    """train_svm's schedule written out: (passes, converged).
+
+    ``sweep(rows)`` runs one pass over ``rows`` and returns its largest gain.
+    A pass that gains >= tol is followed by one over the rows it moved;
+    otherwise a shrunk pass is followed by a full one, and a full one stops.
+    """
+    full = round_robin(targets.argmax(axis=1))
+    rows = full
+    for passes in range(1, max_passes + 1):
+        before = eta.copy()
+        if sweep(rows) >= tol:
+            rows = [i for i in full if (eta[i] != before[i]).any()]
+        elif len(rows) == len(full):
+            return passes, True
+        else:
+            rows = full
+    return max_passes, False
+
+
+def gram_sweep(K, eta, U, A, rows=None):
     """Reference sweep in the kernel form: the residual reads row i of K.
 
     Returns the largest gain and the number of rows whose step (above 1e-11)
@@ -43,12 +78,12 @@ def gram_sweep(K, eta, U, A):
     the other way.
     """
     best, close_calls = 0.0, 0
-    for i in range(K.shape[0]):
+    for i in range(K.shape[0]) if rows is None else rows:
         kii = K[i, i]
         if kii < 1e-12:
             continue
         r = K[i] @ eta - kii * eta[i]
-        new = _project_row((A * U[i] - 2.0 * r) / (2.0 * kii), U[i])
+        new = project_row((A * U[i] - 2.0 * r) / (2.0 * kii), U[i])
         d_obj = (A * U[i] - 2.0 * r) @ (new - eta[i]) - kii * (new @ new - eta[i] @ eta[i])
         close_calls += abs(d_obj) <= 1e-13 and np.abs(new - eta[i]).max() > 1e-11
         if d_obj > 0.0:
@@ -75,18 +110,25 @@ def numpy_project_row(v, u):
             return np.minimum(u, v - candidate)
 
 
-def numpy_sweep(X, W, eta, U, A):
-    """Reference row step on numpy k-vectors, about ten numpy calls per row."""
+def numpy_sweep(X, W, eta, U, A, rows=None):
+    """Reference row step on numpy k-vectors, about ten numpy calls per row.
+
+    K_ii and the gain's k-term sums round as the weight form's do (einsum,
+    sums in index order, no fused dot): a step at rounding level decides
+    whether its row is in the next shrunk pass, so both forms must decide it
+    alike.
+    """
     best = 0.0
-    for i in range(X.shape[0]):
+    kiis = np.einsum("ij,ij->i", X, X)
+    for i in range(X.shape[0]) if rows is None else rows:
         x = X[i]
-        kii = x @ x
+        kii = kiis[i]
         if kii < 1e-12:
             continue
         r = x @ W - kii * eta[i]
-        v = (A * U[i] - 2.0 * r) / (2.0 * kii)
-        new = numpy_project_row(v, U[i])
-        d_obj = (A * U[i] - 2.0 * r) @ (new - eta[i]) - kii * (new @ new - eta[i] @ eta[i])
+        g = A * U[i] - 2.0 * r
+        new = numpy_project_row(g / (2.0 * kii), U[i])
+        d_obj = np.sum(g * (new - eta[i])) - kii * (np.sum(new * new) - np.sum(eta[i] * eta[i]))
         if d_obj > 0.0:
             W += np.outer(x, new - eta[i])
             eta[i] = new
@@ -119,7 +161,7 @@ class TestProjection:
             k = int(rng.integers(2, 8))
             v = rng.normal(scale=3.0, size=k)
             u = rng.random(k)  # nonnegative with positive sum
-            z = _project_row(v, u)
+            z = project_row(v, u)
             oracle = project_by_bisection(v, u)
             assert np.allclose(z, oracle, atol=1e-9)
             assert abs(z.sum()) <= 1e-9
@@ -131,7 +173,7 @@ class TestProjection:
             u = np.zeros(k)
             u[int(rng.integers(0, k))] = 1.0
             v = rng.normal(scale=2.0, size=k)
-            z = _project_row(v, u)
+            z = project_row(v, u)
             assert np.allclose(z, project_by_bisection(v, u), atol=1e-9)
 
     def test_root_on_a_breakpoint(self):
@@ -141,7 +183,7 @@ class TestProjection:
         v = np.array([0.0014872700678554, -0.8258995575956007,
                       0.8288740977313115, 0.4092316036281618])
         u = np.array([0.0, 0.0, 1.0, 0.0])
-        z = _project_row(v, u)
+        z = project_row(v, u)
         assert abs(z.sum()) <= 1e-12
         assert np.allclose(z, project_by_bisection(v, u), atol=1e-12)
 
@@ -149,7 +191,7 @@ class TestProjection:
         # v already feasible: zero-sum and strictly below the caps
         v = np.array([0.2, -0.3, 0.1])
         u = np.array([1.0, 1.0, 1.0])
-        assert np.allclose(_project_row(v, u), v, atol=1e-12)
+        assert np.allclose(project_row(v, u), v, atol=1e-12)
 
 
 class TestSweep:
@@ -204,12 +246,14 @@ class TestSweep:
             model = svm.train_svm(LabeledSet(x, targets), regularization)
             eta = np.zeros_like(targets)
             weights = np.zeros((x.shape[1], targets.shape[1]))
-            close_calls = ref_sweeps = 0
-            converged = False
-            while ref_sweeps < 1000 and not converged:
-                close_calls += gram_sweep(x @ x.T, eta.copy(), targets, regularization)[1]
-                converged = numpy_sweep(x, weights, eta, targets, regularization) < 1e-3
-                ref_sweeps += 1
+            close_calls = 0
+
+            def reference_pass(rows):
+                nonlocal close_calls
+                close_calls += gram_sweep(x @ x.T, eta.copy(), targets, regularization, rows)[1]
+                return numpy_sweep(x, weights, eta, targets, regularization, rows)
+
+            ref_sweeps, converged = scheduled_passes(eta, targets, reference_pass)
             if close_calls:
                 close_problems += 1
                 continue
@@ -255,6 +299,30 @@ class TestTraining:
         svm.train_svm(conic_blobs(), max_iter=1)
         assert len(calls) == 1
 
+    def test_converged_means_a_full_pass_gained_less_than_tol(self, rng, monkeypatch):
+        passes = []  # (rows visited, gain) per call
+        sweep = svm.svm_sweep_core
+
+        def record(*args):
+            gain = sweep(*args)
+            passes.append((sorted(args[5]), gain))
+            return gain
+
+        monkeypatch.setattr(svm, "svm_sweep_core", record)
+        shrunk = 0
+        for data in [conic_blobs()] + [LabeledSet(*random_problem(rng)) for _ in range(10)]:
+            passes.clear()
+            assert svm.train_svm(data).converged
+            assert passes[-1][0] == list(range(data.n))
+            assert passes[-1][1] < 1e-3
+            shrunk += sum(len(rows) < data.n for rows, _ in passes)
+        assert shrunk  # the schedule did shrink, so the last pass was a choice
+
+    def test_training_is_deterministic(self):
+        data = conic_blobs(per_class=7, seed=4)
+        first, second = svm.train_svm(data), svm.train_svm(data)
+        assert np.array_equal(first.weights, second.weights)
+
     def test_parameter_errors(self):
         data = conic_blobs(per_class=3)
         with pytest.raises(ParameterError):
@@ -286,8 +354,8 @@ class TestInference:
         model = svm.train_svm(data)
         x = np.asarray(data.inputs)
         eta = np.zeros_like(data.targets)
-        while gram_sweep(x @ x.T, eta, data.targets, 1.0)[0] >= 1e-3:  # train_svm's stop
-            pass
+        scheduled_passes(eta, data.targets,
+                         lambda rows: gram_sweep(x @ x.T, eta, data.targets, 1.0, rows)[0])
         weights = eta.T @ x  # (k, p) linear class weights of the dual form
         for _ in range(20):
             q = rng.normal(scale=5.0, size=2)
