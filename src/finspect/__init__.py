@@ -23,7 +23,7 @@ _SUBMODULE_NAMES = {
     "features": ("DEFAULT_CMI_BASIS FeatureVector MomentProductSpec centroid cmi_features "
                  "complex_moment elm_features geometric_moment gfd_features legendre_poly"),
     "dataset": "CLASS_CATALOG LabeledSet load_manifest one_hot save_manifest",
-    "ann": "MlpModel TrainConfig backprop cross_entropy feedforward sigmoid",
+    "ann": "MlpModel backprop cross_entropy feedforward sigmoid",
     "gknn": ("MahalanobisContext build_context chromosome_width crossover evolve "
              "gknn_classify mahalanobis mutate"),
     "svm": ("SvmModel confidence dual_objective empirical_error kernel_linear train_svm "

@@ -5,7 +5,8 @@ cross-entropy summed over output units, so the output delta reduces to
 (o - y) exactly and the hidden deltas carry the o(1-o) factor.
 
 Training runs one forward pass per epoch: the pass that scores an epoch's
-step for the loss trace is the next epoch's backprop pass.
+step for the loss trace is the next epoch's backprop pass. ``train`` checks
+its own arguments, as ``svm.train_svm`` does.
 """
 
 from __future__ import annotations
@@ -27,22 +28,6 @@ def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))  # never overflows; equals exp(z) where z < 0
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    hidden: int = 16
-    learning_rate: float = 0.5
-    epochs: int = 200
-    rng_seed: int = 0
-
-    def validate(self):
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
-        if self.hidden < 1:
-            raise ParameterError("hidden must be >= 1")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,17 +120,22 @@ def init_model(layers: tuple[int, ...], rng: np.random.Generator, init_scale: fl
     return MlpModel(tuple(layers), tuple(ws), tuple(bs))
 
 
-def train(data: LabeledSet, config: TrainConfig | None = None) -> MlpModel:
-    config = config or TrainConfig()
-    config.validate()
-    rng = np.random.default_rng(config.rng_seed)
-    layers = (data.inputs.shape[1], config.hidden, data.n_classes)
+def train(data: LabeledSet, hidden: int = 16, learning_rate: float = 0.5, epochs: int = 200,
+          rng_seed: int = 0) -> MlpModel:
+    if epochs < 1:
+        raise ParameterError("epochs must be >= 1")
+    if hidden < 1:
+        raise ParameterError("hidden must be >= 1")
+    if learning_rate <= 0:
+        raise ParameterError("learning_rate must be positive")
+    rng = np.random.default_rng(rng_seed)
+    layers = (data.inputs.shape[1], hidden, data.n_classes)
     model = init_model(layers, rng, _INIT_SCALE)
     trace = []
     acts = feedforward(model, data.inputs)
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         grads_w, grads_b = _gradients(model, acts, data.targets)
-        model = sgd_step(model, grads_w, grads_b, config.learning_rate)
+        model = sgd_step(model, grads_w, grads_b, learning_rate)
         acts = feedforward(model, data.inputs)
         loss = cross_entropy(acts[-1], data.targets)
         params_ok = all(np.isfinite(p).all() for p in model.weights + model.biases)

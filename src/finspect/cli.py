@@ -30,11 +30,11 @@ def _cmd_preprocess(args) -> int:
 
     cfg = load_config(args.config)
     gray = load_gray(Path(args.input).read_bytes(), cfg)
-    filtered = median_filter(gray, cfg.median_window)
-    if args.segment_dir:
-        seg = segment_image(gray, median_side=cfg.median_window)
-        sidecar = export_segmentation(seg, args.segment_dir)
-        print(f"wrote segmentation to {sidecar}")
+    seg = segment_image(gray, median_side=cfg.median_window) if args.segment_dir else None
+    # segmenting median-filters first, so its walker image is the filtered output
+    filtered = median_filter(gray, cfg.median_window) if seg is None else seg.image
+    if seg is not None:
+        print(f"wrote segmentation to {export_segmentation(seg, args.segment_dir)}")
     if args.binarize:
         theta = otsu_threshold(filtered).theta
         out = GrayImage(binarize(filtered, theta).bits.astype(float))

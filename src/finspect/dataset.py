@@ -19,7 +19,6 @@ class LabeledSet:
 
     inputs: np.ndarray   # (n, p)
     targets: np.ndarray  # (n, k) one-hot
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
@@ -30,8 +29,6 @@ class LabeledSet:
         zeros = np.isclose(y, 0.0)
         if not ((ones | zeros).all() and (ones.sum(axis=1) == 1).all()):
             raise ShapeError("targets must be one-hot rows")
-        if self.class_names is not None and len(self.class_names) != y.shape[1]:
-            raise ShapeError("class_names length must match target width")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "inputs", x)

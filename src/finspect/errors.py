@@ -3,6 +3,9 @@
 Every error raised on purpose by this package derives from FinspectError,
 so callers (and the CLI) can distinguish usage problems from data problems
 with two except clauses.
+
+A parameter is checked where it is defined: a frozen dataclass in
+``__post_init__`` (so ``dataclasses.replace`` too), a function on entry.
 """
 
 from __future__ import annotations

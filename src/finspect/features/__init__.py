@@ -29,11 +29,10 @@ class FeatureVector:
         object.__setattr__(self, "descriptor", tuple(self.descriptor))
 
     def to_json(self) -> str:
-        # float(.17g) round-trips doubles exactly, so no precision is lost
         payload = {
             "extractor": self.extractor,
             "descriptor": list(self.descriptor),
-            "values": [float(f"{v:.17g}") for v in self.values],
+            "values": self.values.tolist(),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

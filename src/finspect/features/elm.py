@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError, ShapeError
+from ..errors import ParameterError
 from ..raster import GrayImage, as_pixels
 from . import FeatureVector
 
@@ -59,8 +59,6 @@ def elm_features(img: GrayImage | np.ndarray, max_order: int = 5) -> FeatureVect
     if max_order < 1:
         raise ParameterError("max_order must be at least 1")
     g = as_pixels(img)
-    if g.size == 0:
-        raise ShapeError("image must be nonempty")
     m, n = g.shape  # m rows carry y, n columns carry x
     ix = _cell_integrals(n, max_order)  # (max_order, n)
     iy = _cell_integrals(m, max_order)  # (max_order, m)

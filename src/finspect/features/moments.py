@@ -6,8 +6,9 @@ where C_ab is the central complex moment
 
     C_ab = sum_xy [(x-x_c) + j(y-y_c)]^a [(x-x_c) - j(y-y_c)]^b g(x, y).
 
-Rotation invariance requires sum_i c_i(a_i - b_i) = 0; the scale powers
-cancel by construction of w_i; centering handles translation.
+Rotation invariance requires sum_i c_i(a_i - b_i) = 0, which
+MomentProductSpec checks on construction; the scale powers cancel by
+construction of w_i; centering handles translation.
 
 Every moment comes from one table of central geometric moments,
 
@@ -93,7 +94,7 @@ class MomentProductSpec:
     factors: tuple[tuple[int, int, float], ...]
     name: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.factors:
             raise BasisError("a moment product needs at least one factor")
         balance = 0.0
@@ -129,9 +130,6 @@ def cmi_features(img: GrayImage | np.ndarray, basis: tuple[MomentProductSpec, ..
     """Moduli of the normalized complex moment products over the basis."""
     if basis is None:
         basis = DEFAULT_CMI_BASIS
-    for spec in basis:
-        spec.validate()
-
     g = as_pixels(img)
     mass = float(g.sum())
     if mass <= 0.0:

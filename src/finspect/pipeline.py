@@ -6,6 +6,7 @@ the templates, so only the stage-2 fusion runs again. Entries are
 sorted by (label, content digest, path) and failures by path, so manifest
 order cannot influence any result; per-query random stages are seeded from
 the global seed XOR the query image's digest for the same reason.
+PipelineConfig and its parts check themselves when built; stages check the rest.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class PipelineConfig:
     extractors: tuple[str, ...] = EXTRACTORS
     classifiers: tuple[str, ...] = CLASSIFIERS
 
-    def validate(self):
+    def __post_init__(self):
         for key, names, allowed in (("extractors", self.extractors, EXTRACTORS),
                                     ("classifiers", self.classifiers, CLASSIFIERS)):
             if (not names or any(n not in allowed for n in names)
@@ -93,7 +94,7 @@ class PipelineConfig:
                 raise ParameterError(
                     f"config key {key!r} has a value of the wrong type: {value!r}") from None
 
-        cfg = PipelineConfig(
+        return PipelineConfig(
             grayscale=GrayscaleCoefficients(
                 typed(float, "grayscale.alpha"), typed(float, "grayscale.beta"),
                 typed(float, "grayscale.gamma"), typed(int, "grayscale.mu")),
@@ -107,9 +108,6 @@ class PipelineConfig:
             svm_a=typed(float, "svm.A"), svm_tol=typed(float, "svm.tol"),
             svm_max_iter=typed(int, "svm.max_iter"),
             extractors=typed(tuple, "extractors"), classifiers=typed(tuple, "classifiers"))
-        cfg.validate()
-        cfg.grayscale.validate()
-        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -139,13 +137,10 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
 
 def _cmi_basis(doc) -> tuple | None:
-    """A config's cmi.basis as validated moment products; None keeps the default."""
+    """A config's cmi.basis as moment products; None keeps the default."""
     if doc is None:
         return None
-    basis = tuple(MomentProductSpec(tuple(tuple(f) for f in spec)) for spec in doc)
-    for spec in basis:
-        spec.validate()
-    return basis
+    return tuple(MomentProductSpec(tuple(tuple(f) for f in spec)) for spec in doc)
 
 
 def content_digest(raw: bytes) -> int:
@@ -283,7 +278,6 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
 
     Returns (PipelineModels, prepared entries, failures).
     """
-    config.validate()
     failures: list[dict] = []
     prepared = _prepare_entries(manifest_entries, config, base_dir, failures)
     if not prepared:
@@ -300,13 +294,13 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
     families = {}
     for ext in config.extractors:
         scaled, mean, std = _standardize(np.stack([e.features[ext] for e in prepared]))
-        data = LabeledSet(scaled, targets, class_names)
+        data = LabeledSet(scaled, targets)
         fitted = {}
         for clf in config.classifiers:
             if clf == "ann":
-                fitted[clf] = ann_mod.train(data, ann_mod.TrainConfig(
-                    hidden=config.ann_hidden, learning_rate=config.ann_beta,
-                    epochs=config.ann_epochs, rng_seed=seed))
+                fitted[clf] = ann_mod.train(data, hidden=config.ann_hidden,
+                                            learning_rate=config.ann_beta,
+                                            epochs=config.ann_epochs, rng_seed=seed)
             elif clf == "gknn":
                 fitted[clf] = (data, gknn_mod.build_context(data.inputs))
             else:
@@ -381,7 +375,7 @@ def run_pipeline(manifest_entries, config: PipelineConfig | None = None, seed: i
         final_confusion[truth, final.predicted] += 1
         predictions.append({"path": ent.path, "label": ent.label,
                             "predicted": models.class_names[final.predicted],
-                            "support": [float(f"{v:.17g}") for v in final.support]})
+                            "support": final.support.tolist()})
 
     n = len(prepared)
     per_class = {}
@@ -504,8 +498,9 @@ def load_models(directory: str | Path) -> PipelineModels:
                                   (dim, k))
                 elif clf == "gknn":
                     data = LabeledSet(np.asarray(meta["gknn"][ext]["inputs"]),
-                                      np.asarray(meta["gknn"][ext]["targets"]), class_names)
+                                      np.asarray(meta["gknn"][ext]["targets"]))
                     _expect_shape(f"gknn[{ext}].inputs", data.inputs.shape, (data.n, dim))
+                    _expect_shape(f"gknn[{ext}].targets", data.targets.shape, (data.n, k))
                     fitted[clf] = (data, gknn_mod.build_context(data.inputs))
                 else:
                     svm = fitted[clf] = svm_mod.load_model(path)

@@ -8,7 +8,7 @@ stored as floats in [0, 1]; color images keep their 8-bit channels.
 RGB reduction follows f = (alpha*i + beta*j + gamma*k) / mu with the luma
 defaults alpha=0.299, beta=0.587, gamma=0.114, mu=255. The coefficients
 must sum to 1. The mu=1 variant is accepted and rescaled so downstream
-code always sees [0, 1].
+code always sees [0, 1]. GrayscaleCoefficients checks both on construction.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class GrayscaleCoefficients:
     gamma: float = 0.114
     mu: int = 255
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
             raise ParameterError(
                 "grayscale coefficients must sum to 1 within 1e-9, got "
@@ -246,11 +246,9 @@ def encode_pgm(img: GrayImage) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-def to_grayscale(img: RgbImage, coeff: GrayscaleCoefficients | None = None) -> GrayImage:
+def to_grayscale(img: RgbImage,
+                 coeff: GrayscaleCoefficients = GrayscaleCoefficients()) -> GrayImage:
     """Reduce an RGB image to intensities via f = (alpha*i + beta*j + gamma*k) / mu."""
-    if coeff is None:
-        coeff = GrayscaleCoefficients()
-    coeff.validate()
     px = img.pixels.astype(np.float64)
     f = (coeff.alpha * px[:, :, 0] + coeff.beta * px[:, :, 1] + coeff.gamma * px[:, :, 2]) / coeff.mu
     if coeff.mu == 1:

@@ -5,7 +5,7 @@ array operations chosen for exactness: nearest-neighbour upscale (kron),
 quarter-turn rotation (rot90) and integer translation (bounds-checked
 shift). This keeps the geometric relationships between an image and its
 transformed copy exact at the pixel level, so invariance measurements see
-only the estimator's own error.
+only the estimator's own error. SyntheticShapeSpec checks itself when built.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class SyntheticShapeSpec:
     scale: int = 1                 # nearest-neighbour upscale factor
     noise: float = 0.0             # gaussian sigma added to pixel values
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in SHAPE_CLASS:
             raise ParameterError(f"unknown shape kind {self.kind!r}")
         if self.size < 0 or (self.kind != "disk" and self.size < 1):
@@ -100,7 +100,6 @@ def _shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticShapeSpec, rng_seed: int = 0) -> tuple[GrayImage, str]:
-    spec.validate()
     mask = _base_mask(spec)
     if not mask.any():
         # degenerate radius keeps a single centre pixel

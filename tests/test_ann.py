@@ -79,14 +79,13 @@ class TestTraining:
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float)
         y = np.array([[1, 0], [0, 1], [0, 1], [1, 0]], float)
         data = LabeledSet(x, y)
-        model = ann.train(data, ann.TrainConfig(hidden=4, learning_rate=0.5,
-                                                epochs=5000, rng_seed=0))
+        model = ann.train(data, hidden=4, learning_rate=0.5, epochs=5000, rng_seed=0)
         assert (ann.predict(model, x) == y.argmax(1)).all()
 
     def test_loss_trace_recorded_and_decreasing_overall(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        model = ann.train(LabeledSet(x, y), ann.TrainConfig(hidden=3, epochs=300, rng_seed=1))
+        model = ann.train(LabeledSet(x, y), hidden=3, epochs=300, rng_seed=1)
         assert len(model.loss_trace) == 300
         assert model.loss_trace[-1] < model.loss_trace[0]
 
@@ -94,15 +93,14 @@ class TestTraining:
         for _ in range(2):
             n, p, k = int(rng.integers(5, 12)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
             data = LabeledSet(rng.normal(size=(n, p)), one_hot(rng.integers(0, k, n), k))
-            config = ann.TrainConfig(hidden=5, learning_rate=0.7, epochs=50,
-                                     rng_seed=int(rng.integers(1000)))
-            model = ann.train(data, config)
-            ref = ann.init_model((p, config.hidden, k), np.random.default_rng(config.rng_seed),
-                                 ann._INIT_SCALE)
+            hidden, learning_rate, epochs, seed = 5, 0.7, 50, int(rng.integers(1000))
+            model = ann.train(data, hidden=hidden, learning_rate=learning_rate, epochs=epochs,
+                              rng_seed=seed)
+            ref = ann.init_model((p, hidden, k), np.random.default_rng(seed), ann._INIT_SCALE)
             trace = []
-            for _ in range(config.epochs):
+            for _ in range(epochs):
                 ref = ann.sgd_step(ref, *ann.backprop(ref, data.inputs, data.targets),
-                                   config.learning_rate)
+                                   learning_rate)
                 trace.append(ann.cross_entropy(ann.feedforward(ref, data.inputs)[-1],
                                                data.targets))
             assert all(np.array_equal(a, b) for a, b in zip(model.weights, ref.weights))
@@ -113,14 +111,20 @@ class TestTraining:
         x = np.eye(2)
         data = LabeledSet(x, x)
         with pytest.raises(ParameterError):
-            ann.train(data, ann.TrainConfig(epochs=0))
+            ann.train(data, epochs=0)
+
+    @pytest.mark.parametrize("bad", [{"hidden": 0}, {"learning_rate": 0.0}])
+    def test_bad_hidden_or_rate_rejected(self, bad):
+        x = np.eye(2)
+        with pytest.raises(ParameterError):
+            ann.train(LabeledSet(x, x), **bad)
 
     def test_non_finite_loss_reports_epoch(self):
         # a nan feature poisons the first forward pass
         x = np.array([[np.nan, 0.0], [0.0, 1.0]])
         data = LabeledSet(x, np.eye(2))
         with pytest.raises(TrainingDivergedError) as e:
-            ann.train(data, ann.TrainConfig(hidden=4, epochs=50, rng_seed=0))
+            ann.train(data, hidden=4, epochs=50, rng_seed=0)
         assert e.value.epoch == 0
 
 
@@ -172,7 +176,7 @@ class TestPersistence:
     def test_json_roundtrip(self, tmp_path, rng):
         x = rng.normal(size=(6, 3))
         y = one_hot(rng.integers(0, 2, 6), 2)
-        model = ann.train(LabeledSet(x, y), ann.TrainConfig(hidden=4, epochs=20, rng_seed=3))
+        model = ann.train(LabeledSet(x, y), hidden=4, epochs=20, rng_seed=3)
         path = tmp_path / "model.json"
         ann.save_model(model, path)
         back = ann.load_model(path)

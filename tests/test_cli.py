@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from finspect import preprocess as preprocess_mod
 from finspect.cli import main
 from finspect.dataset import load_manifest
 from finspect.errors import DataError
@@ -124,6 +125,25 @@ class TestPreprocess:
         for record, (bbox, count, pixels) in zip(records, oracle):
             assert record["bbox"] == [int(v) for v in bbox] and record["pixel_count"] == count
             assert (out_dir / record["file"]).read_bytes() == encode_pgm(GrayImage(pixels))
+
+    @pytest.mark.parametrize("extra", [[], ["--binarize"]])
+    def test_segmenting_filters_once(self, corpus_dir, tmp_path, monkeypatch, extra):
+        path = corpus_dir / "disk_000.pgm"
+        plain = tmp_path / "plain.pgm"
+        assert main(["preprocess", "--input", str(path), "--output", str(plain)] + extra) == 0
+        sides = []
+
+        def counted(img, side=3):
+            sides.append(side)
+            return median_filter(img, side)
+
+        monkeypatch.setattr(preprocess_mod, "median_filter", counted)
+        out = tmp_path / "segmented.pgm"
+        rc = main(["preprocess", "--input", str(path), "--output", str(out),
+                   "--segment-dir", str(tmp_path / "segs")] + extra)
+        assert rc == 0
+        assert sides == [3]
+        assert out.read_bytes() == plain.read_bytes()
 
 
 class TestExtract:

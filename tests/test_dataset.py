@@ -21,7 +21,7 @@ class TestOneHot:
 
 class TestLabeledSet:
     def test_properties(self):
-        data = LabeledSet(np.zeros((3, 2)), one_hot([0, 1, 0], 2), ("a", "b"))
+        data = LabeledSet(np.zeros((3, 2)), one_hot([0, 1, 0], 2))
         assert data.n == 3
         assert data.n_classes == 2
         assert data.labels.tolist() == [0, 1, 0]
@@ -40,10 +40,6 @@ class TestLabeledSet:
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError):
             LabeledSet(np.zeros((2, 2)), one_hot([0], 2))
-
-    def test_class_names_length_checked(self):
-        with pytest.raises(ShapeError):
-            LabeledSet(np.zeros((2, 2)), one_hot([0, 1], 2), ("only_one",))
 
 
 class TestManifest:

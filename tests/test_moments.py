@@ -105,21 +105,20 @@ class TestMomentTable:
 class TestBasisValidation:
     def test_default_basis_is_balanced(self):
         for spec in DEFAULT_CMI_BASIS:
-            spec.validate()
+            assert MomentProductSpec(spec.factors, spec.name) == spec
 
     def test_unbalanced_product_rejected(self):
         # M21^3 M02: sum c(a-b) = 3*1 + 1*(-2) = 1 != 0
         with pytest.raises(BasisError):
-            MomentProductSpec(((2, 1, 3.0), (0, 2, 1.0))).validate()
+            MomentProductSpec(((2, 1, 3.0), (0, 2, 1.0)))
 
     def test_empty_product_rejected(self):
         with pytest.raises(BasisError):
-            MomentProductSpec(()).validate()
+            MomentProductSpec(())
 
-    def test_bad_feature_basis_raises_at_extraction(self, rng):
-        bad = (MomentProductSpec(((2, 1, 1.0),)),)
+    def test_bad_feature_basis_raises_at_construction(self):
         with pytest.raises(BasisError):
-            cmi_features(rng.random((4, 4)), basis=bad)
+            MomentProductSpec(((2, 1, 1.0),))
 
 
 class TestCmiInvariance:

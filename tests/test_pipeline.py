@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finspect import DataError, ParameterError, segment_image
+from finspect import BasisError, DataError, ParameterError, segment_image
 from finspect import ann as ann_mod
 from finspect import gknn as gknn_mod
 from finspect import pipeline as pipeline_mod
@@ -22,7 +22,8 @@ from finspect.pipeline import (
     save_models,
     train_models,
 )
-from finspect.raster import GrayImage, encode_pgm
+from finspect.features import MomentProductSpec
+from finspect.raster import GrayImage, GrayscaleCoefficients, encode_pgm
 from finspect.synth import SyntheticShapeSpec, generate_synthetic
 
 FAST = PipelineConfig(ann_epochs=60, ann_hidden=8)
@@ -314,3 +315,23 @@ class TestDigest:
         raw = b"some bytes"
         expected = int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
         assert content_digest(raw) == expected
+
+
+
+@pytest.mark.parametrize("build, valid, changes, error", [
+    (lambda: GrayscaleCoefficients(0.5, 0.5, 0.5), GrayscaleCoefficients(),
+     {"alpha": 0.5, "beta": 0.5, "gamma": 0.5}, ParameterError),
+    (lambda: MomentProductSpec(((2, 1, 1.0),)), MomentProductSpec(((1, 1, 1.0),)),
+     {"factors": ((2, 1, 1.0),)}, BasisError),
+    (lambda: SyntheticShapeSpec("square", 10), SyntheticShapeSpec("disk", 10),
+     {"kind": "square"}, ParameterError),
+    (lambda: PipelineConfig(classifiers=()), PipelineConfig(),
+     {"classifiers": ()}, ParameterError),
+], ids=["GrayscaleCoefficients", "MomentProductSpec", "SyntheticShapeSpec", "PipelineConfig"])
+def test_bad_parameter_rejected_on_construction(build, valid, changes, error):
+    with pytest.raises(error) as built:
+        build()
+    with pytest.raises(error) as replaced:
+        replace(valid, **changes)
+    assert str(built.value) == str(replaced.value)
+    assert not hasattr(valid, "validate")

@@ -8,25 +8,25 @@ from finspect.synth import SHAPE_CLASS, SyntheticShapeSpec, generate_synthetic
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            SyntheticShapeSpec("square", 10).validate()
+            SyntheticShapeSpec("square", 10)
 
     def test_too_large_for_canvas(self):
         with pytest.raises(ParameterError):
-            SyntheticShapeSpec("disk", 48, canvas=96).validate()
+            SyntheticShapeSpec("disk", 48, canvas=96)
 
     def test_tiny_canvas(self):
         with pytest.raises(ParameterError):
-            SyntheticShapeSpec("disk", 2, canvas=7).validate()
+            SyntheticShapeSpec("disk", 2, canvas=7)
 
     def test_bad_scale_and_noise(self):
         with pytest.raises(ParameterError):
-            SyntheticShapeSpec("disk", 5, scale=0).validate()
+            SyntheticShapeSpec("disk", 5, scale=0)
         with pytest.raises(ParameterError):
-            SyntheticShapeSpec("disk", 5, noise=-0.1).validate()
+            SyntheticShapeSpec("disk", 5, noise=-0.1)
 
     def test_polygon_needs_positive_size(self):
         with pytest.raises(ParameterError):
-            SyntheticShapeSpec("triangle", 0).validate()
+            SyntheticShapeSpec("triangle", 0)
 
     def test_labels_cover_all_kinds(self):
         for kind, label in SHAPE_CLASS.items():
