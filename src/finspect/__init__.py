@@ -35,16 +35,8 @@ _SUBMODULE_NAMES = {
                  "train_models"),
 }
 
-# export name -> (submodule, attribute)
-_EXPORTS = {name: (module, name)
-            for module, names in _SUBMODULE_NAMES.items() for name in names.split()}
-_EXPORTS.update({
-    "ann_predict": ("ann", "predict"),
-    "ann_predict_proba": ("ann", "predict_proba"),
-    "ann_train": ("ann", "train"),
-    "svm_predict": ("svm", "predict"),
-    "svm_predict_proba": ("svm", "predict_proba"),
-})
+# export name -> the submodule that defines it under that name
+_EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
@@ -54,10 +46,10 @@ def __getattr__(name):
     if name in _SUBMODULE_NAMES:  # ``finspect.pipeline`` after a bare ``import finspect``
         return importlib.import_module(f".{name}", __name__)
     try:
-        module, attr = _EXPORTS[name]
+        module = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(importlib.import_module(f".{module}", __name__), attr)
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 def __dir__():

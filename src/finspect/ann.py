@@ -12,6 +12,7 @@ its own arguments, as ``svm.train_svm`` does.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,8 +127,8 @@ def train(data: LabeledSet, hidden: int = 16, learning_rate: float = 0.5, epochs
         raise ParameterError("epochs must be >= 1")
     if hidden < 1:
         raise ParameterError("hidden must be >= 1")
-    if learning_rate <= 0:
-        raise ParameterError("learning_rate must be positive")
+    if not 0 < learning_rate < math.inf:  # NaN fails every comparison
+        raise ParameterError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     rng = np.random.default_rng(rng_seed)
     layers = (data.inputs.shape[1], hidden, data.n_classes)
     model = init_model(layers, rng, _INIT_SCALE)

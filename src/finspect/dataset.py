@@ -56,8 +56,8 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def load_manifest(path: str | Path, catalog: tuple[str, ...] = CLASS_CATALOG) -> list[dict]:
-    """JSON array of {path, label}. Labels must be in the catalog, paths unique strings."""
+def load_manifest(path: str | Path) -> list[dict]:
+    """JSON array of {path, label}. Labels must be in CLASS_CATALOG, paths unique strings."""
     try:
         entries = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -70,8 +70,9 @@ def load_manifest(path: str | Path, catalog: tuple[str, ...] = CLASS_CATALOG) ->
             raise ParameterError(f"{path}: each manifest entry needs 'path' and 'label'")
         if not isinstance(entry["path"], str):
             raise ParameterError(f"{path}: manifest path {entry['path']!r} is not a string")
-        if entry["label"] not in catalog:
-            raise ParameterError(f"{path}: label {entry['label']!r} not in catalog {catalog}")
+        if entry["label"] not in CLASS_CATALOG:
+            raise ParameterError(
+                f"{path}: label {entry['label']!r} not in catalog {CLASS_CATALOG}")
         if entry["path"] in seen:
             raise ParameterError(f"{path}: duplicate manifest path {entry['path']!r}")
         seen.add(entry["path"])

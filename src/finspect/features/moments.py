@@ -92,7 +92,6 @@ class MomentProductSpec:
     """Factors (a, b, c): moment orders a, b and the exponent c of that factor."""
 
     factors: tuple[tuple[int, int, float], ...]
-    name: str = ""
 
     def __post_init__(self):
         if not self.factors:
@@ -109,8 +108,6 @@ class MomentProductSpec:
             )
 
     def label(self) -> str:
-        if self.name:
-            return self.name
         return " ".join(
             f"M{a}{b}" + (f"^{c:g}" if c != 1 else "") for a, b, c in self.factors
         )

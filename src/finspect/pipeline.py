@@ -97,7 +97,7 @@ class PipelineConfig:
         return PipelineConfig(
             grayscale=GrayscaleCoefficients(
                 typed(float, "grayscale.alpha"), typed(float, "grayscale.beta"),
-                typed(float, "grayscale.gamma"), typed(int, "grayscale.mu")),
+                typed(float, "grayscale.gamma")),
             median_window=typed(int, "median_window"),
             gfd_radial=typed(int, "gfd.radial"), gfd_angular=typed(int, "gfd.angular"),
             elm_max_order=typed(int, "elm.max_order"),
@@ -112,7 +112,7 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {
             "grayscale": {"alpha": self.grayscale.alpha, "beta": self.grayscale.beta,
-                          "gamma": self.grayscale.gamma, "mu": self.grayscale.mu},
+                          "gamma": self.grayscale.gamma},
             "median_window": self.median_window,
             "gfd": {"radial": self.gfd_radial, "angular": self.gfd_angular},
             "elm": {"max_order": self.elm_max_order},

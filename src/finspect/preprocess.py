@@ -143,7 +143,7 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     result is the one the float pixels give, with scratch arrays an eighth
     of the size.
     """
-    if side < 1 or side % 2 == 0:
+    if not (side >= 1 and side % 2 == 1):  # NaN and inf fail this too
         raise ParameterError(f"median window side must be odd and positive, got {side}")
     if side > min(img.width, img.height):
         raise ImageTooSmallError(

@@ -5,15 +5,16 @@ binary) with maxval 255. Headers are whitespace tolerant and may contain
 ``#`` comments anywhere before the maxval token. Grayscale intensities are
 stored as floats in [0, 1]; color images keep their 8-bit channels.
 
-RGB reduction follows f = (alpha*i + beta*j + gamma*k) / mu with the luma
-defaults alpha=0.299, beta=0.587, gamma=0.114, mu=255. The coefficients
-must sum to 1. The mu=1 variant is accepted and rescaled so downstream
-code always sees [0, 1]. GrayscaleCoefficients checks both on construction.
+RGB reduction follows f = (alpha*i + beta*j + gamma*k) / 255 with the luma
+defaults alpha=0.299, beta=0.587, gamma=0.114, so downstream code always
+sees [0, 1]. Each coefficient must lie in [0, 1] and the three must sum to
+1; GrayscaleCoefficients checks both on construction, and so rejects NaN
+and infinite coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,18 +101,16 @@ class GrayscaleCoefficients:
     alpha: float = 0.299
     beta: float = 0.587
     gamma: float = 0.114
-    mu: int = 255
 
     def __post_init__(self):
-        if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
+        # each check states what must hold, so NaN (every comparison false) fails it
+        if not all(0 <= c <= 1 for c in (self.alpha, self.beta, self.gamma)):
+            raise ParameterError("grayscale coefficients must lie in [0, 1]")
+        if not abs(self.alpha + self.beta + self.gamma - 1.0) <= 1e-9:
             raise ParameterError(
                 "grayscale coefficients must sum to 1 within 1e-9, got "
                 f"{self.alpha + self.beta + self.gamma!r}"
             )
-        if self.mu not in (1, 255):
-            raise ParameterError(f"mu must be 1 or 255, got {self.mu!r}")
-        if min(self.alpha, self.beta, self.gamma) < 0 or max(self.alpha, self.beta, self.gamma) > 1:
-            raise ParameterError("grayscale coefficients must lie in [0, 1]")
 
 
 def _next_token(data: bytes, pos: int, allow_comments: bool) -> tuple[bytes, int, int]:
@@ -248,9 +247,7 @@ def encode_pgm(img: GrayImage) -> bytes:
 
 def to_grayscale(img: RgbImage,
                  coeff: GrayscaleCoefficients = GrayscaleCoefficients()) -> GrayImage:
-    """Reduce an RGB image to intensities via f = (alpha*i + beta*j + gamma*k) / mu."""
+    """Reduce an RGB image to intensities via f = (alpha*i + beta*j + gamma*k) / 255."""
     px = img.pixels.astype(np.float64)
-    f = (coeff.alpha * px[:, :, 0] + coeff.beta * px[:, :, 1] + coeff.gamma * px[:, :, 2]) / coeff.mu
-    if coeff.mu == 1:
-        f = f / 255.0
+    f = (coeff.alpha * px[:, :, 0] + coeff.beta * px[:, :, 1] + coeff.gamma * px[:, :, 2]) / 255.0
     return GrayImage(np.clip(f, 0.0, 1.0))

@@ -34,6 +34,7 @@ breakpoint scan, gain and accept test) in Python floats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from operator import mul, sub
 from pathlib import Path
@@ -135,10 +136,10 @@ def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
     ``max_iter`` bounds the passes, full and shrunk alike; ``converged`` is
     False when it runs out first.
     """
-    if not regularization > 0:
-        raise ParameterError("regularization must be positive")
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not 0 < regularization < math.inf:  # NaN fails every comparison
+        raise ParameterError(f"regularization must be finite and positive, got {regularization}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if data.n < 2 or len(np.unique(data.labels)) < 2:

@@ -10,6 +10,7 @@ only the estimator's own error. SyntheticShapeSpec checks itself when built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class SyntheticShapeSpec:
             raise ParameterError("shape does not fit the canvas")
         if self.scale < 1:
             raise ParameterError("scale must be a positive integer factor")
-        if self.noise < 0:
-            raise ParameterError("noise must be nonnegative")
+        if not 0 <= self.noise < math.inf:  # NaN fails every comparison
+            raise ParameterError(f"noise must be finite and nonnegative, got {self.noise!r}")
 
     @property
     def label(self) -> str:

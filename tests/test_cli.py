@@ -16,7 +16,7 @@ from finspect.errors import DataError
 from finspect.pipeline import load_models
 from finspect.preprocess import (binarize, derive_seeds, median_filter, otsu_threshold,
                                  segment_image)
-from finspect.raster import GrayImage, decode_image, encode_pgm
+from finspect.raster import GrayImage, decode_image, encode_pgm, gray_levels
 
 from test_preprocess import nonzero_crops
 
@@ -295,12 +295,13 @@ class TestTrainClassifyEval:
         ({"ann": {"epochs": True}}, "config key 'ann.epochs' has a value of the wrong type"),
         ({"gknn": {"k": "3"}}, "config key 'gknn.k' has a value of the wrong type"),
         ({"ann": {"beta": "0.5"}}, "config key 'ann.beta' has a value of the wrong type"),
-        ({"grayscale": {"mu": True}}, "config key 'grayscale.mu' has a value of the wrong type"),
+        ({"grayscale": {"alpha": True}},
+         "config key 'grayscale.alpha' has a value of the wrong type"),
         ({"classifiers": ["ann", "ann"]}, "classifiers must be a nonempty subset"),
     ], ids=["even-median-window", "zero-gfd-radial", "unknown-key", "value-not-a-number",
             "not-json", "extractors-not-a-list", "basis-order-not-a-number",
             "integer-key-fractional", "nested-integer-key-fractional", "integer-key-boolean",
-            "integer-key-string", "float-key-string", "grayscale-mu-boolean",
+            "integer-key-string", "float-key-string", "float-key-boolean",
             "classifier-repeated"])
     def test_bad_config_is_usage_error_with_its_own_message(self, corpus_dir, tmp_path, capsys,
                                                             doc, message):
@@ -386,6 +387,99 @@ class TestTrainClassifyEval:
             assert key in report
         assert report["svm_converged"] == {"cmi": True, "gfd": True, "elm": True}
         assert "accuracy" in capsys.readouterr().out
+
+    def test_eval_on_p6_copies_gives_the_pgm_labels(self, corpus_dir, fast_config, tmp_path):
+        rgb_dir = tmp_path / "rgb"
+        rgb_dir.mkdir()
+        entries = load_manifest(corpus_dir / "manifest.json")
+        for entry in entries:
+            img = decode_image((corpus_dir / entry["path"]).read_bytes())
+            levels = np.repeat(gray_levels(img.pixels)[:, :, None], 3, axis=2)
+            entry["path"] = entry["path"].replace(".pgm", ".ppm")
+            (rgb_dir / entry["path"]).write_bytes(
+                f"P6 {img.width} {img.height} 255\n".encode() + levels.tobytes())
+        (rgb_dir / "manifest.json").write_text(json.dumps(entries))
+        labels = []
+        for directory in (corpus_dir, rgb_dir):
+            report_path = tmp_path / f"{directory.name}.json"
+            assert main(["eval", "--manifest", str(directory / "manifest.json"),
+                         "--report", str(report_path), "--config", fast_config]) == 0
+            report = json.loads(report_path.read_text())
+            assert report["n_images"] == len(entries)
+            labels.append(sorted((Path(p["path"]).stem, p["predicted"])
+                                 for p in report["predictions"]))
+        assert labels[0] == labels[1]
+
+    def test_train_prints_each_failure_on_stderr(self, corpus_dir, fast_config, tmp_path,
+                                                 capsys):
+        shutil.copytree(corpus_dir, tmp_path / "corpus")
+        entries = load_manifest(corpus_dir / "manifest.json")
+        (tmp_path / "corpus" / "bad.pgm").write_bytes(b"P5\n4 4\n255\nxx")
+        entries += [{"path": "bad.pgm", "label": "other"},
+                    {"path": "missing.pgm", "label": "other"}]
+        (tmp_path / "corpus" / "manifest.json").write_text(json.dumps(entries))
+        rc = main(["train", "--manifest", str(tmp_path / "corpus" / "manifest.json"),
+                   "--model-dir", str(tmp_path / "models"), "--config", fast_config])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert "(2 failures)" in out
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("  failed bad.pgm at preprocess: truncated payload")
+        assert lines[1].startswith("  failed missing.pgm at read: ")
+
+    @pytest.mark.parametrize("where", ["config", "model-dir"])
+    def test_grayscale_mu_is_an_unknown_key(self, corpus_dir, model_dir, tmp_path, capsys,
+                                            where):
+        # grayscale.mu was removed: 255 was its default and 1 gave the same pixels
+        message = "unknown config key 'grayscale.mu'"
+        if where == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"grayscale": {"mu": 255}}))
+            rc = main(["train", "--manifest", str(corpus_dir / "manifest.json"),
+                       "--model-dir", str(tmp_path / "models"), "--config", str(config)])
+            assert rc == 1
+        else:
+            models = tmp_path / "models"
+            shutil.copytree(model_dir, models)
+            meta = json.loads((models / "pipeline.json").read_text())
+            meta["config"]["grayscale"]["mu"] = 255
+            (models / "pipeline.json").write_text(json.dumps(meta))
+            rc = main(["classify", "--model-dir", str(models),
+                       "--input", str(corpus_dir / "disk_001.pgm"),
+                       "--output", str(tmp_path / "decision.json")])
+            assert rc == 2
+            assert not (tmp_path / "decision.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, message", [
+        ("synth --noise", "noise must be finite and nonnegative"),
+        ("grayscale.alpha", "grayscale coefficients must lie in [0, 1]"),
+        ("ann.beta", "learning_rate must be finite and positive"),
+        ("svm.A", "regularization must be finite and positive"),
+        ("svm.tol", "tol must be finite and positive"),
+    ], ids=["synth-noise", "grayscale-alpha", "ann-beta", "svm-A", "svm-tol"])
+    def test_non_finite_parameter_is_usage_error(self, corpus_dir, tmp_path, capsys, key,
+                                                 message, value):
+        if key == "synth --noise":
+            rc = main(["synth", "--out-dir", str(tmp_path / "corpus"), "--count", "1",
+                       "--canvas", "32", f"--noise={value}"])
+            assert not (tmp_path / "corpus" / "manifest.json").exists()
+        else:
+            section, name = key.split(".")
+            classifier = section if section in ("ann", "svm") else "gknn"
+            config = tmp_path / "config.json"  # json writes NaN and Infinity, and reads them
+            config.write_text(json.dumps({section: {name: value}, "extractors": ["cmi"],
+                                          "classifiers": [classifier]}))
+            rc = main(["train", "--manifest", str(corpus_dir / "manifest.json"),
+                       "--model-dir", str(tmp_path / "models"), "--config", str(config)])
+            assert not (tmp_path / "models").exists()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 class TestFuse:

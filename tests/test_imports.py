@@ -43,9 +43,8 @@ def test_no_scipy_module_is_loaded(tmp_path, case):
 
 def test_every_export_is_its_submodule_attribute():
     for name in finspect.__all__:
-        module, attr = finspect._EXPORTS[name]
-        owner = importlib.import_module(f"finspect.{module}")
-        assert getattr(finspect, name) is getattr(owner, attr), name
+        owner = importlib.import_module(f"finspect.{finspect._EXPORTS[name]}")
+        assert getattr(finspect, name) is getattr(owner, name), name
     assert set(finspect.__all__) <= set(dir(finspect))
 
 

@@ -105,7 +105,7 @@ class TestMomentTable:
 class TestBasisValidation:
     def test_default_basis_is_balanced(self):
         for spec in DEFAULT_CMI_BASIS:
-            assert MomentProductSpec(spec.factors, spec.name) == spec
+            assert MomentProductSpec(spec.factors) == spec
 
     def test_unbalanced_product_rejected(self):
         # M21^3 M02: sum c(a-b) = 3*1 + 1*(-2) = 1 != 0

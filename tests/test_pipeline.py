@@ -280,6 +280,27 @@ class TestPersistence:
         assert np.allclose(f1.support, f2.support, atol=1e-12)
         assert p1 == p2
 
+    def test_custom_cmi_basis_survives_save_and_load(self, corpus, tmp_path):
+        directory, entries = corpus
+        basis = (MomentProductSpec(((1, 1, 1.0),)),
+                 MomentProductSpec(((2, 0, 1.0), (0, 2, 1.0))),
+                 MomentProductSpec(((3, 0, 2.0), (0, 3, 2.0))))
+        config = replace(FAST, cmi_basis=basis, extractors=("cmi",))
+        models, _, _ = train_models(entries, config, seed=0, base_dir=directory)
+        save_models(models, tmp_path / "models")
+        saved = json.loads((tmp_path / "models" / "pipeline.json").read_text())
+        assert saved["config"]["cmi"]["basis"] == [[[1, 1, 1.0]], [[2, 0, 1.0], [0, 2, 1.0]],
+                                                   [[3, 0, 2.0], [0, 3, 2.0]]]
+        back = load_models(tmp_path / "models")
+        assert back.config == config and back.config.cmi_basis == basis
+        assert back.families["cmi"].mean.shape == (len(basis),)
+        img, _ = generate_synthetic(SyntheticShapeSpec("disk", 14, canvas=96))
+        f1, s1, p1 = classify_image(models, img, digest=7)
+        f2, s2, p2 = classify_image(back, img, digest=7)
+        assert f1.predicted == f2.predicted
+        assert np.allclose(f1.support, f2.support, atol=1e-12)
+        assert p1 == p2
+
     def test_config_dict_roundtrip(self):
         config = PipelineConfig(median_window=5, gfd_radial=3, gfd_angular=7,
                                 ann_hidden=9, gknn_k=5, svm_a=2.0,

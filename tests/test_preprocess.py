@@ -81,6 +81,11 @@ class TestMedianFilter:
         with pytest.raises(ParameterError):
             median_filter(GrayImage(np.zeros((4, 4))), 2)
 
+    @pytest.mark.parametrize("side", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_side_rejected(self, side):
+        with pytest.raises(ParameterError, match="must be odd and positive"):
+            median_filter(GrayImage(np.zeros((4, 4))), side)
+
     def test_side_larger_than_image_rejected(self):
         with pytest.raises(ImageTooSmallError):
             median_filter(GrayImage(np.zeros((3, 5))), 5)

@@ -80,6 +80,16 @@ class TestDecode:
             decode_image(raw)
         assert e.value.offset == raw.index(token)
 
+    @pytest.mark.parametrize("raw, offset, message", [
+        (b"P5 0 2 255\n", 3, "width must be positive"),
+        (b"P2 2 0 255 ", 5, "height must be positive"),
+        (b"P5 1 1 255", 10, "missing whitespace before binary payload"),
+    ], ids=["width-zero", "height-zero", "p5-no-whitespace-before-payload"])
+    def test_header_error_names_its_offset(self, raw, offset, message):
+        with pytest.raises(PnmDecodeError, match=message) as e:
+            decode_image(raw)
+        assert e.value.offset == offset
+
     def test_comment_requires_header_position(self):
         # comments are a header feature; the P2 body is bare samples
         with pytest.raises(PnmDecodeError):
@@ -227,12 +237,7 @@ class TestGrayscale:
     def test_coefficients_must_sum_to_one(self):
         with pytest.raises(ParameterError):
             to_grayscale(RgbImage(np.zeros((1, 1, 3), np.uint8)),
-                         GrayscaleCoefficients(0.5, 0.5, 0.5, 255))
-
-    def test_mu_one_rescaled(self):
-        px = np.full((2, 2, 3), 255, dtype=np.uint8)
-        g = to_grayscale(RgbImage(px), GrayscaleCoefficients(mu=1))
-        assert np.allclose(g.pixels, 1.0)
+                         GrayscaleCoefficients(0.5, 0.5, 0.5))
 
     def test_output_clipped(self):
         px = np.full((1, 1, 3), 255, dtype=np.uint8)
