@@ -11,15 +11,13 @@ its own arguments, as ``svm.train_svm`` does.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import LabeledSet
-from .errors import ParameterError, ShapeError, TrainingDivergedError
+from .errors import ParameterError, ShapeError, TrainingDivergedError, is_integer
 
 _CLAMP = 1e-12
 _INIT_SCALE = 0.5  # initial weights and biases are uniform on [-_INIT_SCALE, _INIT_SCALE]
@@ -123,10 +121,9 @@ def init_model(layers: tuple[int, ...], rng: np.random.Generator, init_scale: fl
 
 def train(data: LabeledSet, hidden: int = 16, learning_rate: float = 0.5, epochs: int = 200,
           rng_seed: int = 0) -> MlpModel:
-    if epochs < 1:
-        raise ParameterError("epochs must be >= 1")
-    if hidden < 1:
-        raise ParameterError("hidden must be >= 1")
+    for name, value in (("epochs", epochs), ("hidden", hidden)):
+        if not (is_integer(value) and value >= 1):
+            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
     if not 0 < learning_rate < math.inf:  # NaN fails every comparison
         raise ParameterError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     rng = np.random.default_rng(rng_seed)
@@ -158,22 +155,3 @@ def predict_proba(model: MlpModel, inputs) -> np.ndarray:
 def predict(model: MlpModel, inputs) -> np.ndarray:
     return np.argmax(predict_proba(model, inputs), axis=1)
 
-
-def save_model(model: MlpModel, path: str | Path) -> None:
-    doc = {
-        "layers": list(model.layers),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "loss_trace": list(model.loss_trace),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_model(path: str | Path) -> MlpModel:
-    doc = json.loads(Path(path).read_text())
-    return MlpModel(
-        tuple(doc["layers"]),
-        tuple(np.asarray(w) for w in doc["weights"]),
-        tuple(np.asarray(b) for b in doc["biases"]),
-        tuple(doc.get("loss_trace", ())),
-    )

@@ -10,6 +10,13 @@ A parameter is checked where it is defined: a frozen dataclass in
 
 from __future__ import annotations
 
+import numbers
+
+
+def is_integer(value) -> bool:
+    """The type check of an integer parameter: a bool, a float or NaN fails it."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 class FinspectError(Exception):
     """Base class for all finspect errors."""

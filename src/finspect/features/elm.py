@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, is_integer
 from ..raster import GrayImage, as_pixels
 from . import FeatureVector
 
@@ -56,8 +56,8 @@ def _cell_integrals(count: int, max_order: int) -> np.ndarray:
 
 def elm_features(img: GrayImage | np.ndarray, max_order: int = 5) -> FeatureVector:
     """M_ab for 1 <= a, b <= max_order, row-major in (a, b)."""
-    if max_order < 1:
-        raise ParameterError("max_order must be at least 1")
+    if not (is_integer(max_order) and max_order >= 1):
+        raise ParameterError(f"max_order must be an integer >= 1, got {max_order!r}")
     g = as_pixels(img)
     m, n = g.shape  # m rows carry y, n columns carry x
     ix = _cell_integrals(n, max_order)  # (max_order, n)

@@ -22,7 +22,7 @@ import functools
 import numpy as np
 import scipy.ndimage
 
-from ..errors import ParameterError, ZeroMassError
+from ..errors import ParameterError, ZeroMassError, is_integer
 from ..raster import GrayImage, as_pixels
 from . import FeatureVector
 from .moments import centroid
@@ -63,8 +63,9 @@ def _phases(radial_count: int, angular_count: int) -> tuple[np.ndarray, np.ndarr
 
 def gfd_features(img: GrayImage | np.ndarray, radial_count: int = 4, angular_count: int = 9) -> FeatureVector:
     """|S(rho, psi)| / |S(0, 0)| for rho < radial_count, psi < angular_count."""
-    if radial_count < 1 or angular_count < 1:
-        raise ParameterError("frequency counts must be at least 1")
+    if not all(is_integer(c) and c >= 1 for c in (radial_count, angular_count)):
+        raise ParameterError(f"frequency counts must be at least 1, as ints: {radial_count!r}, "
+                             f"{angular_count!r}")
     polar = polar_samples(img)
     radial_phase, angular_phase = _phases(radial_count, angular_count)
     spectrum = radial_phase @ polar @ angular_phase.T

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledSet
-from .errors import DegeneratePopulationError, ParameterError, ShapeError
+from .errors import DegeneratePopulationError, ParameterError, ShapeError, is_integer
 
 _RIDGE = 1e-6
 
@@ -88,8 +88,8 @@ def evolve(fitness: np.ndarray, k: int, rng: np.random.Generator) -> tuple[int, 
     """Run the genetic loop; returns the final population, fittest first."""
     fitness = np.asarray(fitness, dtype=np.float64)
     n = fitness.shape[0]
-    if k < 1 or k > n:
-        raise ParameterError(f"k must be in [1, {n}]")
+    if not (is_integer(k) and 1 <= k <= n):
+        raise ParameterError(f"k must be an integer in [1, {n}], got {k!r}")
     r = chromosome_width(n)
     pop = _k_best(rng.choice(n, size=k, replace=False).tolist(), fitness, k)
     best = fitness[pop[0]]
@@ -117,8 +117,8 @@ def gknn_classify(x_q, training: LabeledSet, k: int, rng_seed: int = 0,
     ``context`` is ``build_context(training.inputs)``, built here when not
     given; a caller with many queries on one training set builds it once.
     """
-    if k < 1 or k > training.n:
-        raise ParameterError(f"k must be in [1, {training.n}]")
+    if not (is_integer(k) and 1 <= k <= training.n):
+        raise ParameterError(f"k must be an integer in [1, {training.n}], got {k!r}")
     if training.n == 1:
         return training.targets[0].copy()
     ctx = build_context(training.inputs) if context is None else context

@@ -22,7 +22,7 @@ from . import ann as ann_mod
 from . import gknn as gknn_mod
 from . import svm as svm_mod
 from .dataset import CLASS_CATALOG, LabeledSet, load_manifest, one_hot
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, is_integer
 from .features import FeatureVector, MomentProductSpec, cmi_features, elm_features, gfd_features
 from .fusion import ClassSupport, DecisionTemplates, compute_templates, fuse
 from .preprocess import segment_image
@@ -415,42 +415,32 @@ def _templates_to_dict(t: DecisionTemplates) -> dict:
     return {"matrices": t.matrices.tolist(), "counts": t.counts.tolist()}
 
 
-def _templates_from_dict(doc: dict) -> DecisionTemplates:
-    return DecisionTemplates(np.asarray(doc["matrices"]), np.asarray(doc["counts"]))
+def _model_to_dict(clf: str, model) -> dict:
+    if clf == "ann":
+        return {"layers": list(model.layers), "weights": [w.tolist() for w in model.weights],
+                "biases": [b.tolist() for b in model.biases], "loss_trace": list(model.loss_trace)}
+    if clf == "gknn":
+        return {"inputs": model[0].inputs.tolist(), "targets": model[0].targets.tolist()}
+    return {"weights": model.weights.tolist(), "converged": model.converged}
 
 
 def save_models(models: PipelineModels, directory: str | Path) -> None:
-    """Write pipeline.json, plus ann_<ext>.json and svm_<ext>.json for the
-    classifiers in the ensemble; gknn's training rows go into pipeline.json.
-
-    The ann_<ext>.json and svm_<ext>.json of every pair the config leaves
-    out are deleted, so the directory holds exactly the model it describes.
-    """
+    """Write the whole model to pipeline.json: config, class names, seed, stage-2
+    templates, and per family its mean, std, stage-1 templates and classifiers."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    families = models.families
     meta = {
         "class_names": list(models.class_names),
         "seed": models.seed,
         "config": models.config.to_dict(),
-        "scalers": {ext: {"mean": fam.mean.tolist(), "std": fam.std.tolist()}
-                    for ext, fam in families.items()},
-        "stage1_templates": {ext: _templates_to_dict(fam.templates)
-                             for ext, fam in families.items()},
+        "families": {ext: {"mean": fam.mean.tolist(), "std": fam.std.tolist(),
+                           "templates": _templates_to_dict(fam.templates),
+                           "models": {clf: _model_to_dict(clf, model)
+                                      for clf, model in fam.models.items()}}
+                     for ext, fam in models.families.items()},
         "stage2_templates": _templates_to_dict(models.stage2_templates),
     }
-    if "gknn" in models.config.classifiers:
-        meta["gknn"] = {ext: {"inputs": fam.models["gknn"][0].inputs.tolist(),
-                              "targets": fam.models["gknn"][0].targets.tolist()}
-                        for ext, fam in families.items()}
     (directory / "pipeline.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for ext in EXTRACTORS:
-        for clf, module in (("ann", ann_mod), ("svm", svm_mod)):
-            path = directory / f"{clf}_{ext}.json"
-            if ext in families and clf in families[ext].models:
-                module.save_model(families[ext].models[clf], path)
-            else:
-                path.unlink(missing_ok=True)
 
 
 def _expect_shape(what: str, actual: tuple, expected: tuple) -> None:
@@ -459,52 +449,51 @@ def _expect_shape(what: str, actual: tuple, expected: tuple) -> None:
 
 
 def load_models(directory: str | Path) -> PipelineModels:
-    """Read a directory written by save_models; a malformed file is a DataError.
+    """Read the pipeline.json that save_models wrote; a malformed one is a DataError.
 
-    Only the configured classifiers' models are read. Every model's input
-    dimension and class count must agree with the scalers and class names in
-    pipeline.json, so a mismatched file fails here, named, and not at the
-    first query.
+    Only the configured classifiers' records are read. Each model's input
+    dimension and class count must agree with its family's mean and the class
+    names, so a mismatched record fails here, named, not at the first query.
     """
-    directory = Path(directory)
-    meta_path = path = directory / "pipeline.json"
+    path = Path(directory) / "pipeline.json"
     try:
         meta = json.loads(path.read_text())
         config = PipelineConfig.from_dict(meta["config"])
         class_names, exts = tuple(meta["class_names"]), config.extractors
         k = len(class_names)
-        stage2 = _templates_from_dict(meta["stage2_templates"])
+        stage2 = DecisionTemplates(**meta["stage2_templates"])
         _expect_shape("stage2_templates", stage2.matrices.shape, (k, len(exts), k))
         seed = meta["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not is_integer(seed):
             raise ParameterError(f"seed must be an integer, got {seed!r}")
         families = {}
         for ext in exts:
-            path = meta_path
-            mean = np.asarray(meta["scalers"][ext]["mean"], dtype=np.float64)
-            std = np.asarray(meta["scalers"][ext]["std"], dtype=np.float64)
+            doc = meta["families"][ext]
+            mean = np.asarray(doc["mean"], dtype=np.float64)
+            std = np.asarray(doc["std"], dtype=np.float64)
             dim = mean.size
-            _expect_shape(f"scalers[{ext}].mean", mean.shape, (dim,))
-            _expect_shape(f"scalers[{ext}].std", std.shape, (dim,))
-            templates = _templates_from_dict(meta["stage1_templates"][ext])
-            _expect_shape(f"stage1_templates[{ext}]", templates.matrices.shape,
+            _expect_shape(f"families[{ext}].mean", mean.shape, (dim,))
+            _expect_shape(f"families[{ext}].std", std.shape, (dim,))
+            templates = DecisionTemplates(**doc["templates"])
+            _expect_shape(f"families[{ext}].templates", templates.matrices.shape,
                           (k, len(config.classifiers), k))
             fitted = {}
             for clf in config.classifiers:
-                path = meta_path if clf == "gknn" else directory / f"{clf}_{ext}.json"
+                record, what = doc["models"][clf], f"families[{ext}].models[{clf}]"
                 if clf == "ann":
-                    ann = fitted[clf] = ann_mod.load_model(path)
-                    _expect_shape("layers (input, output)", (ann.layers[0], ann.layers[-1]),
-                                  (dim, k))
+                    ann = fitted[clf] = ann_mod.MlpModel(
+                        tuple(record["layers"]), tuple(record["weights"]),
+                        tuple(record["biases"]), tuple(record["loss_trace"]))
+                    _expect_shape(f"{what} layers (input, output)",
+                                  (ann.layers[0], ann.layers[-1]), (dim, k))
                 elif clf == "gknn":
-                    data = LabeledSet(np.asarray(meta["gknn"][ext]["inputs"]),
-                                      np.asarray(meta["gknn"][ext]["targets"]))
-                    _expect_shape(f"gknn[{ext}].inputs", data.inputs.shape, (data.n, dim))
-                    _expect_shape(f"gknn[{ext}].targets", data.targets.shape, (data.n, k))
+                    data = LabeledSet(record["inputs"], record["targets"])
+                    _expect_shape(f"{what}.inputs", data.inputs.shape, (data.n, dim))
+                    _expect_shape(f"{what}.targets", data.targets.shape, (data.n, k))
                     fitted[clf] = (data, gknn_mod.build_context(data.inputs))
                 else:
-                    svm = fitted[clf] = svm_mod.load_model(path)
-                    _expect_shape("weights", svm.weights.shape, (dim, k))
+                    svm = fitted[clf] = svm_mod.SvmModel(record["weights"], record["converged"])
+                    _expect_shape(f"{what}.weights", svm.weights.shape, (dim, k))
             families[ext] = Family(mean, std, fitted, templates)
     except OSError as exc:
         raise DataError(f"{path}: cannot read model file ({exc.strerror})") from exc

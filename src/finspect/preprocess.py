@@ -46,6 +46,7 @@ from .errors import (
     ImageTooSmallError,
     ParameterError,
     SolverError,
+    is_integer,
 )
 from .raster import BinaryImage, GrayImage, encode_pgm, gray_levels
 
@@ -143,15 +144,15 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     result is the one the float pixels give, with scratch arrays an eighth
     of the size.
     """
-    if not (side >= 1 and side % 2 == 1):  # NaN and inf fail this too
-        raise ParameterError(f"median window side must be odd and positive, got {side}")
+    if not (is_integer(side) and side >= 1 and side % 2 == 1):
+        raise ParameterError(f"median window side must be odd and positive, an int: {side!r}")
     if side > min(img.width, img.height):
         raise ImageTooSmallError(
             f"median window {side} exceeds image extent {img.width}x{img.height}"
         )
     if side == 1:
         return img
-    scratch, steps, median = _median_network(side)
+    scratch, steps, median = _median_network(int(side))
     levels = gray_levels(img.pixels)
     exact = np.array_equal(levels / 255.0, img.pixels)
     values = levels if exact else img.pixels

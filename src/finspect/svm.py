@@ -33,16 +33,14 @@ breakpoint scan, gain and accept test) in Python floats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from operator import mul, sub
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import LabeledSet
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, is_integer
 
 
 def kernel_linear(x1, x2) -> float:
@@ -56,7 +54,6 @@ def kernel_linear(x1, x2) -> float:
 @dataclass(frozen=True)
 class SvmModel:
     weights: np.ndarray      # (p, k) class weights W = X^T eta
-    regularization: float
     converged: bool = True
 
     def __post_init__(self):
@@ -140,8 +137,8 @@ def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
         raise ParameterError(f"regularization must be finite and positive, got {regularization}")
     if not 0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not (is_integer(max_iter) and max_iter >= 1):
+        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if data.n < 2 or len(np.unique(data.labels)) < 2:
         raise ParameterError("need >= 2 points spanning >= 2 classes")
     inputs = data.inputs
@@ -168,7 +165,7 @@ def train_svm(data: LabeledSet, regularization: float = 1.0, tol: float = 1e-3,
             break
         else:
             rows = full
-    return SvmModel(weights, regularization, converged)
+    return SvmModel(weights, converged)
 
 
 def confidence(model: SvmModel, x_q) -> np.ndarray:
@@ -211,19 +208,3 @@ def two_point_line(x1, x2) -> tuple[np.ndarray, float]:
     b = -1.0 - float(w @ x1)
     return w, b
 
-
-def save_model(model: SvmModel, path: str | Path) -> None:
-    doc = {
-        "weights": model.weights.tolist(),
-        "A": model.regularization,
-        "kernel": "linear",
-        "converged": model.converged,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_model(path: str | Path) -> SvmModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("kernel", "linear") != "linear":
-        raise DataError(f"{path}: SVM kernel {doc['kernel']!r} is not supported, only 'linear'")
-    return SvmModel(np.asarray(doc["weights"]), doc["A"], doc["converged"])

@@ -170,17 +170,3 @@ class TestInference:
         model = ann.init_model((3, 2), rng, 0.5)
         with pytest.raises(ShapeError):
             ann.feedforward(model, np.zeros((2, 4)))
-
-
-class TestPersistence:
-    def test_json_roundtrip(self, tmp_path, rng):
-        x = rng.normal(size=(6, 3))
-        y = one_hot(rng.integers(0, 2, 6), 2)
-        model = ann.train(LabeledSet(x, y), hidden=4, epochs=20, rng_seed=3)
-        path = tmp_path / "model.json"
-        ann.save_model(model, path)
-        back = ann.load_model(path)
-        assert back.layers == model.layers
-        for a, b in zip(back.weights, model.weights):
-            assert np.array_equal(a, b)
-        assert np.allclose(ann.predict_proba(back, x), ann.predict_proba(model, x))

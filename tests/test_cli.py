@@ -167,7 +167,7 @@ class TestExtract:
 
 
 def edited(change):
-    """A tamper function: parse the JSON file, apply ``change`` in place, write it back."""
+    """A tamper function: parse pipeline.json, apply ``change`` in place, write it back."""
     def tamper(text):
         doc = json.loads(text)
         change(doc)
@@ -175,19 +175,44 @@ def edited(change):
     return tamper
 
 
+def record(doc, ext, clf=None):
+    """A family's record in a parsed pipeline.json, or one of its classifiers' records."""
+    family = doc["families"][ext]
+    return family if clf is None else family["models"][clf]
+
+
 def drop_ann_input(doc):
-    """Consistent in itself, but one input fewer than the scalers give."""
-    doc["layers"][0] -= 1
-    doc["weights"][0] = [row[:-1] for row in doc["weights"][0]]
+    """Consistent in itself, but one input fewer than the family's mean gives."""
+    ann = record(doc, "elm", "ann")
+    ann["layers"][0] -= 1
+    ann["weights"][0] = [row[:-1] for row in ann["weights"][0]]
+
+
+def write_old_layout(directory):
+    """Rewrite a saved model directory into the layout of older releases: scalers,
+    stage-1 templates and gknn rows at the top of pipeline.json, and each ann and
+    svm model in an ann_<ext>.json or svm_<ext>.json of its own."""
+    path = directory / "pipeline.json"
+    meta = json.loads(path.read_text())
+    families = meta.pop("families")
+    meta["scalers"] = {ext: {"mean": f["mean"], "std": f["std"]} for ext, f in families.items()}
+    meta["stage1_templates"] = {ext: f["templates"] for ext, f in families.items()}
+    meta["gknn"] = {ext: f["models"]["gknn"] for ext, f in families.items()}
+    path.write_text(json.dumps(meta))
+    for ext, family in families.items():
+        (directory / f"ann_{ext}.json").write_text(json.dumps(family["models"]["ann"]))
+        (directory / f"svm_{ext}.json").write_text(json.dumps(
+            {**family["models"]["svm"], "A": 1.0, "kernel": "linear"}))
 
 
 class TestTrainClassifyEval:
     def test_model_artifacts_exist(self, model_dir):
-        names = {p.name for p in model_dir.iterdir()}
-        assert "pipeline.json" in names
-        for ext in ("cmi", "gfd", "elm"):
-            assert f"ann_{ext}.json" in names
-            assert f"svm_{ext}.json" in names
+        assert [p.name for p in model_dir.iterdir()] == ["pipeline.json"]
+        meta = json.loads((model_dir / "pipeline.json").read_text())
+        assert set(meta["families"]) == {"cmi", "gfd", "elm"}
+        for family in meta["families"].values():
+            assert set(family) == {"mean", "std", "templates", "models"}
+            assert set(family["models"]) == {"ann", "gknn", "svm"}
 
     def test_classify_whole_image(self, corpus_dir, model_dir, tmp_path, capsys):
         out = tmp_path / "decision.json"
@@ -209,69 +234,86 @@ class TestTrainClassifyEval:
         assert len(doc["segments"]) >= 1
         assert doc["segments"][0]["predicted"] in doc["class_names"]
 
-    def test_classify_tampered_svm_kernel_is_data_error(self, corpus_dir, model_dir,
-                                                         tmp_path, capsys):
-        tampered = tmp_path / "models"
-        shutil.copytree(model_dir, tampered)
-        svm_file = tampered / "svm_gfd.json"
-        doc = json.loads(svm_file.read_text())
-        doc["kernel"] = "rbf"
-        svm_file.write_text(json.dumps(doc))
-        rc = main(["classify", "--model-dir", str(tampered),
-                   "--input", str(corpus_dir / "disk_001.pgm"),
-                   "--output", str(tmp_path / "decision.json")])
-        assert rc == 2
-        assert "rbf" in capsys.readouterr().err
-        assert not (tmp_path / "decision.json").exists()
-
-    @pytest.mark.parametrize("name, tamper", [
-        ("svm_cmi.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                                  if k != "A"})),
-        ("ann_cmi.json", lambda text: text[:len(text) // 2]),
-        ("pipeline.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                                   if k != "scalers"})),
-        ("pipeline.json", lambda text: json.dumps({**json.loads(text), "scalers": []})),
-        ("pipeline.json", lambda text: json.dumps({**json.loads(text), "scalers": {
-            k: v for k, v in json.loads(text)["scalers"].items() if k != "cmi"}})),
-        ("pipeline.json", lambda text: json.dumps({**json.loads(text), "config": {
-            **json.loads(text)["config"], "gfd": []}})),
-        ("svm_cmi.json", lambda text: json.dumps({  # the dual form, no longer read
+    @pytest.mark.parametrize("tamper, detail", [
+        (edited(lambda d: record(d, "cmi", "svm").pop("converged")), "'converged'"),
+        (lambda text: text[:text.index('"ann"', text.index('"families"')) + 40],
+         "JSONDecodeError"),
+        (edited(lambda d: d.pop("families")), "'families'"),
+        (edited(lambda d: d.update(families=[])), "TypeError"),
+        (edited(lambda d: d["families"].pop("cmi")), "'cmi'"),
+        (edited(lambda d: d["config"].update(gfd=[])), "'gfd' must be an object"),
+        (edited(lambda d: record(d, "cmi")["models"].update(svm={  # the dual form, not read
             "eta": [[0.5, -0.5], [-0.5, 0.5]], "A": 1.0, "kernel": "linear",
             "inputs": [[1.0] * 4, [-1.0] * 4], "labels": [0, 1], "converged": True})),
-        ("svm_cmi.json", edited(lambda d: d["weights"].append([0.0] * len(d["weights"][0])))),
-        ("svm_gfd.json", edited(lambda d: [row.append(0.0) for row in d["weights"]])),
-        ("ann_elm.json", edited(drop_ann_input)),
-        ("pipeline.json", edited(lambda d: d["scalers"]["gfd"]["std"].pop())),
-        ("pipeline.json", edited(lambda d: d["scalers"]["elm"].update(
-            mean=[d["scalers"]["elm"]["mean"]]))),
-        ("pipeline.json", edited(lambda d: [row.append(0.0) for row in d["gknn"]["cmi"]["inputs"]])),
-        ("pipeline.json", edited(lambda d: [row.append(0.0)
-                                            for row in d["gknn"]["gfd"]["targets"]])),
-        ("pipeline.json", edited(lambda d: [m.pop()
-                                            for m in d["stage1_templates"]["elm"]["matrices"]])),
-        ("pipeline.json", edited(lambda d: [t.pop() for t in d["stage2_templates"].values()])),
-        ("pipeline.json", edited(lambda d: d.update(seed=str(d["seed"])))),
-    ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-scalers",
-            "pipeline-scalers-not-object", "pipeline-scalers-missing-extractor",
+         "KeyError: 'weights'"),
+        (edited(lambda d: record(d, "cmi", "svm")["weights"].append(
+            [0.0] * len(record(d, "cmi", "svm")["weights"][0]))),
+         "families[cmi].models[svm].weights has shape"),
+        (edited(lambda d: [row.append(0.0) for row in record(d, "gfd", "svm")["weights"]]),
+         "families[gfd].models[svm].weights has shape"),
+        (edited(drop_ann_input), "families[elm].models[ann] layers (input, output)"),
+        (edited(lambda d: record(d, "gfd")["std"].pop()), "families[gfd].std has shape"),
+        (edited(lambda d: record(d, "elm").update(mean=[record(d, "elm")["mean"]])),
+         "families[elm].mean has shape"),
+        (edited(lambda d: [row.append(0.0) for row in record(d, "cmi", "gknn")["inputs"]]),
+         "families[cmi].models[gknn].inputs has shape"),
+        (edited(lambda d: [row.append(0.0) for row in record(d, "gfd", "gknn")["targets"]]),
+         "families[gfd].models[gknn].targets has shape"),
+        (edited(lambda d: [m.pop() for m in record(d, "elm")["templates"]["matrices"]]),
+         "families[elm].templates has shape"),
+        (edited(lambda d: [t.pop() for t in d["stage2_templates"].values()]),
+         "stage2_templates has shape"),
+        (edited(lambda d: d.update(seed=str(d["seed"]))), "seed must be an integer"),
+        (edited(lambda d: record(d, "elm")["models"].pop("svm")), "KeyError: 'svm'"),
+    ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-families",
+            "pipeline-families-not-object", "pipeline-families-missing-extractor",
             "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
-            "svm-extra-class", "ann-input-dimension", "pipeline-scalers-std-length",
-            "pipeline-scalers-mean-not-a-vector", "pipeline-gknn-inputs-dimension",
+            "svm-extra-class", "ann-input-dimension", "pipeline-family-std-length",
+            "pipeline-family-mean-not-a-vector", "pipeline-gknn-inputs-dimension",
             "pipeline-gknn-targets-classes", "pipeline-stage1-template-rows",
-            "pipeline-stage2-template-classes", "pipeline-seed-not-integer"])
+            "pipeline-stage2-template-classes", "pipeline-seed-not-integer",
+            "configured-classifier-missing"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
-                                                         capsys, name, tamper):
+                                                         capsys, tamper, detail):
         tampered = tmp_path / "models"
         shutil.copytree(model_dir, tampered)
-        (tampered / name).write_text(tamper((tampered / name).read_text()))
-        with pytest.raises(DataError, match=name):
+        path = tampered / "pipeline.json"
+        path.write_text(tamper(path.read_text()))
+        with pytest.raises(DataError, match="pipeline.json") as caught:
             load_models(tampered)
+        assert detail in str(caught.value)
         rc = main(["classify", "--model-dir", str(tampered),
                    "--input", str(corpus_dir / "disk_001.pgm"),
                    "--output", str(tmp_path / "decision.json")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and name in err and "Traceback" not in err
+        assert err.startswith("error: ") and "pipeline.json" in err and detail in err
+        assert "Traceback" not in err
         assert not (tmp_path / "decision.json").exists()
+
+    def test_directory_of_an_older_release_is_data_error(self, corpus_dir, model_dir, tmp_path,
+                                                         capsys, fast_config):
+        def classify(models, out):
+            return main(["classify", "--model-dir", str(models),
+                         "--input", str(corpus_dir / "disk_001.pgm"), "--output", str(out)])
+
+        old = tmp_path / "models"
+        shutil.copytree(model_dir, old)
+        write_old_layout(old)
+        with pytest.raises(DataError, match="pipeline.json"):
+            load_models(old)
+        assert classify(old, tmp_path / "decision.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(old / "pipeline.json") in err
+        assert not (tmp_path / "decision.json").exists()
+        # retraining into the directory mends it; the old per-classifier files are ignored
+        assert main(["train", "--manifest", str(corpus_dir / "manifest.json"),
+                     "--model-dir", str(old), "--config", fast_config]) == 0
+        assert (old / "svm_cmi.json").exists()
+        assert classify(old, tmp_path / "decision.json") == 0
+        assert classify(model_dir, tmp_path / "reference.json") == 0
+        assert ((tmp_path / "decision.json").read_text()
+                == (tmp_path / "reference.json").read_text())
 
     def test_classify_image_smaller_than_median_window_is_data_error(self, model_dir, tmp_path,
                                                                       capsys):
@@ -341,17 +383,23 @@ class TestTrainClassifyEval:
         assert "max_iter" in capsys.readouterr().err
         assert not (tmp_path / "models").exists()
 
-    def test_retrain_smaller_ensemble_removes_stale_model_files(self, corpus_dir, tmp_path,
-                                                                capsys):
+    def test_retrain_smaller_ensemble_leaves_only_its_classifiers(self, corpus_dir, tmp_path,
+                                                                  capsys):
         models = tmp_path / "models"
         manifest = str(corpus_dir / "manifest.json")
+
+        def saved_classifiers():
+            assert [p.name for p in models.iterdir()] == ["pipeline.json"]
+            meta = json.loads((models / "pipeline.json").read_text())
+            return {ext: list(family["models"]) for ext, family in meta["families"].items()}
+
         assert main(["train", "--manifest", manifest, "--model-dir", str(models)]) == 0
-        assert {"ann_cmi.json", "svm_elm.json"} <= {p.name for p in models.iterdir()}
+        assert saved_classifiers() == {ext: ["ann", "gknn", "svm"] for ext in ("cmi", "elm", "gfd")}
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"classifiers": ["gknn"]}))
         assert main(["train", "--manifest", manifest, "--model-dir", str(models),
                      "--config", str(config)]) == 0
-        assert [p.name for p in models.iterdir()] == ["pipeline.json"]
+        assert saved_classifiers() == {ext: ["gknn"] for ext in ("cmi", "elm", "gfd")}
         rc = main(["classify", "--model-dir", str(models),
                    "--input", str(corpus_dir / "disk_001.pgm"),
                    "--output", str(tmp_path / "decision.json")])

@@ -1,6 +1,8 @@
 """The package and the commands that draw no segmentation start without scipy,
-and every lazily exported name is its submodule's object."""
+every lazily exported name is its submodule's object, and no module imports a
+name it never uses."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -68,3 +70,29 @@ def test_unknown_name_raises_attribute_error():
         finspect.no_such_name
     with pytest.raises(ImportError):
         exec("from finspect import no_such_name", {})
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's imports bind and no expression of it reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_imports_are_found():
+    source = "import json\nimport numpy as np\nfrom pathlib import Path\nx = np.ones(2)\n"
+    assert unused_imports(source) == ["Path", "json"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(finspect.__file__).parent
+    unused = {str(path.relative_to(package)): names
+              for path in sorted(package.rglob("*.py")) if path.name != "__init__.py"
+              for names in [unused_imports(path.read_text())] if names}
+    assert unused == {}

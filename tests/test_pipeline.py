@@ -233,20 +233,15 @@ class TestTrimmedEnsemble:
         assert report["svm_converged"] == {}
         assert [list(fam.models) for fam in models.families.values()] == [["gknn"]] * 3
 
-    @pytest.mark.parametrize("classifiers, files", [
-        (("gknn",), ["pipeline.json"]),
-        (("ann", "svm"), ["ann_cmi.json", "ann_elm.json", "ann_gfd.json", "pipeline.json",
-                          "svm_cmi.json", "svm_elm.json", "svm_gfd.json"]),
-    ])
-    def test_directory_holds_only_the_configured_models(self, corpus, tmp_path, classifiers,
-                                                        files):
+    @pytest.mark.parametrize("classifiers", [("gknn",), ("ann", "svm")])
+    def test_directory_holds_only_the_configured_models(self, corpus, tmp_path, classifiers):
         directory, entries = corpus
         models, _, _ = train_models(entries, replace(FAST, classifiers=classifiers), seed=0,
                                     base_dir=directory)
         save_models(models, tmp_path / "models")
-        assert sorted(p.name for p in (tmp_path / "models").iterdir()) == files
+        assert [p.name for p in (tmp_path / "models").iterdir()] == ["pipeline.json"]
         meta = json.loads((tmp_path / "models" / "pipeline.json").read_text())
-        assert ("gknn" in meta) == ("gknn" in classifiers)
+        assert [list(f["models"]) for f in meta["families"].values()] == [list(classifiers)] * 3
         back = load_models(tmp_path / "models")
         assert [list(fam.models) for fam in back.families.values()] == [list(classifiers)] * 3
         img, _ = generate_synthetic(SyntheticShapeSpec("triangle", 18, canvas=96))
@@ -256,13 +251,16 @@ class TestTrimmedEnsemble:
         assert [a.support.tolist() for a in s1] == [b.support.tolist() for b in s2]
         assert p1 == p2
 
-    def test_configured_model_file_is_still_required(self, corpus, tmp_path):
+    def test_configured_model_record_is_still_required(self, corpus, tmp_path):
         directory, entries = corpus
         models, _, _ = train_models(entries, replace(FAST, classifiers=("svm",)), seed=0,
                                     base_dir=directory)
         save_models(models, tmp_path / "models")
-        (tmp_path / "models" / "svm_cmi.json").unlink()
-        with pytest.raises(DataError, match="svm_cmi.json"):
+        path = tmp_path / "models" / "pipeline.json"
+        meta = json.loads(path.read_text())
+        del meta["families"]["cmi"]["models"]["svm"]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(DataError, match="pipeline.json.*KeyError: 'svm'"):
             load_models(tmp_path / "models")
 
 
@@ -279,6 +277,41 @@ class TestPersistence:
         assert f1.predicted == f2.predicted
         assert np.allclose(f1.support, f2.support, atol=1e-12)
         assert p1 == p2
+
+    def test_every_record_round_trips_exactly(self, corpus, tmp_path):
+        directory, entries = corpus
+        models, _, _ = train_models(entries, FAST, seed=0, base_dir=directory)
+        save_models(models, tmp_path / "models")
+        back = load_models(tmp_path / "models")
+        assert back.seed == models.seed and back.config == models.config
+        for ext, fam in models.families.items():
+            got = back.families[ext]
+            assert np.array_equal(got.mean, fam.mean) and np.array_equal(got.std, fam.std)
+            assert np.array_equal(got.templates.matrices, fam.templates.matrices)
+            assert np.array_equal(got.templates.counts, fam.templates.counts)
+            ann, ann_back = fam.models["ann"], got.models["ann"]
+            assert ann_back.layers == ann.layers
+            for a, b in zip(ann.weights + ann.biases, ann_back.weights + ann_back.biases):
+                assert np.array_equal(a, b)
+            assert np.array_equal(ann_back.loss_trace, ann.loss_trace)
+            svm, svm_back = fam.models["svm"], got.models["svm"]
+            assert np.array_equal(svm_back.weights, svm.weights)
+            assert np.array_equal(svm_back.converged, svm.converged)
+            (data, _), (data_back, _) = fam.models["gknn"], got.models["gknn"]
+            assert np.array_equal(data_back.inputs, data.inputs)
+            assert np.array_equal(data_back.targets, data.targets)
+        assert np.array_equal(back.stage2_templates.matrices, models.stage2_templates.matrices)
+
+    def test_svm_record_holds_only_the_weights(self, corpus, tmp_path):
+        directory, entries = corpus
+        models, _, _ = train_models(entries, replace(FAST, classifiers=("svm",)), seed=0,
+                                    base_dir=directory)
+        save_models(models, tmp_path / "models")
+        meta = json.loads((tmp_path / "models" / "pipeline.json").read_text())
+        for ext, family in meta["families"].items():
+            record = family["models"]["svm"]
+            assert set(record) == {"weights", "converged"}
+            assert np.asarray(record["weights"]).shape == (len(family["mean"]), 2)
 
     def test_custom_cmi_basis_survives_save_and_load(self, corpus, tmp_path):
         directory, entries = corpus

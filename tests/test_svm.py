@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -394,37 +392,3 @@ class TestTwoPointLine:
     def test_identical_points_rejected(self):
         with pytest.raises(ParameterError):
             svm.two_point_line([1.0, 2.0], [1.0, 2.0])
-
-
-class TestPersistence:
-    def test_json_roundtrip(self, tmp_path, rng):
-        model = svm.train_svm(conic_blobs(per_class=4), regularization=2.5)
-        path = tmp_path / "svm.json"
-        svm.save_model(model, path)
-        back = svm.load_model(path)
-        assert np.array_equal(back.weights, model.weights)
-        assert back.regularization == 2.5
-        assert back.converged == model.converged
-        q = rng.normal(size=2)
-        assert np.allclose(svm.confidence(back, q), svm.confidence(model, q))
-
-    def test_file_names_linear_kernel(self, tmp_path):
-        path = tmp_path / "svm.json"
-        svm.save_model(svm.train_svm(conic_blobs(per_class=3)), path)
-        assert json.loads(path.read_text())["kernel"] == "linear"
-
-    def test_file_holds_only_the_weights(self, tmp_path):
-        path = tmp_path / "svm.json"
-        svm.save_model(svm.train_svm(conic_blobs(per_class=3)), path)
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"weights", "A", "kernel", "converged"}
-        assert np.asarray(doc["weights"]).shape == (2, 3)
-
-    def test_non_linear_kernel_rejected(self, tmp_path):
-        path = tmp_path / "svm.json"
-        svm.save_model(svm.train_svm(conic_blobs(per_class=3)), path)
-        doc = json.loads(path.read_text())
-        doc["kernel"] = "rbf"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="rbf"):
-            svm.load_model(path)
