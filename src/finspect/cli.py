@@ -142,12 +142,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kinds = args.kinds.split(",")
     for kind in kinds:
         if kind not in SHAPE_CLASS:
             raise ParameterError(f"unknown shape kind {kind!r}")
+    # each kind names its images, so a repeated kind would overwrite them
+    if len(set(kinds)) < len(kinds):
+        raise ParameterError(f"shape kinds repeat: {args.kinds!r}")
+    if args.count < 1:  # load_manifest rejects an empty manifest
+        raise ParameterError(f"count must be at least 1, got {args.count}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     entries = []
     base = args.size if args.size else args.canvas // 3

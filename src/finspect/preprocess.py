@@ -12,22 +12,28 @@ empties keeps the one pixel nearest its centroid.
 
 The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
-on, applied to shifted views of the edge-padded image. It runs on the
-uint8 levels of an image whose pixels are exactly level / 255, as every
-decoded PGM's are, and on the float pixels otherwise; both give the same
-output. The random walker assembles its reduced system from each free
-pixel's own in-image 4-neighbours, so its cost follows the free band
-rather than the canvas. Each degree is summed in the order the pixel's
-neighbours are gathered, not in the canvas's edge order, so gamma can
-differ from a whole-canvas assembly by about 1e-14. The system is solved
-by banded Cholesky in reverse Cuthill-McKee order, with one right-hand
-column per seed set. The ``Segmentation`` keeps the label map, each
-label's pixel count and gamma for the free pixels only; a shape's masked
-crop is built when a caller asks for it (``Segmentation.crop``).
+on, applied to shifted views of the edge-padded image. An image with
+``levels``, as every decoded PGM has, is filtered, counted and thresholded
+on its uint8 levels, and any other on its float pixels; both give the same
+output. Only the median filter and Otsu's histogram see the whole canvas:
+``segment_image`` binarizes, seeds and walks in the foreground's bounding
+box grown by one pixel, which holds every free pixel and their neighbours,
+and falls back to the whole canvas when the box spans its width or height
+or covers more than half of it (``_window``). The random walker assembles
+its reduced system from each free pixel's own in-image 4-neighbours, so
+its cost follows the free band rather than the canvas. Each degree is
+summed in the order the pixel's neighbours are gathered, not in the
+canvas's edge order, so gamma can differ from a whole-canvas assembly by
+about 1e-14. The system is solved by banded Cholesky in reverse
+Cuthill-McKee order, with one right-hand column per seed set. The
+``Segmentation`` keeps the label map, each label's pixel count and gamma
+for the free pixels only; a shape's masked crop is built when a caller
+asks for it (``Segmentation.crop``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass
@@ -48,14 +54,13 @@ from .errors import (
     SolverError,
     is_integer,
 )
-from .raster import BinaryImage, GrayImage, encode_pgm, gray_levels
+from .raster import _LEVEL_VALUES, BinaryImage, GrayImage, encode_pgm, gray_levels
 
 SIGMA_FLOOR = 1e-6
 RESIDUAL_TOL = 1e-8
 ROW_SUM_TOL = 1e-6  # largest |sum_j gamma_ij - 1| accepted on a free row
 SEED_EROSION = 3  # depth in pixels of each foreground seed core inside its component
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_LEVEL_VALUES = np.arange(256) / 255.0  # the intensity of each 8-bit level, as decoded
 
 
 def _batcher_pairs(size: int):
@@ -138,9 +143,8 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     The median is selected by a pruned min/max network (``_median_network``)
     run over the side**2 shifted views of the edge-padded image; its output
     is an order statistic of the window, so it equals a sorting median
-    exactly. When every pixel is exactly its 8-bit level over 255, as every
-    decoded PGM is, the network runs on the uint8 levels and its output is
-    mapped back through ``_LEVEL_VALUES``; as the map is increasing, the
+    exactly. An image with ``levels``, as every decoded PGM has, is filtered
+    on its uint8 levels and keeps them; as level / 255 is increasing, the
     result is the one the float pixels give, with scratch arrays an eighth
     of the size.
     """
@@ -153,16 +157,16 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     if side == 1:
         return img
     scratch, steps, median = _median_network(int(side))
-    levels = gray_levels(img.pixels)
-    exact = np.array_equal(levels / 255.0, img.pixels)
-    values = levels if exact else img.pixels
+    values = img.pixels if img.levels is None else img.levels
     h, w = values.shape
     padded = np.pad(values, side // 2, mode="edge")
     registers = [padded[dy:dy + h, dx:dx + w] for dy in range(side) for dx in range(side)]
     registers += [np.empty((h, w), dtype=values.dtype) for _ in range(scratch)]
     for ufunc, a, b, out in steps:
         ufunc(registers[a], registers[b], out=registers[out])
-    return GrayImage(np.take(_LEVEL_VALUES, registers[median]) if exact else registers[median])
+    if img.levels is None:
+        return GrayImage(registers[median])
+    return GrayImage.from_levels(registers[median])
 
 
 @dataclass(frozen=True)
@@ -170,11 +174,16 @@ class OtsuResult:
     theta: float
     sigma_in: float
     sigma_out: float
+    variance: float  # the histogram's total variance, sigma_in + sigma_out up to rounding
 
 
 def histogram256(img: GrayImage) -> np.ndarray:
-    """Counts over 256 bins; intensity g lands in bin ``gray_levels(g)``, round(g * 255)."""
-    return np.bincount(gray_levels(img.pixels).ravel(), minlength=256)
+    """Counts over 256 bins; intensity g lands in bin ``gray_levels(g)``, round(g * 255).
+
+    An image with ``levels`` counts them, which are those bins.
+    """
+    levels = gray_levels(img.pixels) if img.levels is None else img.levels
+    return np.bincount(levels.ravel(), minlength=256)
 
 
 def otsu_threshold(img: GrayImage) -> OtsuResult:
@@ -183,7 +192,9 @@ def otsu_threshold(img: GrayImage) -> OtsuResult:
     sigma_out(t) = w_b (mu_b - mu)^2 + w_a (mu_a - mu)^2 where the
     background class is every bin <= t. Tied optima are averaged. The
     complementary intraclass variance is returned alongside so the
-    decomposition sigma_in + sigma_out = total variance can be checked.
+    decomposition sigma_in + sigma_out = total variance can be checked, and
+    so is the total variance, which for an image with ``levels`` is the
+    variance of its pixels.
     """
     counts = histogram256(img)
     if np.count_nonzero(counts) < 2:
@@ -212,14 +223,27 @@ def otsu_threshold(img: GrayImage) -> OtsuResult:
     below = v <= v[t0]
     var_b = float(p[below] @ (v[below] - mu_b[t0]) ** 2)
     var_a = float(p[~below] @ (v[~below] - mu_a[t0]) ** 2) if w_a[t0] > 0 else 0.0
-    return OtsuResult(theta=theta, sigma_in=var_b + var_a, sigma_out=float(sigma_out[t0]))
+    return OtsuResult(theta=theta, sigma_in=var_b + var_a, sigma_out=float(sigma_out[t0]),
+                      variance=float(p @ (v - mu) ** 2))
+
+
+def _above(img: GrayImage, theta: float) -> tuple[np.ndarray, float]:
+    """Values v and a cut c of the image such that v > c exactly where g > theta.
+
+    An image with ``levels`` is compared on them, against the largest level
+    whose intensity is <= theta.
+    """
+    if img.levels is None:
+        return img.pixels, theta
+    return img.levels, int(np.searchsorted(_LEVEL_VALUES, theta, side="right")) - 1
 
 
 def binarize(img: GrayImage, theta: float) -> BinaryImage:
     """h(x, y) = 0 where g <= theta, else 1."""
     if not 0.0 <= theta <= 1.0:
         raise ParameterError(f"threshold must lie in [0, 1], got {theta}")
-    return BinaryImage((img.pixels > theta).astype(np.uint8))
+    values, cut = _above(img, theta)
+    return BinaryImage((values > cut).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -254,15 +278,18 @@ class Segmentation:
                          pixel_count=int(self.pixel_counts[j]))
 
 
-def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentation:
+def random_walker_segment(img: GrayImage, seeds: list[np.ndarray], *,
+                          sigma: float | None = None) -> Segmentation:
     """Per-shape Dirichlet solves on the free pixels of the 4-neighbour graph.
 
     The edge between 4-neighbours i and j weighs
     eta_ij = exp(-(g_i - g_j)^2 / sigma), sigma = max(var g, 1e-6), with
-    var g the intensity variance of the image. For shape j the seeded
-    pixels of set j are held at 1 and all other seeds at 0, and the free
-    pixels solve Grady's reduced system L_U x = -B^T m ("Random Walks for
-    Image Segmentation", IEEE TPAMI 2006), one right-hand column per shape.
+    var g the intensity variance of the image, or the given ``sigma``
+    (``segment_image`` gives the canvas's when it walks a part of it). For
+    shape j the seeded pixels of set j are held at 1 and all other seeds at
+    0, and the free pixels solve Grady's reduced system L_U x = -B^T m
+    ("Random Walks for Image Segmentation", IEEE TPAMI 2006), one
+    right-hand column per shape.
     L_U and the right-hand side are built straight from each free pixel's
     in-image 4-neighbours, so a free-free edge is met once from each end;
     the full Laplacian is never formed.
@@ -309,8 +336,8 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray]) -> Segmentati
         u, side = np.nonzero(np.stack((x > 0, x < w - 1, y > 0, y < h - 1), axis=1))
         q = free[u] + np.array([-1, 1, -w, w])[side]
         flat = pixels.ravel()
-        sigma = max(float(pixels.var()), SIGMA_FLOOR)
-        weight = np.exp(-((flat[q] - flat[free[u]]) ** 2) / sigma)
+        variance = max(float(pixels.var()) if sigma is None else sigma, SIGMA_FLOOR)
+        weight = np.exp(-((flat[q] - flat[free[u]]) ** 2) / variance)
         degree = np.bincount(u, weight, minlength=m)
         neighbour = owner[q]
         # both ends free: the edge is met once from each end, so each of its two
@@ -378,7 +405,7 @@ def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
     return core[1:-1, 1:-1]
 
 
-def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
+def derive_seeds(binary: BinaryImage, *, background: int | None = None) -> list[np.ndarray]:
     """Seed sets from a binary image.
 
     One seed set per 4-connected foreground component: its core, the
@@ -388,9 +415,10 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     as with the markers of marker-controlled watershed. A component that
     erosion empties (a speck) keeps one seed, the pixel nearest its
     centroid. The final set is every pixel of the largest background
-    component, not eroded. Two 4-connected components never share a
-    4-neighbour, so one erosion of the whole image erodes each component
-    on its own.
+    component, ties to the first in raster order, or of the component that
+    holds flat index ``background`` when it is given; it is not eroded. Two
+    4-connected components never share a 4-neighbour, so one erosion of the
+    whole image erodes each component on its own.
     """
     bits = binary.bits
     if not bits.any():
@@ -425,21 +453,77 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=_CROSS)
     if bg_count == 0:
         raise EmptyBackgroundError("image has no background pixels to seed")
-    largest = 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
-    seeds.append(np.flatnonzero(bg_labels == largest))
+    if background is None:
+        chosen = 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
+    elif is_integer(background) and 0 <= background < bits.size and not bits.flat[background]:
+        chosen = bg_labels.flat[background]
+    else:
+        raise ParameterError(f"background seed {background!r} is not a background pixel index")
+    seeds.append(np.flatnonzero(bg_labels == chosen))
     return seeds
+
+
+def _window(values: np.ndarray, cut: float) -> tuple[int, int, int, int, int | None]:
+    """Where ``segment_image`` segments: (y0, y1, x0, x1) and a background pixel.
+
+    The window is the box of the foreground (values > cut) grown by one
+    pixel, the ring, clipped to the canvas; the pixel is the flat index in
+    the window of a ring pixel. Every pixel outside the box is background.
+    When the box spans neither the canvas's width nor its height, those
+    pixels are 4-connected, and so is the ring, which joins every part of
+    their component that enters the window. When the box also holds at most
+    half the canvas, any other background component, which lies inside the
+    box, is smaller than that outer one, so a whole-canvas ``derive_seeds``
+    seeds the outer one too. Otherwise the window is the canvas and the
+    pixel None.
+    """
+    h, w = values.shape
+    # Otsu's threshold lies below the top populated bin, so neither is empty
+    rows = np.flatnonzero(values.max(axis=1) > cut)
+    cols = np.flatnonzero(values.max(axis=0) > cut)
+    top, bottom, left, right = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    box_h, box_w = bottom - top, right - left
+    if box_h == h or box_w == w or 2 * box_h * box_w > h * w:
+        return 0, h, 0, w, None
+    y0, y1, x0, x1 = max(top - 1, 0), min(bottom + 1, h), max(left - 1, 0), min(right + 1, w)
+    ring_y = top - 1 if top > 0 else bottom  # above the box, or below it if it touches the top
+    return y0, y1, x0, x1, (ring_y - y0) * (x1 - x0) + left - x0
 
 
 def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
     """Full preprocessing chain on the median-filtered image.
 
     Labels 0 .. s - 2 are the foreground shapes and s - 1 the background.
+    Binarizing, seeding and the walk run on ``_window``'s part of the
+    filtered canvas. Every free pixel lies in the foreground's box, and its
+    4-neighbours in the window, so the reduced system is the whole
+    canvas's; every pixel outside the window is background. The walk
+    weighs by the whole canvas's variance, taken from Otsu's histogram for
+    a windowed image with ``levels``, whose exact values it holds. On the
+    canvas it is the pixels' variance, as without a window: a speckled
+    image's system can turn a last-bit change of sigma into 1e-9 in gamma.
     """
     smoothed = median_filter(img, median_side)
-    theta = otsu_threshold(smoothed).theta
-    binary = binarize(smoothed, theta)
-    seeds = derive_seeds(binary)
-    return random_walker_segment(smoothed, seeds)
+    otsu = otsu_threshold(smoothed)
+    values, cut = _above(smoothed, otsu.theta)
+    y0, y1, x0, x1, ring = _window(values, cut)
+    if smoothed.levels is None:
+        part = GrayImage(smoothed.pixels[y0:y1, x0:x1])
+        sigma = float(smoothed.pixels.var())
+    else:
+        part = GrayImage.from_levels(smoothed.levels[y0:y1, x0:x1])
+        sigma = float(smoothed.pixels.var()) if ring is None else otsu.variance
+    seeds = derive_seeds(binarize(part, otsu.theta), background=ring)
+    seg = random_walker_segment(part, seeds, sigma=sigma)
+
+    h, w = values.shape
+    labels = np.full((h, w), seg.pixel_counts.size - 1)
+    labels[y0:y1, x0:x1] = seg.labels
+    y, x = np.divmod(seg.free, x1 - x0)
+    counts = seg.pixel_counts.copy()
+    counts[-1] += h * w - part.pixels.size
+    return dataclasses.replace(seg, image=smoothed, labels=labels, pixel_counts=counts,
+                               free=(y + y0) * w + x + x0)
 
 
 def export_segmentation(seg: Segmentation, directory: str | Path) -> Path:

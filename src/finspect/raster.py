@@ -3,7 +3,10 @@
 Supported formats are PGM (P2 ASCII, P5 binary) and PPM (P3 ASCII, P6
 binary) with maxval 255. Headers are whitespace tolerant and may contain
 ``#`` comments anywhere before the maxval token. Grayscale intensities are
-stored as floats in [0, 1]; color images keep their 8-bit channels.
+stored as floats in [0, 1]; color images keep their 8-bit channels. A
+decoded PGM also keeps its 8-bit samples as ``GrayImage.levels``, each pixel
+being exactly level / 255, so that code which works on levels need not
+recover them from the floats.
 
 RGB reduction follows f = (alpha*i + beta*j + gamma*k) / 255 with the luma
 defaults alpha=0.299, beta=0.587, gamma=0.114, so downstream code always
@@ -14,7 +17,7 @@ and infinite coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .errors import ParameterError, PnmDecodeError, ShapeError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _DIGITS = b"0123456789"
+_LEVEL_VALUES = np.arange(256) / 255.0  # the intensity of each 8-bit level, as decoded
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -31,9 +35,28 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Row-major grid of intensities in [0, 1]."""
+    """Row-major grid of intensities in [0, 1].
+
+    ``levels`` holds the uint8 samples of an image built by ``from_levels``,
+    as every decoded PGM is, and is None otherwise.
+    """
 
     pixels: np.ndarray
+    levels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_levels(cls, levels: np.ndarray) -> GrayImage:
+        """The image whose pixels are the 8-bit ``levels`` over 255, levels kept.
+
+        level / 255 is always finite and in [0, 1], so the checks of the
+        constructor are skipped.
+        """
+        if levels.dtype != np.uint8 or levels.ndim != 2 or levels.size == 0:
+            raise ShapeError("GrayImage levels must be a non-empty 2-D uint8 array")
+        img = object.__new__(cls)
+        object.__setattr__(img, "pixels", _freeze(np.take(_LEVEL_VALUES, levels)))
+        object.__setattr__(img, "levels", _freeze(levels))
+        return img
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
@@ -223,7 +246,7 @@ def decode_image(data: bytes) -> RgbImage | GrayImage:
         samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=start).copy()
 
     if channels == 1:
-        return GrayImage(samples.reshape(height, width).astype(np.float64) / 255.0)
+        return GrayImage.from_levels(samples.reshape(height, width))
     return RgbImage(samples.reshape(height, width, 3))
 
 

@@ -2,10 +2,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.ndimage
 import scipy.sparse
 
 from finspect import GrayImage, ShapeError, SyntheticShapeSpec, generate_synthetic
-from finspect.preprocess import SIGMA_FLOOR
+from finspect.preprocess import (SEED_EROSION, SIGMA_FLOOR, binarize, median_filter,
+                                 otsu_threshold, random_walker_segment)
+
+CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 @pytest.fixture
@@ -93,3 +97,40 @@ def canvas_gamma(seg):
     gamma = np.eye(s)[seg.labels.ravel()]
     gamma[seg.free] = seg.gamma.T
     return gamma.reshape(seg.labels.shape + (s,))
+
+
+def canvas_seeds(binary):
+    """Seed sets of the whole canvas, one component at a time.
+
+    The reference for ``derive_seeds`` and for ``segment_image``'s window:
+    each 4-connected foreground component's pixels in its erosion by
+    ``SEED_EROSION`` (pixels outside counting as background), or, if that is
+    empty, its pixel nearest its centroid (ties to the lowest flat index);
+    then the largest background component of the canvas, ties to the first
+    in raster order.
+    """
+    bits = binary.bits
+    labels, count = scipy.ndimage.label(bits, structure=CROSS)
+    core = scipy.ndimage.binary_erosion(bits, structure=CROSS, iterations=SEED_EROSION,
+                                        border_value=0)
+    seeds = []
+    for comp in range(1, count + 1):
+        mask = labels == comp
+        inner = np.flatnonzero(mask & core)
+        if not inner.size:
+            ys, xs = np.nonzero(mask)
+            nearest = np.argmin((ys - ys.mean()) ** 2 + (xs - xs.mean()) ** 2)
+            inner = np.array([ys[nearest] * bits.shape[1] + xs[nearest]])
+        seeds.append(inner)
+    background, _ = scipy.ndimage.label(1 - bits, structure=CROSS)
+    sizes = np.bincount(background.ravel())
+    sizes[0] = 0
+    seeds.append(np.flatnonzero(background == np.argmax(sizes)))
+    return seeds
+
+
+def canvas_segmentation(img, median_side=3):
+    """``segment_image`` on the whole canvas: ``canvas_seeds``, then a walk over every pixel."""
+    smoothed = median_filter(img, median_side)
+    seeds = canvas_seeds(binarize(smoothed, otsu_threshold(smoothed).theta))
+    return random_walker_segment(smoothed, seeds)

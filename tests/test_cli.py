@@ -93,6 +93,19 @@ class TestSynth:
         for name in ("disk_000.pgm", "disk_001.pgm"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--count", "-1"], "count must be at least 1"),
+        (["--count", "0"], "count must be at least 1"),
+        (["--kinds", "disk,disk", "--count", "1"], "shape kinds repeat"),
+    ], ids=["count-negative", "count-zero", "kinds-repeat"])
+    def test_output_load_manifest_rejects_is_usage_error(self, tmp_path, capsys, argv, message):
+        # an empty manifest, or one listing an overwritten image twice, fails to load
+        out = tmp_path / "corpus"
+        rc = main(["synth", "--out-dir", str(out), "--canvas", "32"] + argv)
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestPreprocess:
     def test_writes_filtered_pgm(self, corpus_dir, tmp_path, capsys):

@@ -9,10 +9,12 @@ from finspect import (BinaryImage, DegenerateHistogramError, EmptyBackgroundErro
                       Segmentation, ShapeError, SolverError, SyntheticShapeSpec, binarize,
                       derive_seeds, generate_synthetic, histogram256, median_filter,
                       otsu_threshold, random_walker_segment, segment_image)
+from finspect import preprocess
 from finspect.preprocess import SEED_EROSION
 from finspect.raster import decode_image, gray_levels, to_grayscale
 
-from conftest import build_pixel_graph, canvas_gamma, dense_gamma, random_gray
+from conftest import (CROSS, build_pixel_graph, canvas_gamma, canvas_segmentation, dense_gamma,
+                      random_gray, shape_image)
 
 
 def median_oracle(pixels, side):
@@ -45,12 +47,15 @@ class TestMedianFilter:
                    else " ".join(str(v) for v in levels.ravel()).encode())
         img = decode_image(magic + b"\n13 11\n255\n" + payload)
         for side in (3, 5, 7):
-            assert np.array_equal(median_filter(img, side).pixels, median_oracle(img.pixels, side))
+            got = median_filter(img, side)
+            assert np.array_equal(got.pixels, median_oracle(img.pixels, side))
+            assert np.array_equal(got.levels, median_oracle(levels, side))
 
     def test_grayscale_of_p6_matches_sort_oracle(self, rng):
         rgb = rng.integers(0, 256, (11, 13, 3), dtype=np.uint8)
         img = to_grayscale(decode_image(b"P6\n13 11\n255\n" + rgb.tobytes()))
-        assert not np.array_equal(gray_levels(img.pixels) / 255.0, img.pixels)  # the float path
+        assert not np.array_equal(gray_levels(img.pixels) / 255.0, img.pixels)
+        assert img.levels is None  # the float path
         for side in (3, 5, 7):
             assert np.array_equal(median_filter(img, side).pixels, median_oracle(img.pixels, side))
 
@@ -134,6 +139,7 @@ class TestOtsu:
             mu = (hist * g).sum() / hist.sum()
             total_var = (hist * (g - mu) ** 2).sum() / hist.sum()
             assert res.sigma_in + res.sigma_out == pytest.approx(total_var, abs=1e-9)
+            assert res.variance == pytest.approx(total_var, abs=1e-15)
 
     def test_bimodal_split(self):
         px = np.concatenate([np.full(50, 0.1), np.full(50, 0.9)]).reshape(10, 10)
@@ -167,6 +173,33 @@ class TestBinarize:
     def test_theta_range_checked(self):
         with pytest.raises(ParameterError):
             binarize(GrayImage(np.zeros((2, 2))), 1.5)
+
+
+class TestLevels:
+    """An image with levels is counted, compared and filtered on them, with the float results."""
+
+    @pytest.mark.parametrize("magic", [b"P5", b"P2"])
+    def test_histogram_and_binarize_match_the_float_definitions(self, rng, magic):
+        samples = rng.integers(0, 256, (9, 14), dtype=np.uint8)
+        img = decoded(samples / 255.0, magic)
+        plain = GrayImage(img.pixels)
+        assert img.levels is not None and plain.levels is None
+        hist = np.bincount(np.floor(img.pixels * 255.0 + 0.5).astype(int).ravel(), minlength=256)
+        assert np.array_equal(histogram256(img), hist)
+        assert np.array_equal(histogram256(plain), hist)
+        # every level's own intensity, the ulps on either side of it, and points between
+        values = np.arange(256) / 255.0
+        thetas = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0),
+                                 rng.random(50)])
+        for theta in thetas.tolist():
+            bits = (img.pixels > theta).astype(np.uint8)
+            assert np.array_equal(binarize(img, theta).bits, bits)
+            assert np.array_equal(binarize(plain, theta).bits, bits)
+
+    def test_otsu_variance_is_the_pixel_variance(self, rng):
+        for _ in range(20):
+            img = decoded(rng.integers(0, 256, rng.integers(3, 30, 2)) / 255.0)
+            assert otsu_threshold(img).variance == pytest.approx(img.pixels.var(), rel=1e-14)
 
 
 class TestRandomWalker:
@@ -474,6 +507,23 @@ class TestDeriveSeeds:
         hole = np.arange(144).reshape(12, 12)[3:9, 3:9].ravel()
         assert len(seeds) == 2 and np.array_equal(np.sort(seeds[-1]), hole)
 
+    def test_background_pixel_names_the_seeded_component(self):
+        bits = np.ones((12, 12), dtype=np.uint8)
+        bits[0, :5] = 0
+        bits[3:9, 3:9] = 0
+        for pixel in range(5):  # the strip along the border, although the hole is larger
+            seeds = derive_seeds(BinaryImage(bits), background=pixel)
+            assert np.array_equal(seeds[-1], np.arange(5))
+            assert np.array_equal(seeds[:-1], derive_seeds(BinaryImage(bits))[:-1])
+
+    @pytest.mark.parametrize("pixel", [5, -1, 144, 2.0, True], ids=["foreground", "negative",
+                                                                    "past-end", "float", "bool"])
+    def test_background_pixel_must_be_a_background_index(self, pixel):
+        bits = np.ones((12, 12), dtype=np.uint8)
+        bits[0, :5] = 0
+        with pytest.raises(ParameterError, match="not a background pixel index"):
+            derive_seeds(BinaryImage(bits), background=pixel)
+
     def test_diagonal_pixels_are_separate_components(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits[0, 0] = bits[1, 1] = 1
@@ -558,6 +608,127 @@ class TestSegmentImage:
         otsu_count = binarize(smoothed, otsu_threshold(smoothed).theta).bits.sum()
         seg = segment_image(img)
         assert seg.pixel_counts[:-1].max() >= 0.9 * otsu_count
+
+
+def decoded(pixels, magic=b"P5"):
+    """The decode of intensities written as an 8-bit PGM, so the image keeps its levels."""
+    levels = gray_levels(np.clip(pixels, 0.0, 1.0))
+    payload = (levels.tobytes() if magic == b"P5"
+               else " ".join(map(str, levels.ravel().tolist())).encode())
+    return decode_image(magic + f"\n{levels.shape[1]} {levels.shape[0]}\n255\n".encode() + payload)
+
+
+def scene(rng, mask):
+    """A noisy image of a foreground mask at about 0.75 on a background at about 0.15."""
+    return decoded(0.15 + 0.6 * mask + 0.05 * rng.random(mask.shape))
+
+
+def disk(shape, cy, cx, r_out, r_in=0.0):
+    yy, xx = np.mgrid[:shape[0], :shape[1]]
+    radius = np.hypot(yy - cy, xx - cx)
+    return (radius < r_out) & (radius >= r_in)
+
+
+class TestWindow:
+    """segment_image seeds and walks a window around the foreground; the canvas must not differ."""
+
+    def segment(self, monkeypatch, img, median_side=3):
+        """segment_image's result, checked against canvas_segmentation, and the walked part."""
+        walked = []
+        walk = preprocess.random_walker_segment
+
+        def spy(part, seeds, **kw):
+            walked.append((part, seeds))
+            return walk(part, seeds, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(preprocess, "random_walker_segment", spy)
+            seg = segment_image(img, median_side)
+        ref = canvas_segmentation(img, median_side)
+        assert np.array_equal(seg.image.pixels, ref.image.pixels)
+        assert np.array_equal(seg.labels, ref.labels)
+        assert np.array_equal(seg.free, ref.free)
+        assert np.array_equal(seg.pixel_counts, ref.pixel_counts)
+        assert np.abs(seg.gamma - ref.gamma).max(initial=0.0) <= 1e-12
+        for j in range(ref.pixel_counts.size):
+            got, want = seg.crop(j), ref.crop(j)
+            assert (got.bbox, got.pixel_count) == (want.bbox, want.pixel_count)
+            assert np.array_equal(got.image.pixels, want.image.pixels)
+        [(part, seeds)] = walked
+        return part, seeds, ref
+
+    @pytest.mark.parametrize("edge", ["top", "bottom", "left", "right"])
+    def test_shape_touching_a_canvas_edge(self, monkeypatch, rng, edge):
+        h, w = 40, 56
+        cy, cx = {"top": (2, 20), "bottom": (h - 3, 30), "left": (15, 1),
+                  "right": (24, w - 2)}[edge]
+        img = scene(rng, disk((h, w), cy, cx, 9))
+        part, _, _ = self.segment(monkeypatch, img)
+        assert part.pixels.size < img.pixels.size / 2
+
+    @pytest.mark.parametrize("kind", ["disk", "ellipse", "triangle", "fin_polygon"])
+    def test_benchmark_like_shape(self, monkeypatch, kind):
+        img = decoded(shape_image(kind, 40, canvas=192, noise=0.01).pixels)
+        part, _, _ = self.segment(monkeypatch, img)
+        assert part.pixels.size < img.pixels.size / 2
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["width", "height"])
+    def test_box_spanning_the_canvas_walks_the_canvas(self, monkeypatch, rng, axis):
+        mask = disk((40, 56), 12, 30, 6)
+        if axis == 0:
+            mask[25:31, :] = True  # the background above the bar is the larger part
+        else:
+            mask[:, 40:46] = True
+        img = scene(rng, mask)
+        part, _, _ = self.segment(monkeypatch, img)
+        assert part.pixels.shape == img.pixels.shape
+
+    def test_annulus_hole_larger_than_the_outer_background(self, monkeypatch, rng):
+        img = scene(rng, disk((40, 40), 19.5, 19.5, 19, 14))
+        part, _, ref = self.segment(monkeypatch, img)
+        assert part.pixels.shape == img.pixels.shape
+        assert 20 * 40 + 20 not in ref.free and 0 in ref.free  # the hole is the background seed
+
+    def test_hole_larger_than_the_windowed_outer_background(self, monkeypatch, rng):
+        # the outer background's part inside the window is smaller than the hole; on the
+        # canvas it is larger, so the ring pixel, not the largest window part, is seeded
+        img = scene(rng, disk((96, 96), 47.5, 47.5, 20, 15))
+        part, seeds, ref = self.segment(monkeypatch, img)
+        assert part.pixels.size < img.pixels.size / 2
+        hole = ref.labels[disk((96, 96), 47.5, 47.5, 15)]
+        assert hole.size > seeds[-1].size and (hole == 0).all()
+
+    def test_outer_background_and_hole_of_equal_size(self, monkeypatch, rng):
+        mask = np.zeros((30, 30), dtype=bool)
+        mask[2:28, 2:28] = True
+        mask[8:22, 7:23] = False  # 14 x 16 = 224 pixels, as many as outside the frame
+        img = scene(rng, mask)
+        background, count = scipy.ndimage.label(~mask, structure=CROSS)
+        assert count == 2 and np.bincount(background.ravel())[1:].tolist() == [224, 224]
+        part, _, ref = self.segment(monkeypatch, img, median_side=1)
+        assert part.pixels.shape == img.pixels.shape
+        assert ref.labels[0, 0] == 1 and ref.labels[15, 15] == 0  # ties go to the first
+
+    def test_specks_in_opposite_corners(self, monkeypatch, rng):
+        mask = disk((40, 56), 20, 28, 8)
+        mask[:2, :2] = mask[-2:, -2:] = True  # 2 x 2, so the 3 x 3 median keeps them
+        img = scene(rng, mask)
+        part, seeds, _ = self.segment(monkeypatch, img)
+        assert part.pixels.shape == img.pixels.shape and len(seeds) == 4
+
+    def test_median_side_one(self, monkeypatch, rng):
+        img = scene(rng, disk((40, 56), 20, 28, 8))
+        part, _, _ = self.segment(monkeypatch, img, median_side=1)
+        assert part.pixels.size < img.pixels.size / 2
+
+    def test_p6_image_takes_the_float_path(self, monkeypatch, rng):
+        mask = disk((40, 56), 18, 30, 9)
+        rgb = np.stack([0.1 + 0.7 * mask, 0.2 + 0.5 * mask, 0.3 * np.ones(mask.shape)], axis=2)
+        rgb = gray_levels(np.clip(rgb + 0.05 * rng.random(rgb.shape), 0.0, 1.0))
+        img = to_grayscale(decode_image(b"P6\n56 40\n255\n" + rgb.tobytes()))
+        assert img.levels is None
+        part, _, _ = self.segment(monkeypatch, img)
+        assert part.pixels.size < img.pixels.size / 2
 
 
 class TestPixelGraph:

@@ -244,6 +244,34 @@ class TestGrayscale:
         g = to_grayscale(RgbImage(px))
         assert g.pixels.max() <= 1.0
 
+    def test_output_has_no_levels(self):
+        rgb = np.random.default_rng(3).integers(0, 256, (5, 7, 3), dtype=np.uint8)
+        assert to_grayscale(decode_image(b"P6\n7 5\n255\n" + rgb.tobytes())).levels is None
+
+
+class TestLevels:
+    @pytest.mark.parametrize("magic", [b"P5", b"P2"])
+    def test_decoded_pgm_keeps_its_samples(self, magic):
+        samples = np.random.default_rng(4).integers(0, 256, (6, 9), dtype=np.uint8)
+        samples[0, :2] = (0, 255)
+        payload = (samples.tobytes() if magic == b"P5"
+                   else " ".join(map(str, samples.ravel().tolist())).encode())
+        img = decode_image(magic + b"\n9 6\n255\n" + payload)
+        assert img.levels.dtype == np.uint8 and np.array_equal(img.levels, samples)
+        assert np.array_equal(img.pixels, img.levels / 255)  # exactly, not approximately
+        with pytest.raises(ValueError):
+            img.levels[0, 0] = 1
+
+    def test_built_from_pixels_has_none(self):
+        assert GrayImage(np.zeros((2, 2))).levels is None
+
+    @pytest.mark.parametrize("levels", [np.zeros((2, 2)), np.zeros(4, np.uint8),
+                                        np.zeros((0, 2), np.uint8)],
+                             ids=["float", "1-d", "empty"])
+    def test_from_levels_takes_a_2d_uint8_array(self, levels):
+        with pytest.raises(ShapeError):
+            GrayImage.from_levels(levels)
+
 
 class TestContainers:
     def test_gray_rejects_out_of_range(self):

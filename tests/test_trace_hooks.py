@@ -58,3 +58,8 @@ def test_every_hook_is_found_and_every_layer_metric_has_a_value(corpus, tmp_path
             .free.size for raw in segmented]
     assert values["preprocess.segment_calls"] == len(segmented)
     assert values["preprocess.random_walker_unknowns"] == sum(free) > 0
+    # a stage that segment_image bypasses, or calls by a name bound elsewhere, would
+    # leave its layer's time at 0
+    _, calls = tracer.totals()
+    for stage in ("median", "otsu", "seeds", "random_walker"):
+        assert calls[f"preprocess.{stage}"] == values["preprocess.segment_calls"]
