@@ -151,6 +151,8 @@ def _cmd_synth(args) -> int:
         raise ParameterError(f"shape kinds repeat: {args.kinds!r}")
     if args.count < 1:  # load_manifest rejects an empty manifest
         raise ParameterError(f"count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {args.seed}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)

@@ -278,6 +278,8 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
 
     Returns (PipelineModels, prepared entries, failures).
     """
+    if not (is_integer(seed) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     failures: list[dict] = []
     prepared = _prepare_entries(manifest_entries, config, base_dir, failures)
     if not prepared:
@@ -464,8 +466,8 @@ def load_models(directory: str | Path) -> PipelineModels:
         stage2 = DecisionTemplates(**meta["stage2_templates"])
         _expect_shape("stage2_templates", stage2.matrices.shape, (k, len(exts), k))
         seed = meta["seed"]
-        if not is_integer(seed):
-            raise ParameterError(f"seed must be an integer, got {seed!r}")
+        if not (is_integer(seed) and seed >= 0):
+            raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
         families = {}
         for ext in exts:
             doc = meta["families"][ext]

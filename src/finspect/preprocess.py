@@ -12,10 +12,11 @@ empties keeps the one pixel nearest its centroid.
 
 The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
-on, applied to shifted views of the edge-padded image. An image with
-``levels``, as every decoded PGM has, is filtered, counted and thresholded
-on its uint8 levels, and any other on its float pixels; both give the same
-output. Only the median filter and Otsu's histogram see the whole canvas:
+on, applied to shifted views of the edge-padded image. Every image is
+filtered, counted and thresholded on its 8-bit ``levels`` alone: a decoded
+PGM's samples, or the rounded pixels of any other image, such as a
+grayscale-reduced color image. Only the median filter and Otsu's histogram
+see the whole canvas:
 ``segment_image`` binarizes, seeds and walks in the foreground's bounding
 box grown by one pixel, which holds every free pixel and their neighbours,
 and falls back to the whole canvas when the box spans its width or height
@@ -54,7 +55,7 @@ from .errors import (
     SolverError,
     is_integer,
 )
-from .raster import _LEVEL_VALUES, BinaryImage, GrayImage, encode_pgm, gray_levels
+from .raster import _LEVEL_VALUES, BinaryImage, GrayImage, encode_pgm
 
 SIGMA_FLOOR = 1e-6
 RESIDUAL_TOL = 1e-8
@@ -139,14 +140,13 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     """Replace each pixel by the median of its side x side neighborhood.
 
     Borders replicate the edge row/column, so output dimensions match the
-    input and no intensity value outside the input set is ever produced.
+    input and no level outside the input's levels is ever produced.
     The median is selected by a pruned min/max network (``_median_network``)
-    run over the side**2 shifted views of the edge-padded image; its output
-    is an order statistic of the window, so it equals a sorting median
-    exactly. An image with ``levels``, as every decoded PGM has, is filtered
-    on its uint8 levels and keeps them; as level / 255 is increasing, the
-    result is the one the float pixels give, with scratch arrays an eighth
-    of the size.
+    run over the side**2 shifted views of the edge-padded ``levels``; its
+    output is an order statistic of the window, so it equals a sorting
+    median exactly. The result is the image of the median levels. As
+    rounding to a level is nondecreasing, it is also the rounded median of
+    the pixels.
     """
     if not (is_integer(side) and side >= 1 and side % 2 == 1):
         raise ParameterError(f"median window side must be odd and positive, an int: {side!r}")
@@ -154,18 +154,13 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
         raise ImageTooSmallError(
             f"median window {side} exceeds image extent {img.width}x{img.height}"
         )
-    if side == 1:
-        return img
     scratch, steps, median = _median_network(int(side))
-    values = img.pixels if img.levels is None else img.levels
-    h, w = values.shape
-    padded = np.pad(values, side // 2, mode="edge")
+    h, w = img.levels.shape
+    padded = np.pad(img.levels, side // 2, mode="edge")
     registers = [padded[dy:dy + h, dx:dx + w] for dy in range(side) for dx in range(side)]
-    registers += [np.empty((h, w), dtype=values.dtype) for _ in range(scratch)]
+    registers += [np.empty((h, w), dtype=np.uint8) for _ in range(scratch)]
     for ufunc, a, b, out in steps:
         ufunc(registers[a], registers[b], out=registers[out])
-    if img.levels is None:
-        return GrayImage(registers[median])
     return GrayImage.from_levels(registers[median])
 
 
@@ -178,12 +173,8 @@ class OtsuResult:
 
 
 def histogram256(img: GrayImage) -> np.ndarray:
-    """Counts over 256 bins; intensity g lands in bin ``gray_levels(g)``, round(g * 255).
-
-    An image with ``levels`` counts them, which are those bins.
-    """
-    levels = gray_levels(img.pixels) if img.levels is None else img.levels
-    return np.bincount(levels.ravel(), minlength=256)
+    """Counts over 256 bins, one per level; a pixel lands in the bin of its ``levels``."""
+    return np.bincount(img.levels.ravel(), minlength=256)
 
 
 def otsu_threshold(img: GrayImage) -> OtsuResult:
@@ -193,8 +184,8 @@ def otsu_threshold(img: GrayImage) -> OtsuResult:
     background class is every bin <= t. Tied optima are averaged. The
     complementary intraclass variance is returned alongside so the
     decomposition sigma_in + sigma_out = total variance can be checked, and
-    so is the total variance, which for an image with ``levels`` is the
-    variance of its pixels.
+    so is the total variance, which is the variance of level / 255 over the
+    image.
     """
     counts = histogram256(img)
     if np.count_nonzero(counts) < 2:
@@ -227,23 +218,16 @@ def otsu_threshold(img: GrayImage) -> OtsuResult:
                       variance=float(p @ (v - mu) ** 2))
 
 
-def _above(img: GrayImage, theta: float) -> tuple[np.ndarray, float]:
-    """Values v and a cut c of the image such that v > c exactly where g > theta.
-
-    An image with ``levels`` is compared on them, against the largest level
-    whose intensity is <= theta.
-    """
-    if img.levels is None:
-        return img.pixels, theta
-    return img.levels, int(np.searchsorted(_LEVEL_VALUES, theta, side="right")) - 1
-
-
 def binarize(img: GrayImage, theta: float) -> BinaryImage:
-    """h(x, y) = 0 where g <= theta, else 1."""
+    """h(x, y) = 0 where the pixel's level l has l / 255 <= theta, else 1.
+
+    So a pixel is background exactly when Otsu's histogram puts its bin in
+    the background class of a threshold ``theta``.
+    """
     if not 0.0 <= theta <= 1.0:
         raise ParameterError(f"threshold must lie in [0, 1], got {theta}")
-    values, cut = _above(img, theta)
-    return BinaryImage((values > cut).astype(np.uint8))
+    cut = np.count_nonzero(_LEVEL_VALUES <= theta) - 1  # the largest background level
+    return BinaryImage((img.levels > cut).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -284,8 +268,9 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray], *,
 
     The edge between 4-neighbours i and j weighs
     eta_ij = exp(-(g_i - g_j)^2 / sigma), sigma = max(var g, 1e-6), with
-    var g the intensity variance of the image, or the given ``sigma``
-    (``segment_image`` gives the canvas's when it walks a part of it). For
+    var g the intensity variance of the image, or the given ``sigma``, which
+    must be finite and positive (``segment_image`` gives the whole canvas's
+    from Otsu's histogram, as it may walk a part of it). For
     shape j the seeded pixels of set j are held at 1 and all other seeds at
     0, and the free pixels solve Grady's reduced system L_U x = -B^T m
     ("Random Walks for Image Segmentation", IEEE TPAMI 2006), one
@@ -306,6 +291,8 @@ def random_walker_segment(img: GrayImage, seeds: list[np.ndarray], *,
     the lower index. Probabilities are kept for the free pixels only: a
     seeded pixel's are one-hot on its own set.
     """
+    if sigma is not None and not 0.0 < sigma < np.inf:
+        raise ParameterError(f"not 0 < sigma < inf: {sigma!r}")
     pixels = img.pixels
     h, w = pixels.shape
     n = h * w
@@ -463,12 +450,12 @@ def derive_seeds(binary: BinaryImage, *, background: int | None = None) -> list[
     return seeds
 
 
-def _window(values: np.ndarray, cut: float) -> tuple[int, int, int, int, int | None]:
+def _window(levels: np.ndarray, theta: float) -> tuple[int, int, int, int, int | None]:
     """Where ``segment_image`` segments: (y0, y1, x0, x1) and a background pixel.
 
-    The window is the box of the foreground (values > cut) grown by one
-    pixel, the ring, clipped to the canvas; the pixel is the flat index in
-    the window of a ring pixel. Every pixel outside the box is background.
+    The window is the box of the foreground (the pixels ``binarize`` sets,
+    levels l with l / 255 > theta) grown by one pixel, the ring, clipped to
+    the canvas; the pixel is the flat index in the window of a ring pixel. Every pixel outside the box is background.
     When the box spans neither the canvas's width nor its height, those
     pixels are 4-connected, and so is the ring, which joins every part of
     their component that enters the window. When the box also holds at most
@@ -477,10 +464,10 @@ def _window(values: np.ndarray, cut: float) -> tuple[int, int, int, int, int | N
     seeds the outer one too. Otherwise the window is the canvas and the
     pixel None.
     """
-    h, w = values.shape
+    h, w = levels.shape
     # Otsu's threshold lies below the top populated bin, so neither is empty
-    rows = np.flatnonzero(values.max(axis=1) > cut)
-    cols = np.flatnonzero(values.max(axis=0) > cut)
+    rows = np.flatnonzero(_LEVEL_VALUES[levels.max(axis=1)] > theta)
+    cols = np.flatnonzero(_LEVEL_VALUES[levels.max(axis=0)] > theta)
     top, bottom, left, right = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
     box_h, box_w = bottom - top, right - left
     if box_h == h or box_w == w or 2 * box_h * box_w > h * w:
@@ -497,26 +484,18 @@ def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
     Binarizing, seeding and the walk run on ``_window``'s part of the
     filtered canvas. Every free pixel lies in the foreground's box, and its
     4-neighbours in the window, so the reduced system is the whole
-    canvas's; every pixel outside the window is background. The walk
-    weighs by the whole canvas's variance, taken from Otsu's histogram for
-    a windowed image with ``levels``, whose exact values it holds. On the
-    canvas it is the pixels' variance, as without a window: a speckled
-    image's system can turn a last-bit change of sigma into 1e-9 in gamma.
+    canvas's; every pixel outside the window is background. The walk, in
+    the window or on the canvas, weighs by the whole canvas's variance as
+    Otsu's histogram, which holds every level, gives it.
     """
     smoothed = median_filter(img, median_side)
     otsu = otsu_threshold(smoothed)
-    values, cut = _above(smoothed, otsu.theta)
-    y0, y1, x0, x1, ring = _window(values, cut)
-    if smoothed.levels is None:
-        part = GrayImage(smoothed.pixels[y0:y1, x0:x1])
-        sigma = float(smoothed.pixels.var())
-    else:
-        part = GrayImage.from_levels(smoothed.levels[y0:y1, x0:x1])
-        sigma = float(smoothed.pixels.var()) if ring is None else otsu.variance
+    y0, y1, x0, x1, ring = _window(smoothed.levels, otsu.theta)
+    part = GrayImage.from_levels(smoothed.levels[y0:y1, x0:x1])
     seeds = derive_seeds(binarize(part, otsu.theta), background=ring)
-    seg = random_walker_segment(part, seeds, sigma=sigma)
+    seg = random_walker_segment(part, seeds, sigma=otsu.variance)
 
-    h, w = values.shape
+    h, w = smoothed.levels.shape
     labels = np.full((h, w), seg.pixel_counts.size - 1)
     labels[y0:y1, x0:x1] = seg.labels
     y, x = np.divmod(seg.free, x1 - x0)

@@ -3,10 +3,11 @@
 Supported formats are PGM (P2 ASCII, P5 binary) and PPM (P3 ASCII, P6
 binary) with maxval 255. Headers are whitespace tolerant and may contain
 ``#`` comments anywhere before the maxval token. Grayscale intensities are
-stored as floats in [0, 1]; color images keep their 8-bit channels. A
-decoded PGM also keeps its 8-bit samples as ``GrayImage.levels``, each pixel
-being exactly level / 255, so that code which works on levels need not
-recover them from the floats.
+stored as floats in [0, 1]; color images keep their 8-bit channels. Every
+gray image also has 8-bit levels, ``GrayImage.levels``: a decoded PGM keeps
+its samples, each pixel being exactly level / 255, and any other image
+rounds its pixels (``gray_levels``) when its levels are first read.
+Segmentation and the encoder read only the levels.
 
 RGB reduction follows f = (alpha*i + beta*j + gamma*k) / 255 with the luma
 defaults alpha=0.299, beta=0.587, gamma=0.114, so downstream code always
@@ -17,7 +18,8 @@ and infinite coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +40,10 @@ class GrayImage:
     """Row-major grid of intensities in [0, 1].
 
     ``levels`` holds the uint8 samples of an image built by ``from_levels``,
-    as every decoded PGM is, and is None otherwise.
+    as every decoded PGM is, and the ``gray_levels`` of the pixels otherwise.
     """
 
     pixels: np.ndarray
-    levels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_levels(cls, levels: np.ndarray) -> GrayImage:
@@ -67,6 +68,11 @@ class GrayImage:
         if px.min() < 0.0 or px.max() > 1.0:
             raise ShapeError("GrayImage intensities must lie in [0, 1]")
         object.__setattr__(self, "pixels", _freeze(px))
+
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        """The 8-bit level of each pixel, computed on first read unless ``from_levels`` set it."""
+        return _freeze(gray_levels(self.pixels))
 
     @property
     def height(self) -> int:
@@ -259,8 +265,8 @@ _LEVEL_TEXT = tuple(str(level).encode() for level in range(256))
 
 
 def encode_pgm(img: GrayImage) -> bytes:
-    """Encode a GrayImage as ASCII PGM (P2), quantizing each pixel to its ``gray_levels``."""
-    words = [_LEVEL_TEXT[s] for s in gray_levels(img.pixels).ravel().tolist()]
+    """Encode a GrayImage as ASCII PGM (P2): its ``levels``."""
+    words = [_LEVEL_TEXT[s] for s in img.levels.ravel().tolist()]
     lines = [b"P2", f"{img.width} {img.height}".encode(), b"255"]
     # hold every line under the conventional 70-character limit
     per_line = 17

@@ -277,6 +277,7 @@ class TestTrainClassifyEval:
         (edited(lambda d: [t.pop() for t in d["stage2_templates"].values()]),
          "stage2_templates has shape"),
         (edited(lambda d: d.update(seed=str(d["seed"]))), "seed must be an integer"),
+        (edited(lambda d: d.update(seed=-1)), "seed must be an integer >= 0"),
         (edited(lambda d: record(d, "elm")["models"].pop("svm")), "KeyError: 'svm'"),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-families",
             "pipeline-families-not-object", "pipeline-families-missing-extractor",
@@ -285,6 +286,7 @@ class TestTrainClassifyEval:
             "pipeline-family-mean-not-a-vector", "pipeline-gknn-inputs-dimension",
             "pipeline-gknn-targets-classes", "pipeline-stage1-template-rows",
             "pipeline-stage2-template-classes", "pipeline-seed-not-integer",
+            "pipeline-seed-negative",
             "configured-classifier-missing"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, tamper, detail):
@@ -386,6 +388,17 @@ class TestTrainClassifyEval:
         assert main(argv + flag) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "synth"])
+    def test_negative_seed_is_usage_error(self, corpus_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {"train": ["--manifest", str(corpus_dir / "manifest.json"), "--model-dir", str(out)],
+                "eval": ["--manifest", str(corpus_dir / "manifest.json"), "--report", str(out)],
+                "synth": ["--out-dir", str(out), "--count", "1", "--canvas", "32"]}[command]
+        assert main([command, *argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be an integer >= 0" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_train_rejects_zero_svm_budget(self, corpus_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,10 +1,11 @@
 """The selection-network median filter must equal a sorting median exactly.
 
 `median_filter` picks each window's median with a pruned min/max network
-over the shifted views of the edge-padded image. Here its output is
+over the shifted views of the edge-padded 8-bit levels. Here its output is
 compared, for exact equality, with `np.median` over every side x side
 window of the edge-padded image (the replicate-border rule the filter
-promises) and with `scipy.ndimage.median_filter(mode="nearest")`.
+promises) and with `scipy.ndimage.median_filter(mode="nearest")`, both run
+on the image's pixels rounded to their levels.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from finspect import GrayImage, median_filter
+from finspect.raster import gray_levels
 
 SIDES = (1, 3, 5, 7, 9)
 
@@ -26,8 +28,9 @@ def windowed_median(pixels, side):
 
 def assert_exact_median(pixels, side):
     got = median_filter(GrayImage(pixels), side).pixels
-    assert np.array_equal(got, windowed_median(pixels, side))
-    assert np.array_equal(got, scipy.ndimage.median_filter(pixels, size=side, mode="nearest"))
+    on_grid = gray_levels(pixels) / 255.0
+    assert np.array_equal(got, windowed_median(on_grid, side))
+    assert np.array_equal(got, scipy.ndimage.median_filter(on_grid, size=side, mode="nearest"))
 
 
 def quantised_image(rng, shape):

@@ -50,6 +50,12 @@ def corpus(tmp_path_factory):
 
 
 class TestTraining:
+    @pytest.mark.parametrize("seed", [True, 1.5, -1])
+    def test_seed_must_be_a_non_negative_integer(self, corpus, seed):
+        directory, entries = corpus
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            run_pipeline(entries, FAST, seed=seed, base_dir=directory)
+
     def test_accuracy_and_report_fields(self, corpus):
         directory, entries = corpus
         models, report = run_pipeline(entries, FAST, seed=0, base_dir=directory)

@@ -36,7 +36,16 @@ class TestMedianFilter:
             for side in (3, 5, 7):
                 if side <= min(img.pixels.shape):
                     got = median_filter(img, side)
-                    assert np.array_equal(got.pixels, median_oracle(img.pixels, side))
+                    on_grid = gray_levels(img.pixels) / 255.0
+                    assert np.array_equal(got.pixels, median_oracle(on_grid, side))
+
+    def test_float_image_gets_the_levels_of_its_rounded_median(self, rng):
+        # rounding to a level is nondecreasing, so it commutes with the median
+        px = rng.random((11, 13))
+        for side in (1, 3, 5, 7):
+            got = median_filter(GrayImage(px), side)
+            assert np.array_equal(got.levels, gray_levels(median_oracle(px, side)))
+            assert np.array_equal(got.pixels, got.levels / 255)
 
     @pytest.mark.parametrize("magic", [b"P5", b"P2"])
     @pytest.mark.parametrize("level_count", [256, 3])
@@ -54,33 +63,19 @@ class TestMedianFilter:
     def test_grayscale_of_p6_matches_sort_oracle(self, rng):
         rgb = rng.integers(0, 256, (11, 13, 3), dtype=np.uint8)
         img = to_grayscale(decode_image(b"P6\n13 11\n255\n" + rgb.tobytes()))
-        assert not np.array_equal(gray_levels(img.pixels) / 255.0, img.pixels)
-        assert img.levels is None  # the float path
+        on_grid = gray_levels(img.pixels) / 255.0
+        assert not np.array_equal(on_grid, img.pixels)
         for side in (3, 5, 7):
-            assert np.array_equal(median_filter(img, side).pixels, median_oracle(img.pixels, side))
-
-    def test_pixel_one_ulp_off_its_level_takes_the_float_path(self, rng):
-        px = rng.integers(0, 255, (11, 13)) / 255.0
-        oracle = median_oracle(px, 3)
-        # an inner pixel that is the median of its window and unique in it stays the
-        # median when nudged up by one ulp; the uint8 levels would lose the nudge
-        y, x = next((y, x) for y in range(1, 10) for x in range(1, 12)
-                    if oracle[y, x] == px[y, x]
-                    and np.count_nonzero(px[y - 1:y + 2, x - 1:x + 2] == px[y, x]) == 1)
-        px[y, x] = np.nextafter(px[y, x], 1.0)
-        img = GrayImage(px)
-        assert median_filter(img, 3).pixels[y, x] == px[y, x]
-        for side in (3, 5, 7):
-            assert np.array_equal(median_filter(img, side).pixels, median_oracle(px, side))
+            assert np.array_equal(median_filter(img, side).pixels, median_oracle(on_grid, side))
 
     def test_side_one_is_identity(self, rng):
         img = random_gray(rng)
-        assert np.array_equal(median_filter(img, 1).pixels, img.pixels)
+        assert np.array_equal(median_filter(img, 1).levels, img.levels)
 
     def test_output_values_subset_of_input(self, rng):
         img = random_gray(rng)
         got = median_filter(img, 3)
-        assert set(np.unique(got.pixels)) <= set(np.unique(img.pixels))
+        assert set(np.unique(got.levels)) <= set(np.unique(img.levels))
 
     def test_even_side_rejected(self):
         with pytest.raises(ParameterError):
@@ -96,7 +91,7 @@ class TestMedianFilter:
             median_filter(GrayImage(np.zeros((3, 5))), 5)
 
     def test_constant_region_untouched(self):
-        img = GrayImage(np.full((6, 6), 0.25))
+        img = GrayImage(np.full((6, 6), 64 / 255))
         assert np.array_equal(median_filter(img, 3).pixels, img.pixels)
 
 
@@ -166,9 +161,21 @@ class TestOtsu:
 
 class TestBinarize:
     def test_threshold_rule(self):
-        img = GrayImage(np.array([[0.2, 0.5, 0.8]]))
-        out = binarize(img, 0.5)
+        img = GrayImage(np.array([[51, 128, 204]]) / 255)
+        out = binarize(img, 128 / 255)
         assert out.bits.tolist() == [[0, 0, 1]]  # h = 0 when g <= theta
+
+    def test_pixel_in_otsus_background_bin_is_background(self):
+        # Otsu's unique optimum puts bin 100 (three pixels) in the background; the
+        # pixel at 100.3 / 255 lies in that bin although it is above theta
+        px = np.full((4, 4), 101 / 255)
+        px[0, :2] = 100 / 255
+        px[2, 1] = 100.3 / 255
+        img = GrayImage(px)
+        theta = otsu_threshold(img).theta
+        assert theta == 100 / 255 < px[2, 1]
+        bits = binarize(img, theta).bits
+        assert bits[2, 1] == 0 and np.array_equal(bits, img.levels > 100)
 
     def test_theta_range_checked(self):
         with pytest.raises(ParameterError):
@@ -176,14 +183,14 @@ class TestBinarize:
 
 
 class TestLevels:
-    """An image with levels is counted, compared and filtered on them, with the float results."""
+    """Images are counted and compared on their levels; on levels the float definitions hold."""
 
     @pytest.mark.parametrize("magic", [b"P5", b"P2"])
     def test_histogram_and_binarize_match_the_float_definitions(self, rng, magic):
         samples = rng.integers(0, 256, (9, 14), dtype=np.uint8)
         img = decoded(samples / 255.0, magic)
         plain = GrayImage(img.pixels)
-        assert img.levels is not None and plain.levels is None
+        assert np.array_equal(img.levels, samples) and np.array_equal(plain.levels, samples)
         hist = np.bincount(np.floor(img.pixels * 255.0 + 0.5).astype(int).ravel(), minlength=256)
         assert np.array_equal(histogram256(img), hist)
         assert np.array_equal(histogram256(plain), hist)
@@ -214,6 +221,13 @@ class TestRandomWalker:
         seeds = [np.array([0]), np.array([8])]
         seg = random_walker_segment(img, seeds)
         assert np.abs(canvas_gamma(seg) - dense_gamma(img, seeds)).max() < 1e-8
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        img = GrayImage(np.array([[0.1, 0.9], [0.2, 0.8]]))
+        with pytest.raises(ParameterError, match="not 0 < sigma < inf"):
+            random_walker_segment(img, [np.array([0]), np.array([3])], sigma=sigma)
 
     def test_memberships_sum_to_one(self, rng):
         img = random_gray(rng, lo=5, hi=10)
@@ -721,14 +735,24 @@ class TestWindow:
         part, _, _ = self.segment(monkeypatch, img, median_side=1)
         assert part.pixels.size < img.pixels.size / 2
 
-    def test_p6_image_takes_the_float_path(self, monkeypatch, rng):
-        mask = disk((40, 56), 18, 30, 9)
-        rgb = np.stack([0.1 + 0.7 * mask, 0.2 + 0.5 * mask, 0.3 * np.ones(mask.shape)], axis=2)
-        rgb = gray_levels(np.clip(rgb + 0.05 * rng.random(rgb.shape), 0.0, 1.0))
-        img = to_grayscale(decode_image(b"P6\n56 40\n255\n" + rgb.tobytes()))
-        assert img.levels is None
-        part, _, _ = self.segment(monkeypatch, img)
-        assert part.pixels.size < img.pixels.size / 2
+    @pytest.mark.parametrize("median_side", [1, 3])
+    @pytest.mark.parametrize("mask", ["disk", "specks"])
+    def test_gray_replicated_p6_segments_as_its_pgm(self, rng, mask, median_side):
+        shape = disk((40, 56), 20, 28, 8)
+        if mask == "specks":  # the box spans the canvas, so the walk runs on all of it
+            shape[:2, :2] = shape[-2:, -2:] = True
+        samples = scene(rng, shape).levels
+        pgm = decode_image(b"P5\n56 40\n255\n" + samples.tobytes())
+        ppm = to_grayscale(decode_image(b"P6\n56 40\n255\n" + np.repeat(samples, 3).tobytes()))
+        want, got = segment_image(pgm, median_side), segment_image(ppm, median_side)
+        assert np.array_equal(got.image.pixels, want.image.pixels)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.free, want.free)
+        assert np.array_equal(got.gamma, want.gamma)
+        for j in range(want.pixel_counts.size):
+            a, b = got.crop(j), want.crop(j)
+            assert (a.bbox, a.pixel_count) == (b.bbox, b.pixel_count)
+            assert np.array_equal(a.image.pixels, b.image.pixels)
 
 
 class TestPixelGraph:

@@ -244,10 +244,6 @@ class TestGrayscale:
         g = to_grayscale(RgbImage(px))
         assert g.pixels.max() <= 1.0
 
-    def test_output_has_no_levels(self):
-        rgb = np.random.default_rng(3).integers(0, 256, (5, 7, 3), dtype=np.uint8)
-        assert to_grayscale(decode_image(b"P6\n7 5\n255\n" + rgb.tobytes())).levels is None
-
 
 class TestLevels:
     @pytest.mark.parametrize("magic", [b"P5", b"P2"])
@@ -262,8 +258,14 @@ class TestLevels:
         with pytest.raises(ValueError):
             img.levels[0, 0] = 1
 
-    def test_built_from_pixels_has_none(self):
-        assert GrayImage(np.zeros((2, 2))).levels is None
+    def test_built_from_pixels_rounds_them_once(self):
+        px = np.random.default_rng(5).random((6, 9))
+        img = GrayImage(px)
+        assert img.levels.dtype == np.uint8
+        assert np.array_equal(img.levels, raster.gray_levels(px))
+        assert img.levels is img.levels  # computed on the first read only
+        with pytest.raises(ValueError):
+            img.levels[0, 0] = 1
 
     @pytest.mark.parametrize("levels", [np.zeros((2, 2)), np.zeros(4, np.uint8),
                                         np.zeros((0, 2), np.uint8)],
