@@ -54,7 +54,7 @@ class EmptyForegroundError(DataError):
 
 
 class EmptyBackgroundError(DataError):
-    """Binary image contains no background pixels to seed."""
+    """No background pixel of the binary image touches its border, so none is seeded."""
 
 
 class ImageTooSmallError(DataError):

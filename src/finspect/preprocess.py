@@ -1,8 +1,9 @@
 """Noise removal, Otsu binarization, and random-walker segmentation.
 
 The segmentation path is: median filter, Otsu threshold, binarize, derive
-one seed set per 4-connected foreground component plus a background seed
-set, then solve the random-walker Dirichlet problem on the pixel graph and
+one seed set per 4-connected foreground component plus the outer
+background (every background pixel 4-connected to the image border), then
+solve the random-walker Dirichlet problem on the pixel graph and
 assign each pixel to its argmax shape. A component's seed set is its core,
 the component eroded by ``SEED_EROSION`` = 3 pixels, so that seeds lie on
 both sides of every boundary, as Grady's method assumes, and the walker
@@ -18,9 +19,8 @@ PGM's samples, or the rounded pixels of any other image, such as a
 grayscale-reduced color image. Only the median filter and Otsu's histogram
 see the whole canvas:
 ``segment_image`` binarizes, seeds and walks in the foreground's bounding
-box grown by one pixel, which holds every free pixel and their neighbours,
-and falls back to the whole canvas when the box spans its width or height
-or covers more than half of it (``_window``). The random walker assembles
+box grown by one pixel, which holds every free pixel and their neighbours
+(``_window``). The random walker assembles
 its reduced system from each free pixel's own in-image 4-neighbours, so
 its cost follows the free band rather than the canvas. Each degree is
 summed in the order the pixel's neighbours are gathered, not in the
@@ -251,8 +251,11 @@ class Segmentation:
 
         Seeds keep their own label, so no label is empty. The other labels'
         pixels are zeroed inside the box only, so no call lists a label's
-        pixel indices over the whole canvas.
+        pixel indices over the whole canvas. ``j`` must be one of the labels,
+        an int in 0 .. s - 1.
         """
+        if not (is_integer(j) and 0 <= j < self.pixel_counts.size):
+            raise ParameterError(f"not a label of this segmentation: {j!r}")
         mask = self.labels == j
         rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         y0, y1 = int(rows[0]), int(rows[-1]) + 1
@@ -392,7 +395,7 @@ def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
     return core[1:-1, 1:-1]
 
 
-def derive_seeds(binary: BinaryImage, *, background: int | None = None) -> list[np.ndarray]:
+def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     """Seed sets from a binary image.
 
     One seed set per 4-connected foreground component: its core, the
@@ -401,17 +404,18 @@ def derive_seeds(binary: BinaryImage, *, background: int | None = None) -> list[
     ``SEED_EROSION`` pixels wide along each boundary is left to the walker,
     as with the markers of marker-controlled watershed. A component that
     erosion empties (a speck) keeps one seed, the pixel nearest its
-    centroid. The final set is every pixel of the largest background
-    component, ties to the first in raster order, or of the component that
-    holds flat index ``background`` when it is given; it is not eroded. Two
-    4-connected components never share a 4-neighbour, so one erosion of the
-    whole image erodes each component on its own.
+    centroid. The final set is the outer background: every background pixel
+    4-connected to the image border, the "outside" of hole filling (Soille
+    2003; ``scipy.ndimage.binary_fill_holes``); it is not eroded. Holes are
+    left to the walker. Two 4-connected components never share a
+    4-neighbour, so one erosion of the whole image erodes each component on
+    its own.
     """
     bits = binary.bits
     if not bits.any():
         raise EmptyForegroundError("binary image has no foreground pixels")
     fg_labels, fg_count = scipy.ndimage.label(bits, structure=_CROSS)
-    w = bits.shape[1]
+    h, w = bits.shape
 
     core = np.flatnonzero(_erode(bits, SEED_EROSION))
     owner = fg_labels.ravel()[core]
@@ -437,44 +441,33 @@ def derive_seeds(binary: BinaryImage, *, background: int | None = None) -> list[
         for comp, at in zip(specks.tolist(), first.tolist()):
             seeds[comp] = pixels[at : at + 1]
 
-    bg_labels, bg_count = scipy.ndimage.label(1 - bits, structure=_CROSS)
-    if bg_count == 0:
-        raise EmptyBackgroundError("image has no background pixels to seed")
-    if background is None:
-        chosen = 1 + int(np.argmax(np.bincount(bg_labels.ravel())[1:]))
-    elif is_integer(background) and 0 <= background < bits.size and not bits.flat[background]:
-        chosen = bg_labels.flat[background]
-    else:
-        raise ParameterError(f"background seed {background!r} is not a background pixel index")
-    seeds.append(np.flatnonzero(bg_labels == chosen))
+    # framed by background, the outer background is the frame's component: label 1
+    framed = np.ones((h + 2, w + 2), dtype=bool)
+    framed[1:-1, 1:-1] = bits == 0
+    bg_labels, _ = scipy.ndimage.label(framed, structure=_CROSS)
+    outer = np.flatnonzero(bg_labels[1:-1, 1:-1] == 1)
+    if not outer.size:
+        raise EmptyBackgroundError("no background pixel touches the image border")
+    seeds.append(outer)
     return seeds
 
 
-def _window(levels: np.ndarray, theta: float) -> tuple[int, int, int, int, int | None]:
-    """Where ``segment_image`` segments: (y0, y1, x0, x1) and a background pixel.
+def _window(levels: np.ndarray, theta: float) -> tuple[int, int, int, int]:
+    """Where ``segment_image`` segments: (y0, y1, x0, x1).
 
     The window is the box of the foreground (the pixels ``binarize`` sets,
     levels l with l / 255 > theta) grown by one pixel, the ring, clipped to
-    the canvas; the pixel is the flat index in the window of a ring pixel. Every pixel outside the box is background.
-    When the box spans neither the canvas's width nor its height, those
-    pixels are 4-connected, and so is the ring, which joins every part of
-    their component that enters the window. When the box also holds at most
-    half the canvas, any other background component, which lies inside the
-    box, is smaller than that outer one, so a whole-canvas ``derive_seeds``
-    seeds the outer one too. Otherwise the window is the canvas and the
-    pixel None.
+    the canvas. Every pixel outside the box is background 4-connected to
+    the canvas border, so a background component of the window touches the
+    window's edge exactly when its canvas component touches the canvas
+    border, and ``derive_seeds`` seeds the same outer background on both.
     """
     h, w = levels.shape
     # Otsu's threshold lies below the top populated bin, so neither is empty
     rows = np.flatnonzero(_LEVEL_VALUES[levels.max(axis=1)] > theta)
     cols = np.flatnonzero(_LEVEL_VALUES[levels.max(axis=0)] > theta)
-    top, bottom, left, right = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-    box_h, box_w = bottom - top, right - left
-    if box_h == h or box_w == w or 2 * box_h * box_w > h * w:
-        return 0, h, 0, w, None
-    y0, y1, x0, x1 = max(top - 1, 0), min(bottom + 1, h), max(left - 1, 0), min(right + 1, w)
-    ring_y = top - 1 if top > 0 else bottom  # above the box, or below it if it touches the top
-    return y0, y1, x0, x1, (ring_y - y0) * (x1 - x0) + left - x0
+    return (max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, h),
+            max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, w))
 
 
 def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
@@ -482,17 +475,17 @@ def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
 
     Labels 0 .. s - 2 are the foreground shapes and s - 1 the background.
     Binarizing, seeding and the walk run on ``_window``'s part of the
-    filtered canvas. Every free pixel lies in the foreground's box, and its
-    4-neighbours in the window, so the reduced system is the whole
-    canvas's; every pixel outside the window is background. The walk, in
-    the window or on the canvas, weighs by the whole canvas's variance as
-    Otsu's histogram, which holds every level, gives it.
+    filtered canvas, which gets the whole canvas's seeds. Every free pixel
+    lies in the foreground's box, and its 4-neighbours in the window, so
+    the reduced system is the whole canvas's; every pixel outside the
+    window is background. The walk weighs by the whole canvas's variance
+    as Otsu's histogram, which holds every level, gives it.
     """
     smoothed = median_filter(img, median_side)
     otsu = otsu_threshold(smoothed)
-    y0, y1, x0, x1, ring = _window(smoothed.levels, otsu.theta)
+    y0, y1, x0, x1 = _window(smoothed.levels, otsu.theta)
     part = GrayImage.from_levels(smoothed.levels[y0:y1, x0:x1])
-    seeds = derive_seeds(binarize(part, otsu.theta), background=ring)
+    seeds = derive_seeds(binarize(part, otsu.theta))
     seg = random_walker_segment(part, seeds, sigma=otsu.variance)
 
     h, w = smoothed.levels.shape

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 from .raster import GrayImage
 
 SHAPE_CLASS = {
@@ -45,15 +45,19 @@ class SyntheticShapeSpec:
     def __post_init__(self):
         if self.kind not in SHAPE_CLASS:
             raise ParameterError(f"unknown shape kind {self.kind!r}")
-        if self.size < 0 or (self.kind != "disk" and self.size < 1):
-            raise ParameterError("size must be positive (disk may be 0)")
-        if self.canvas < 8:
-            raise ParameterError("canvas must be at least 8 px")
+        if not is_integer(self.size) or self.size < (self.kind != "disk"):
+            raise ParameterError(f"size must be a positive int (disk may be 0), got {self.size!r}")
+        if not (is_integer(self.canvas) and self.canvas >= 8):
+            raise ParameterError(f"canvas must be an int of at least 8 px, got {self.canvas!r}")
         if self.size * 2 >= self.canvas:
             raise ParameterError("shape does not fit the canvas")
-        if self.scale < 1:
-            raise ParameterError("scale must be a positive integer factor")
-        if not 0 <= self.noise < math.inf:  # NaN fails every comparison
+        if not (is_integer(self.scale) and self.scale >= 1):
+            raise ParameterError(f"scale must be a positive int factor, got {self.scale!r}")
+        if not is_integer(self.rotate_quarters):
+            raise ParameterError(f"rotate_quarters must be an int, got {self.rotate_quarters!r}")
+        if not (np.shape(self.translate) == (2,) and all(map(is_integer, self.translate))):
+            raise ParameterError(f"translate must be a pair of ints, got {self.translate!r}")
+        if isinstance(self.noise, bool) or not 0 <= self.noise < math.inf:  # NaN fails both
             raise ParameterError(f"noise must be finite and nonnegative, got {self.noise!r}")
 
     @property

@@ -106,8 +106,8 @@ def canvas_seeds(binary):
     each 4-connected foreground component's pixels in its erosion by
     ``SEED_EROSION`` (pixels outside counting as background), or, if that is
     empty, its pixel nearest its centroid (ties to the lowest flat index);
-    then the largest background component of the canvas, ties to the first
-    in raster order.
+    then the outer background, the background pixels that
+    ``scipy.ndimage.binary_fill_holes`` leaves unset.
     """
     bits = binary.bits
     labels, count = scipy.ndimage.label(bits, structure=CROSS)
@@ -122,10 +122,7 @@ def canvas_seeds(binary):
             nearest = np.argmin((ys - ys.mean()) ** 2 + (xs - xs.mean()) ** 2)
             inner = np.array([ys[nearest] * bits.shape[1] + xs[nearest]])
         seeds.append(inner)
-    background, _ = scipy.ndimage.label(1 - bits, structure=CROSS)
-    sizes = np.bincount(background.ravel())
-    sizes[0] = 0
-    seeds.append(np.flatnonzero(background == np.argmax(sizes)))
+    seeds.append(np.flatnonzero(~scipy.ndimage.binary_fill_holes(bits, structure=CROSS)))
     return seeds
 
 

@@ -326,7 +326,7 @@ class TestRandomWalker:
     def test_labels_match_dense_solve_with_hole_and_components(self):
         px = np.zeros((14, 14))
         px[1:8, 1:8] = 0.9
-        px[3:6, 3:6] = 0.0   # a hole: background, but not the largest background part
+        px[3:6, 3:6] = 0.0   # a hole: background that reaches no border pixel
         px[9:13, 9:13] = 0.7
         px[11, 3] = 0.8
         img = GrayImage(px)
@@ -399,7 +399,7 @@ class TestRandomWalker:
         self._check_against_dense(img, seeds)
 
     def test_ring_around_a_free_hole_matches_dense_solve(self, rng):
-        # the hole is background but not the largest background part, so it is free:
+        # the hole is background that reaches no border pixel, so it is free:
         # a disk of free pixels, which reverse Cuthill-McKee orders with a wide band
         yy, xx = np.mgrid[:30, :30]
         radius = np.hypot(yy - 14.5, xx - 14.5)
@@ -511,32 +511,24 @@ class TestDeriveSeeds:
             assert np.array_equal(seed, eroded_core(alone))
             assert alone.ravel()[seed].all()
 
-    def test_background_seed_is_largest_background_component(self):
-        # the foreground outnumbers every background component, and the larger
-        # background part is the inner hole, not the strip along the border
+    def test_background_seed_is_the_background_on_the_border(self):
+        # the strip along the border is seeded although the hole is larger; the hole
+        # is left free for the walker
         bits = np.ones((12, 12), dtype=np.uint8)
         bits[0, :5] = 0
         bits[3:9, 3:9] = 0
         seeds = derive_seeds(BinaryImage(bits))
+        assert len(seeds) == 2 and np.array_equal(seeds[-1], np.arange(5))
         hole = np.arange(144).reshape(12, 12)[3:9, 3:9].ravel()
-        assert len(seeds) == 2 and np.array_equal(np.sort(seeds[-1]), hole)
+        assert not np.isin(hole, np.concatenate(seeds)).any()
 
-    def test_background_pixel_names_the_seeded_component(self):
-        bits = np.ones((12, 12), dtype=np.uint8)
-        bits[0, :5] = 0
-        bits[3:9, 3:9] = 0
-        for pixel in range(5):  # the strip along the border, although the hole is larger
-            seeds = derive_seeds(BinaryImage(bits), background=pixel)
-            assert np.array_equal(seeds[-1], np.arange(5))
-            assert np.array_equal(seeds[:-1], derive_seeds(BinaryImage(bits))[:-1])
-
-    @pytest.mark.parametrize("pixel", [5, -1, 144, 2.0, True], ids=["foreground", "negative",
-                                                                    "past-end", "float", "bool"])
-    def test_background_pixel_must_be_a_background_index(self, pixel):
-        bits = np.ones((12, 12), dtype=np.uint8)
-        bits[0, :5] = 0
-        with pytest.raises(ParameterError, match="not a background pixel index"):
-            derive_seeds(BinaryImage(bits), background=pixel)
+    def test_background_cut_off_at_a_corner_is_seeded(self):
+        # two specks meeting diagonally wall off the top-left corner; 4-connected
+        # background cannot pass between them, yet the pocket touches the border
+        bits = np.zeros((10, 10), dtype=np.uint8)
+        bits[0:4, 4:6] = bits[4:6, 0:4] = 1
+        seeds = derive_seeds(BinaryImage(bits))
+        assert len(seeds) == 3 and np.array_equal(seeds[-1], np.flatnonzero(bits == 0))
 
     def test_diagonal_pixels_are_separate_components(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
@@ -551,6 +543,30 @@ class TestDeriveSeeds:
     def test_no_background_rejected(self):
         with pytest.raises(EmptyBackgroundError):
             derive_seeds(BinaryImage(np.ones((3, 3), dtype=np.uint8)))
+
+    def test_frame_around_a_hole_rejected(self):
+        # there is background, but none of it reaches the border
+        bits = np.ones((8, 8), dtype=np.uint8)
+        bits[2:6, 2:6] = 0
+        with pytest.raises(EmptyBackgroundError, match="touches the image border"):
+            derive_seeds(BinaryImage(bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_background_seed_is_what_hole_filling_leaves_unset(seed):
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 13, 2)
+    bits = (rng.random((h, w)) < rng.uniform(0.2, 0.95)).astype(np.uint8)
+    outside = np.flatnonzero(~scipy.ndimage.binary_fill_holes(bits, structure=CROSS))
+    if not bits.any():
+        with pytest.raises(EmptyForegroundError):
+            derive_seeds(BinaryImage(bits))
+    elif not outside.size:
+        with pytest.raises(EmptyBackgroundError):
+            derive_seeds(BinaryImage(bits))
+    else:
+        assert np.array_equal(derive_seeds(BinaryImage(bits))[-1], outside)
 
 
 def nonzero_crops(img, labels, shape_count):
@@ -580,6 +596,19 @@ class TestCrops:
             assert crop.bbox == bbox and crop.pixel_count == count
             assert np.array_equal(crop.image.pixels, pixels)
         assert crops[2].pixel_count == 1
+
+    @pytest.mark.parametrize("j", [2, 5, -1, 1.0, True, np.float64(0.0), "0"],
+                             ids=["one-past", "past-end", "negative", "float", "bool",
+                                  "numpy-float", "str"])
+    def test_label_must_be_one_of_the_labels(self, j):
+        labels = np.array([[0, 1], [1, 1]])
+        seg = Segmentation(image=GrayImage(np.ones((2, 2))), labels=labels,
+                           pixel_counts=np.bincount(labels.ravel()),
+                           free=np.zeros(0, dtype=np.int64), gamma=np.zeros((2, 0)))
+        with pytest.raises(ParameterError, match="not a label"):
+            seg.crop(j)
+        assert seg.crop(np.int64(1)).pixel_count == 3
+        assert seg.crop(np.uint8(0)).bbox == (0, 0, 1, 1)
 
     def test_segmentation_crops_match_nonzero_oracle(self):
         img, _ = generate_synthetic(SyntheticShapeSpec(kind="fin_polygon", size=20, canvas=64,
@@ -643,11 +672,39 @@ def disk(shape, cy, cx, r_out, r_in=0.0):
     return (radius < r_out) & (radius >= r_in)
 
 
+def grown_box(seg):
+    """The box of a segmentation's Otsu foreground grown by one pixel, clipped: y0, y1, x0, x1."""
+    smoothed = seg.image
+    ys, xs = np.nonzero(binarize(smoothed, otsu_threshold(smoothed).theta).bits)
+    h, w = smoothed.pixels.shape
+    return max(ys.min() - 1, 0), min(ys.max() + 2, h), max(xs.min() - 1, 0), min(xs.max() + 2, w)
+
+
+def check_against_canvas(img, median_side, gamma_tol):
+    """segment_image's result and canvas_segmentation's, checked equal; gamma within gamma_tol."""
+    seg = segment_image(img, median_side)
+    ref = canvas_segmentation(img, median_side)
+    assert np.array_equal(seg.image.pixels, ref.image.pixels)
+    assert np.array_equal(seg.labels, ref.labels)
+    assert np.array_equal(seg.free, ref.free)
+    assert np.array_equal(seg.pixel_counts, ref.pixel_counts)
+    assert np.abs(seg.gamma - ref.gamma).max(initial=0.0) <= gamma_tol
+    for j in range(ref.pixel_counts.size):
+        got, want = seg.crop(j), ref.crop(j)
+        assert (got.bbox, got.pixel_count) == (want.bbox, want.pixel_count)
+        assert np.array_equal(got.image.pixels, want.image.pixels)
+    return seg, ref
+
+
 class TestWindow:
     """segment_image seeds and walks a window around the foreground; the canvas must not differ."""
 
     def segment(self, monkeypatch, img, median_side=3):
-        """segment_image's result, checked against canvas_segmentation, and the walked part."""
+        """segment_image's result, checked against canvas_segmentation, and the walked part.
+
+        The part is the grown box of the foreground, and gamma matches the
+        canvas's within 1e-12.
+        """
         walked = []
         walk = preprocess.random_walker_segment
 
@@ -657,18 +714,10 @@ class TestWindow:
 
         with monkeypatch.context() as patch:
             patch.setattr(preprocess, "random_walker_segment", spy)
-            seg = segment_image(img, median_side)
-        ref = canvas_segmentation(img, median_side)
-        assert np.array_equal(seg.image.pixels, ref.image.pixels)
-        assert np.array_equal(seg.labels, ref.labels)
-        assert np.array_equal(seg.free, ref.free)
-        assert np.array_equal(seg.pixel_counts, ref.pixel_counts)
-        assert np.abs(seg.gamma - ref.gamma).max(initial=0.0) <= 1e-12
-        for j in range(ref.pixel_counts.size):
-            got, want = seg.crop(j), ref.crop(j)
-            assert (got.bbox, got.pixel_count) == (want.bbox, want.pixel_count)
-            assert np.array_equal(got.image.pixels, want.image.pixels)
+            _, ref = check_against_canvas(img, median_side, 1e-12)
         [(part, seeds)] = walked
+        y0, y1, x0, x1 = grown_box(ref)
+        assert np.array_equal(part.pixels, ref.image.pixels[y0:y1, x0:x1])
         return part, seeds, ref
 
     @pytest.mark.parametrize("edge", ["top", "bottom", "left", "right"])
@@ -687,25 +736,46 @@ class TestWindow:
         assert part.pixels.size < img.pixels.size / 2
 
     @pytest.mark.parametrize("axis", [0, 1], ids=["width", "height"])
-    def test_box_spanning_the_canvas_walks_the_canvas(self, monkeypatch, rng, axis):
+    def test_box_spanning_the_canvas(self, monkeypatch, rng, axis):
         mask = disk((40, 56), 12, 30, 6)
         if axis == 0:
-            mask[25:31, :] = True  # the background above the bar is the larger part
+            mask[25:31, :] = True  # the box spans the canvas's width, the window does too
         else:
             mask[:, 40:46] = True
         img = scene(rng, mask)
         part, _, _ = self.segment(monkeypatch, img)
-        assert part.pixels.shape == img.pixels.shape
+        assert part.pixels.shape == ((26, 56) if axis == 0 else (40, 23))
+
+    def test_background_below_a_bar_spanning_the_width(self, monkeypatch, rng):
+        # the strip below the bar is cut off from the larger background above it, but
+        # it touches the border, so it is background and the bar keeps its own pixels
+        mask = disk((40, 56), 12, 30, 6)
+        mask[25:31, :] = True
+        _, _, ref = self.segment(monkeypatch, scene(rng, mask))
+        assert (ref.labels[31:] == ref.pixel_counts.size - 1).all()
+        bar = ref.crop(int(np.argmax(ref.pixel_counts[:-1])))
+        assert bar.bbox == (25, 0, 31, 56) and bar.pixel_count == 336
+
+    def test_pocket_cut_off_at_a_corner_by_specks(self, monkeypatch, rng):
+        # two specks meeting diagonally wall off the top-left corner from the rest
+        # of the background; the pocket touches the border, so no speck takes it
+        mask = disk((40, 56), 20, 30, 8)
+        mask[0:4, 4:6] = mask[4:6, 0:4] = True
+        _, seeds, ref = self.segment(monkeypatch, scene(rng, mask), median_side=1)
+        assert len(seeds) == 4
+        assert (ref.labels[:4, :4] == 3).all() and ref.pixel_counts[:2].tolist() == [8, 8]
+        assert ref.crop(2).bbox == (13, 23, 28, 38)
 
     def test_annulus_hole_larger_than_the_outer_background(self, monkeypatch, rng):
         img = scene(rng, disk((40, 40), 19.5, 19.5, 19, 14))
         part, _, ref = self.segment(monkeypatch, img)
-        assert part.pixels.shape == img.pixels.shape
-        assert 20 * 40 + 20 not in ref.free and 0 in ref.free  # the hole is the background seed
+        assert part.pixels.shape == img.pixels.shape  # the ring's box grown by one
+        assert 20 * 40 + 20 in ref.free and 0 not in ref.free  # the outside is the seed
+        assert (ref.labels[disk((40, 40), 19.5, 19.5, 14)] == 0).all()  # the hole joins the ring
 
     def test_hole_larger_than_the_windowed_outer_background(self, monkeypatch, rng):
-        # the outer background's part inside the window is smaller than the hole; on the
-        # canvas it is larger, so the ring pixel, not the largest window part, is seeded
+        # the outer background's part inside the window is smaller than the hole, but
+        # it touches the window's edge, so it, not the hole, is seeded
         img = scene(rng, disk((96, 96), 47.5, 47.5, 20, 15))
         part, seeds, ref = self.segment(monkeypatch, img)
         assert part.pixels.size < img.pixels.size / 2
@@ -720,8 +790,8 @@ class TestWindow:
         background, count = scipy.ndimage.label(~mask, structure=CROSS)
         assert count == 2 and np.bincount(background.ravel())[1:].tolist() == [224, 224]
         part, _, ref = self.segment(monkeypatch, img, median_side=1)
-        assert part.pixels.shape == img.pixels.shape
-        assert ref.labels[0, 0] == 1 and ref.labels[15, 15] == 0  # ties go to the first
+        assert part.pixels.shape == (28, 28)
+        assert ref.labels[0, 0] == 1 and ref.labels[15, 15] == 0  # the hole joins the frame
 
     def test_specks_in_opposite_corners(self, monkeypatch, rng):
         mask = disk((40, 56), 20, 28, 8)
@@ -753,6 +823,27 @@ class TestWindow:
             a, b = got.crop(j), want.crop(j)
             assert (a.bbox, a.pixel_count) == (b.bbox, b.pixel_count)
             assert np.array_equal(a.image.pixels, b.image.pixels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_window_matches_the_canvas_on_scenes_with_specks_at_the_edges(seed):
+    # specks on the border spread the foreground's box over the canvas and cut
+    # background pockets off the rest; the window must still give the canvas's
+    # answer. The canvas walk takes sigma from pixels.var(), the window from
+    # Otsu's histogram, so gamma may differ by rounding amplified by the solve.
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(24, 49, 2))
+    mask = disk((h, w), h / 2 + rng.uniform(-3, 3), w / 2 + rng.uniform(-3, 3),
+                rng.uniform(4, 9))
+    for _ in range(int(rng.integers(1, 6))):
+        dy, dx = (int(v) for v in rng.integers(2, 4, 2))
+        y, x = int(rng.integers(0, h - dy + 1)), int(rng.integers(0, w - dx + 1))
+        edge = rng.integers(4)  # pin the speck against one of the four edges
+        y = 0 if edge == 0 else h - dy if edge == 1 else y
+        x = 0 if edge == 2 else w - dx if edge == 3 else x
+        mask[y:y + dy, x:x + dx] = True
+    check_against_canvas(scene(rng, mask), int(rng.choice([1, 3])), 1e-6)
 
 
 class TestPixelGraph:

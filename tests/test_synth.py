@@ -24,6 +24,23 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             SyntheticShapeSpec("disk", 5, noise=-0.1)
 
+    @pytest.mark.parametrize("changes", [
+        {"size": float("nan")}, {"size": 5.5}, {"size": 5.0}, {"canvas": 32.0},
+        {"rotate_quarters": 1.5}, {"scale": True}, {"scale": 1.5}, {"translate": (1.5, 0)},
+        {"translate": (0, True)}, {"translate": (1, 2, 3)}, {"translate": 0},
+        {"noise": True},
+    ], ids=repr)
+    def test_integer_fields_are_ints_and_noise_not_a_bool(self, changes):
+        with pytest.raises(ParameterError, match="must be"):
+            SyntheticShapeSpec(**{"kind": "disk", "size": 5, "canvas": 32, **changes})
+
+    def test_numpy_integers_are_ints(self):
+        spec = SyntheticShapeSpec("disk", np.int64(5), canvas=np.int32(32), scale=np.uint8(2),
+                                  translate=(np.int64(1), -2), rotate_quarters=np.int64(1),
+                                  noise=np.float64(0.0))
+        img, _ = generate_synthetic(spec)
+        assert img.pixels.shape == (64, 64)
+
     def test_polygon_needs_positive_size(self):
         with pytest.raises(ParameterError):
             SyntheticShapeSpec("triangle", 0)
