@@ -37,7 +37,7 @@ def _cmd_preprocess(args) -> int:
         print(f"wrote segmentation to {export_segmentation(seg, args.segment_dir)}")
     if args.binarize:
         theta = otsu_threshold(filtered).theta
-        out = GrayImage(binarize(filtered, theta).bits.astype(float))
+        out = GrayImage(binarize(filtered, theta).bits * np.uint8(255))
     else:
         out = filtered
     Path(args.output).write_bytes(encode_pgm(out))
@@ -129,12 +129,10 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .pipeline import load_config, run_pipeline
+    from .pipeline import load_config, run_pipeline_from_manifest
 
-    cfg = load_config(args.config)
-    entries = load_manifest(args.manifest)
-    _, report = run_pipeline(entries, cfg, seed=args.seed,
-                             base_dir=Path(args.manifest).parent)
+    _, report = run_pipeline_from_manifest(args.manifest, load_config(args.config),
+                                           seed=args.seed)
     _write_json(args.report, report)
     print(f"final fused accuracy {report['final_accuracy']:.3f} "
           f"on {report['n_images']} images")

@@ -14,10 +14,9 @@ empties keeps the one pixel nearest its centroid.
 The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
 on, applied to shifted views of the edge-padded image. Every image is
-filtered, counted and thresholded on its 8-bit ``levels`` alone: a decoded
-PGM's samples, or the rounded pixels of any other image, such as a
-grayscale-reduced color image. Only the median filter and Otsu's histogram
-see the whole canvas:
+filtered, counted and thresholded on its 8-bit ``levels``, the one array a
+``GrayImage`` stores. Only the median filter and Otsu's histogram see the
+whole canvas:
 ``segment_image`` binarizes, seeds and walks in the foreground's bounding
 box grown by one pixel, which holds every free pixel and their neighbours
 (``_window``). The random walker assembles
@@ -144,9 +143,7 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     The median is selected by a pruned min/max network (``_median_network``)
     run over the side**2 shifted views of the edge-padded ``levels``; its
     output is an order statistic of the window, so it equals a sorting
-    median exactly. The result is the image of the median levels. As
-    rounding to a level is nondecreasing, it is also the rounded median of
-    the pixels.
+    median exactly. The result is the image of the median levels.
     """
     if not (is_integer(side) and side >= 1 and side % 2 == 1):
         raise ParameterError(f"median window side must be odd and positive, an int: {side!r}")
@@ -161,7 +158,7 @@ def median_filter(img: GrayImage, side: int = 3) -> GrayImage:
     registers += [np.empty((h, w), dtype=np.uint8) for _ in range(scratch)]
     for ufunc, a, b, out in steps:
         ufunc(registers[a], registers[b], out=registers[out])
-    return GrayImage.from_levels(registers[median])
+    return GrayImage(registers[median])
 
 
 @dataclass(frozen=True)
@@ -247,10 +244,10 @@ class Segmentation:
     gamma: np.ndarray           # (s, free.size) clipped probabilities of the free pixels
 
     def crop(self, j: int) -> ShapeCrop:
-        """Label j's pixels, the other labels zeroed, in the box its mask touches.
+        """Label j's levels, the other labels zeroed, in the box its mask touches.
 
         Seeds keep their own label, so no label is empty. The other labels'
-        pixels are zeroed inside the box only, so no call lists a label's
+        levels are zeroed inside the box only, so no call lists a label's
         pixel indices over the whole canvas. ``j`` must be one of the labels,
         an int in 0 .. s - 1.
         """
@@ -260,7 +257,7 @@ class Segmentation:
         rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         y0, y1 = int(rows[0]), int(rows[-1]) + 1
         x0, x1 = int(cols[0]), int(cols[-1]) + 1
-        crop = np.where(mask[y0:y1, x0:x1], self.image.pixels[y0:y1, x0:x1], 0.0)
+        crop = np.where(mask[y0:y1, x0:x1], self.image.levels[y0:y1, x0:x1], np.uint8(0))
         return ShapeCrop(label=j, image=GrayImage(crop), bbox=(y0, x0, y1, x1),
                          pixel_count=int(self.pixel_counts[j]))
 
@@ -484,7 +481,7 @@ def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
     smoothed = median_filter(img, median_side)
     otsu = otsu_threshold(smoothed)
     y0, y1, x0, x1 = _window(smoothed.levels, otsu.theta)
-    part = GrayImage.from_levels(smoothed.levels[y0:y1, x0:x1])
+    part = GrayImage(smoothed.levels[y0:y1, x0:x1])
     seeds = derive_seeds(binarize(part, otsu.theta))
     seg = random_walker_segment(part, seeds, sigma=otsu.variance)
 
@@ -493,7 +490,7 @@ def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
     labels[y0:y1, x0:x1] = seg.labels
     y, x = np.divmod(seg.free, x1 - x0)
     counts = seg.pixel_counts.copy()
-    counts[-1] += h * w - part.pixels.size
+    counts[-1] += h * w - part.levels.size
     return dataclasses.replace(seg, image=smoothed, labels=labels, pixel_counts=counts,
                                free=(y + y0) * w + x + x0)
 

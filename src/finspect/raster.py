@@ -2,18 +2,18 @@
 
 Supported formats are PGM (P2 ASCII, P5 binary) and PPM (P3 ASCII, P6
 binary) with maxval 255. Headers are whitespace tolerant and may contain
-``#`` comments anywhere before the maxval token. Grayscale intensities are
-stored as floats in [0, 1]; color images keep their 8-bit channels. Every
-gray image also has 8-bit levels, ``GrayImage.levels``: a decoded PGM keeps
-its samples, each pixel being exactly level / 255, and any other image
-rounds its pixels (``gray_levels``) when its levels are first read.
-Segmentation and the encoder read only the levels.
+``#`` comments anywhere before the maxval token. A gray image is its 8-bit
+levels, ``GrayImage.levels``; its intensities in [0, 1], ``pixels``, are
+level / 255, derived on first read. A decoded PGM keeps its samples, and
+floats enter through ``GrayImage.from_pixels``, which rounds them
+(``gray_levels``). Color images keep their 8-bit channels. Segmentation
+and the encoder read only the levels.
 
 RGB reduction follows f = (alpha*i + beta*j + gamma*k) / 255 with the luma
-defaults alpha=0.299, beta=0.587, gamma=0.114, so downstream code always
-sees [0, 1]. Each coefficient must lie in [0, 1] and the three must sum to
-1; GrayscaleCoefficients checks both on construction, and so rejects NaN
-and infinite coefficients.
+defaults alpha=0.299, beta=0.587, gamma=0.114, and rounds f to its level.
+Each coefficient must lie in [0, 1] and the three must sum to 1;
+GrayscaleCoefficients checks both on construction, and so rejects NaN and
+infinite coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import ParameterError, PnmDecodeError, ShapeError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _DIGITS = b"0123456789"
-_LEVEL_VALUES = np.arange(256) / 255.0  # the intensity of each 8-bit level, as decoded
+_LEVEL_VALUES = np.arange(256) / 255.0  # each 8-bit level's intensity, as ``pixels`` gives it
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -37,50 +37,43 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Row-major grid of intensities in [0, 1].
+    """Row-major grid of 8-bit levels, a non-empty 2-D uint8 array.
 
-    ``levels`` holds the uint8 samples of an image built by ``from_levels``,
-    as every decoded PGM is, and the ``gray_levels`` of the pixels otherwise.
+    The image keeps a read-only copy, so the caller's array stays its own.
     """
 
-    pixels: np.ndarray
-
-    @classmethod
-    def from_levels(cls, levels: np.ndarray) -> GrayImage:
-        """The image whose pixels are the 8-bit ``levels`` over 255, levels kept.
-
-        level / 255 is always finite and in [0, 1], so the checks of the
-        constructor are skipped.
-        """
-        if levels.dtype != np.uint8 or levels.ndim != 2 or levels.size == 0:
-            raise ShapeError("GrayImage levels must be a non-empty 2-D uint8 array")
-        img = object.__new__(cls)
-        object.__setattr__(img, "pixels", _freeze(np.take(_LEVEL_VALUES, levels)))
-        object.__setattr__(img, "levels", _freeze(levels))
-        return img
+    levels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        levels = np.array(self.levels)  # a copy
+        if levels.dtype != np.uint8 or levels.ndim != 2 or levels.size == 0:
+            raise ShapeError("GrayImage levels must be a non-empty 2-D uint8 array")
+        object.__setattr__(self, "levels", _freeze(levels))
+
+    @classmethod
+    def from_pixels(cls, pixels) -> GrayImage:
+        """The image of intensities in [0, 1], each rounded to its level (``gray_levels``)."""
+        px = np.asarray(pixels, dtype=np.float64)
         if px.ndim != 2 or px.size == 0:
             raise ShapeError("GrayImage requires a non-empty 2-D array")
         if not np.isfinite(px).all():
             raise ShapeError("GrayImage intensities must be finite")
         if px.min() < 0.0 or px.max() > 1.0:
             raise ShapeError("GrayImage intensities must lie in [0, 1]")
-        object.__setattr__(self, "pixels", _freeze(px))
+        return cls(gray_levels(px))
 
     @functools.cached_property
-    def levels(self) -> np.ndarray:
-        """The 8-bit level of each pixel, computed on first read unless ``from_levels`` set it."""
-        return _freeze(gray_levels(self.pixels))
+    def pixels(self) -> np.ndarray:
+        """Each pixel's intensity, level / 255, computed on first read."""
+        return _freeze(self.levels / 255.0)
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.levels.shape[0]
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self.levels.shape[1]
 
 
 def as_pixels(img) -> np.ndarray:
@@ -249,16 +242,18 @@ def decode_image(data: bytes) -> RgbImage | GrayImage:
                 f"truncated payload: expected {count} bytes, got {len(data) - start}",
                 len(data),
             )
-        samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=start).copy()
+        samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
 
     if channels == 1:
-        return GrayImage.from_levels(samples.reshape(height, width))
+        return GrayImage(samples.reshape(height, width))
     return RgbImage(samples.reshape(height, width, 3))
 
 
 def gray_levels(pixels: np.ndarray) -> np.ndarray:
     """8-bit level floor(g * 255 + 0.5) of each intensity g in [0, 1], as uint8."""
-    return np.floor(pixels * 255.0 + 0.5).astype(np.uint8)
+    scaled = pixels * 255.0
+    scaled += 0.5  # in place: a second canvas-sized temporary costs more than the sum
+    return scaled.astype(np.uint8)  # on these nonnegative values truncation is floor
 
 
 _LEVEL_TEXT = tuple(str(level).encode() for level in range(256))
@@ -276,7 +271,7 @@ def encode_pgm(img: GrayImage) -> bytes:
 
 def to_grayscale(img: RgbImage,
                  coeff: GrayscaleCoefficients = GrayscaleCoefficients()) -> GrayImage:
-    """Reduce an RGB image to intensities via f = (alpha*i + beta*j + gamma*k) / 255."""
+    """Reduce an RGB image to the levels of f = (alpha*i + beta*j + gamma*k) / 255."""
     px = img.pixels.astype(np.float64)
     f = (coeff.alpha * px[:, :, 0] + coeff.beta * px[:, :, 1] + coeff.gamma * px[:, :, 2]) / 255.0
-    return GrayImage(np.clip(f, 0.0, 1.0))
+    return GrayImage.from_pixels(np.clip(f, 0.0, 1.0))

@@ -106,9 +106,6 @@ def _shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticShapeSpec, rng_seed: int = 0) -> tuple[GrayImage, str]:
     mask = _base_mask(spec)
-    if not mask.any():
-        # degenerate radius keeps a single centre pixel
-        mask[spec.canvas // 2, spec.canvas // 2] = True
     if spec.scale > 1:
         mask = np.kron(mask, np.ones((spec.scale, spec.scale), dtype=bool))
     mask = np.rot90(mask, spec.rotate_quarters % 4)
@@ -116,6 +113,7 @@ def generate_synthetic(spec: SyntheticShapeSpec, rng_seed: int = 0) -> tuple[Gra
         mask = _shift(mask, *spec.translate)
     pixels = mask.astype(np.float64)
     if spec.noise > 0:
-        rng = np.random.default_rng(rng_seed)
-        pixels = np.clip(pixels + rng.normal(0.0, spec.noise, pixels.shape), 0.0, 1.0)
-    return GrayImage(pixels), spec.label
+        # in place: each canvas-sized temporary costs about as much as its arithmetic
+        pixels += np.random.default_rng(rng_seed).normal(0.0, spec.noise, pixels.shape)
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+    return GrayImage.from_pixels(pixels), spec.label

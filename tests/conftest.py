@@ -24,7 +24,7 @@ def shape_image(kind: str, size: int, canvas: int = 192, **kw) -> GrayImage:
 
 def random_gray(rng, lo=4, hi=20) -> GrayImage:
     h, w = rng.integers(lo, hi, 2)
-    return GrayImage(rng.random((int(h), int(w))))
+    return GrayImage.from_pixels(rng.random((int(h), int(w))))
 
 
 @dataclass(frozen=True)

@@ -229,12 +229,12 @@ def test_criterion_08_otsu_oracle_equivalence():
 
 
 def test_criterion_09_random_walker():
-    img2 = GrayImage(np.array([[0.1, 0.9], [0.2, 0.8]]))
+    img2 = GrayImage.from_pixels(np.array([[0.1, 0.9], [0.2, 0.8]]))
     seeds2 = [np.array([0]), np.array([3])]
     dev2 = np.abs(canvas_gamma(random_walker_segment(img2, seeds2))
                   - dense_gamma(img2, seeds2)).max()
 
-    img3 = GrayImage(np.array([[0.1, 0.9, 0.8], [0.2, 0.5, 0.9], [0.1, 0.2, 0.85]]))
+    img3 = GrayImage.from_pixels(np.array([[0.1, 0.9, 0.8], [0.2, 0.5, 0.9], [0.1, 0.2, 0.85]]))
     seeds3 = [np.array([0]), np.array([8])]
     seg3 = random_walker_segment(img3, seeds3)
     dev3 = np.abs(canvas_gamma(seg3) - dense_gamma(img3, seeds3)).max()

@@ -128,6 +128,27 @@ class TestTraining:
         assert e.value.epoch == 0
 
 
+class TestShapes:
+    @pytest.mark.parametrize("layers, weights, biases, message", [
+        ((3,), (), (), "need at least input and output layers"),
+        ((3, 2), (), (), "one weight matrix and bias vector per non-input layer"),
+        ((3, 2), (np.zeros((3, 2)),), (np.zeros(2),), "layer 1 parameter shapes"),
+        ((3, 2), (np.zeros((2, 3)),), (np.zeros(3),), "layer 1 parameter shapes"),
+    ], ids=["one-layer", "missing-layer", "weights-transposed", "bias-size"])
+    def test_model_checks_its_shapes(self, layers, weights, biases, message):
+        with pytest.raises(ShapeError, match=message):
+            ann.MlpModel(layers, weights, biases)
+
+    def test_cross_entropy_needs_matching_shapes(self):
+        with pytest.raises(ShapeError, match="outputs and targets must have the same shape"):
+            ann.cross_entropy(np.full((2, 3), 0.5), np.zeros((2, 2)))
+
+    def test_backprop_needs_targets_matching_the_output_layer(self, rng):
+        model = ann.init_model((3, 5, 4), rng, 0.5)
+        with pytest.raises(ShapeError, match="targets must be \\(n, k\\) matching the output"):
+            ann.backprop(model, rng.normal(size=(6, 3)), np.zeros((6, 3)))
+
+
 class TestInference:
     def test_predict_proba_normalized(self, rng):
         model = ann.init_model((3, 5, 4), rng, 0.5)

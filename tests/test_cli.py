@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from finspect import pipeline as pipeline_mod
 from finspect import preprocess as preprocess_mod
 from finspect.cli import main
 from finspect.dataset import load_manifest
@@ -16,7 +17,7 @@ from finspect.errors import DataError
 from finspect.pipeline import load_models
 from finspect.preprocess import (binarize, derive_seeds, median_filter, otsu_threshold,
                                  segment_image)
-from finspect.raster import GrayImage, decode_image, encode_pgm, gray_levels
+from finspect.raster import GrayImage, decode_image, encode_pgm
 
 from test_preprocess import nonzero_crops
 
@@ -137,7 +138,8 @@ class TestPreprocess:
         oracle = nonzero_crops(smoothed, segment_image(img).labels, seed_count)
         for record, (bbox, count, pixels) in zip(records, oracle):
             assert record["bbox"] == [int(v) for v in bbox] and record["pixel_count"] == count
-            assert (out_dir / record["file"]).read_bytes() == encode_pgm(GrayImage(pixels))
+            expected = encode_pgm(GrayImage.from_pixels(pixels))
+            assert (out_dir / record["file"]).read_bytes() == expected
 
     @pytest.mark.parametrize("extra", [[], ["--binarize"]])
     def test_segmenting_filters_once(self, corpus_dir, tmp_path, monkeypatch, extra):
@@ -306,6 +308,17 @@ class TestTrainClassifyEval:
         assert "Traceback" not in err
         assert not (tmp_path / "decision.json").exists()
 
+    def test_directory_without_a_model_file_is_data_error(self, corpus_dir, tmp_path, capsys):
+        with pytest.raises(DataError, match="pipeline.json: cannot read model file"):
+            load_models(tmp_path)
+        rc = main(["classify", "--model-dir", str(tmp_path),
+                   "--input", str(corpus_dir / "disk_001.pgm"),
+                   "--output", str(tmp_path / "decision.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot read model file" in err
+        assert not (tmp_path / "decision.json").exists()
+
     def test_directory_of_an_older_release_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, fast_config):
         def classify(models, out):
@@ -450,11 +463,21 @@ class TestTrainClassifyEval:
         assert "Traceback" not in err
         assert not (tmp_path / "models").exists() and not (tmp_path / "report.json").exists()
 
-    def test_eval_report_fields(self, corpus_dir, fast_config, tmp_path, capsys):
+    def test_eval_report_fields(self, corpus_dir, fast_config, tmp_path, capsys, monkeypatch):
+        # eval is the library's manifest entry point
+        manifests = []
+        run = pipeline_mod.run_pipeline_from_manifest
+
+        def spy(path, *args, **kw):
+            manifests.append(path)
+            return run(path, *args, **kw)
+
+        monkeypatch.setattr(pipeline_mod, "run_pipeline_from_manifest", spy)
         report_path = tmp_path / "report.json"
         rc = main(["eval", "--manifest", str(corpus_dir / "manifest.json"),
                    "--report", str(report_path), "--config", fast_config])
         assert rc == 0
+        assert manifests == [str(corpus_dir / "manifest.json")]
         report = json.loads(report_path.read_text())
         for key in ("final_accuracy", "final_confusion", "per_pair_confusion",
                     "per_extractor_fused_accuracy", "per_class_rates", "predictions"):
@@ -468,7 +491,7 @@ class TestTrainClassifyEval:
         entries = load_manifest(corpus_dir / "manifest.json")
         for entry in entries:
             img = decode_image((corpus_dir / entry["path"]).read_bytes())
-            levels = np.repeat(gray_levels(img.pixels)[:, :, None], 3, axis=2)
+            levels = np.repeat(img.levels[:, :, None], 3, axis=2)
             entry["path"] = entry["path"].replace(".pgm", ".ppm")
             (rgb_dir / entry["path"]).write_bytes(
                 f"P6 {img.width} {img.height} 255\n".encode() + levels.tobytes())

@@ -27,7 +27,7 @@ def windowed_median(pixels, side):
 
 
 def assert_exact_median(pixels, side):
-    got = median_filter(GrayImage(pixels), side).pixels
+    got = median_filter(GrayImage.from_pixels(pixels), side).pixels
     on_grid = gray_levels(pixels) / 255.0
     assert np.array_equal(got, windowed_median(on_grid, side))
     assert np.array_equal(got, scipy.ndimage.median_filter(on_grid, size=side, mode="nearest"))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finspect import (DEFAULT_CMI_BASIS, BasisError, GrayImage, MomentProductSpec,
+from finspect import (DEFAULT_CMI_BASIS, BasisError, FeatureVector, GrayImage,
+                      MomentProductSpec, ParameterError, ShapeError,
                       SyntheticShapeSpec, ZeroMassError, centroid, cmi_features,
                       complex_moment, generate_synthetic, geometric_moment)
 
@@ -57,8 +58,26 @@ class TestMoments:
             centroid(np.zeros((3, 3)))
 
     def test_negative_order_rejected(self, rng):
-        with pytest.raises(Exception):
-            geometric_moment(rng.random((3, 3)), -1, 0)
+        for moment in (geometric_moment, complex_moment):
+            for a, b in ((-1, 0), (0, -1)):
+                with pytest.raises(ParameterError, match="moment orders must be nonnegative"):
+                    moment(rng.random((3, 3)), a, b)
+
+    def test_zero_mass_cmi_rejected(self):
+        with pytest.raises(ZeroMassError, match="undefined for a zero-mass image"):
+            cmi_features(np.zeros((4, 4)))
+
+
+class TestFeatureVector:
+    @pytest.mark.parametrize("values", [[1.0], [[1.0, 2.0]], [1.0, 2.0, 3.0]],
+                             ids=["too-few", "2-d", "too-many"])
+    def test_labels_and_values_must_align(self, values):
+        with pytest.raises(ShapeError, match="descriptor labels and values must align"):
+            FeatureVector("cmi", ("a", "b"), values)
+
+    def test_values_must_be_finite(self):
+        with pytest.raises(ShapeError, match="feature values must be finite"):
+            FeatureVector("cmi", ("a",), [np.inf])
 
 
 BASIS_PAIRS = sorted({(a, b) for spec in DEFAULT_CMI_BASIS for a, b, _ in spec.factors})

@@ -14,7 +14,7 @@ PIXELS = np.pad(np.ones((8, 8)), 4)
 DATA = LabeledSet(np.random.default_rng(0).normal(size=(6, 2)), one_hot([0, 1] * 3, 2))
 
 CALLS = {
-    "median_filter side": lambda v: median_filter(GrayImage(PIXELS), v),
+    "median_filter side": lambda v: median_filter(GrayImage.from_pixels(PIXELS), v),
     "elm_features max_order": lambda v: elm_features(PIXELS, max_order=v),
     "gfd_features radial_count": lambda v: gfd_features(PIXELS, radial_count=v),
     "gfd_features angular_count": lambda v: gfd_features(PIXELS, angular_count=v),

@@ -15,6 +15,7 @@ from finspect.pipeline import (
     classify_image,
     classify_segments,
     content_digest,
+    extract_one,
     largest_shape,
     load_gray,
     load_models,
@@ -121,7 +122,7 @@ class TestTraining:
     def test_image_smaller_than_median_window_is_one_failure(self, corpus, tmp_path):
         directory, entries = corpus
         tiny = tmp_path / "tiny.pgm"
-        tiny.write_bytes(encode_pgm(GrayImage(np.eye(2))))
+        tiny.write_bytes(encode_pgm(GrayImage.from_pixels(np.eye(2))))
         broken = entries + [{"path": str(tiny), "label": "other"}]
         _, report = run_pipeline(broken, FAST, seed=0, base_dir=directory)
         assert report["n_images"] == len(entries)
@@ -131,6 +132,17 @@ class TestTraining:
     def test_empty_manifest_rejected(self):
         with pytest.raises(ParameterError):
             train_models([], FAST)
+
+    def test_label_outside_the_catalog_rejected(self, corpus):
+        directory, entries = corpus
+        stray = entries + [{"path": entries[0]["path"], "label": "whale"}]
+        with pytest.raises(ParameterError, match="label 'whale' not in catalog"):
+            train_models(stray, FAST, base_dir=directory)
+
+    def test_unknown_extractor_rejected(self):
+        img = GrayImage(np.eye(3, dtype=np.uint8))
+        with pytest.raises(ParameterError, match="unknown extractor 'zernike'"):
+            extract_one(img, "zernike", FAST)
 
     def test_single_class_rejected(self, corpus, tmp_path):
         directory, entries = corpus
@@ -196,7 +208,7 @@ class TestClassification:
         composite = np.zeros((96, 192))
         composite[:, :96] = disk.pixels
         composite[:, 96:] = tri.pixels
-        results = classify_segments(models, GrayImage(composite), digest=7)
+        results = classify_segments(models, GrayImage.from_pixels(composite), digest=7)
         assert len(results) == 2
         predicted = {r["predicted"] for r in results}
         assert predicted == {"baby_shark", "other"}
@@ -207,7 +219,7 @@ class TestClassification:
         directory, entries = corpus
         models, _, _ = train_models(entries, FAST, seed=0, base_dir=directory)
         disk, _ = generate_synthetic(SyntheticShapeSpec("disk", 11, canvas=96))
-        composite = GrayImage(np.hstack([disk.pixels, disk.pixels]))
+        composite = GrayImage.from_pixels(np.hstack([disk.pixels, disk.pixels]))
         counts = segment_image(composite, FAST.median_window).pixel_counts
         assert counts.size == 3 and counts[0] == counts[1]  # two copies + background
         results = classify_segments(models, composite, digest=7)

@@ -32,18 +32,17 @@ def median_oracle(pixels, side):
 class TestMedianFilter:
     def test_matches_sort_oracle(self, rng):
         # the second image has four levels, so many windows hold repeated values
-        for img in (random_gray(rng), GrayImage(rng.integers(0, 4, (13, 17)) / 3.0)):
+        for img in (random_gray(rng), GrayImage.from_pixels(rng.integers(0, 4, (13, 17)) / 3.0)):
             for side in (3, 5, 7):
                 if side <= min(img.pixels.shape):
                     got = median_filter(img, side)
-                    on_grid = gray_levels(img.pixels) / 255.0
-                    assert np.array_equal(got.pixels, median_oracle(on_grid, side))
+                    assert np.array_equal(got.pixels, median_oracle(img.pixels, side))
 
     def test_float_image_gets_the_levels_of_its_rounded_median(self, rng):
         # rounding to a level is nondecreasing, so it commutes with the median
         px = rng.random((11, 13))
         for side in (1, 3, 5, 7):
-            got = median_filter(GrayImage(px), side)
+            got = median_filter(GrayImage.from_pixels(px), side)
             assert np.array_equal(got.levels, gray_levels(median_oracle(px, side)))
             assert np.array_equal(got.pixels, got.levels / 255)
 
@@ -63,10 +62,16 @@ class TestMedianFilter:
     def test_grayscale_of_p6_matches_sort_oracle(self, rng):
         rgb = rng.integers(0, 256, (11, 13, 3), dtype=np.uint8)
         img = to_grayscale(decode_image(b"P6\n13 11\n255\n" + rgb.tobytes()))
-        on_grid = gray_levels(img.pixels) / 255.0
-        assert not np.array_equal(on_grid, img.pixels)
+        f = (0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]) / 255.0
+        assert np.array_equal(img.levels, gray_levels(f))
         for side in (3, 5, 7):
-            assert np.array_equal(median_filter(img, side).pixels, median_oracle(on_grid, side))
+            assert np.array_equal(median_filter(img, side).pixels, median_oracle(img.pixels, side))
+
+    def test_builds_no_float_canvas(self, rng):
+        levels = rng.integers(0, 256, (11, 13), dtype=np.uint8)
+        img = decode_image(b"P5\n13 11\n255\n" + levels.tobytes())
+        got = median_filter(img, 3)
+        assert "pixels" not in vars(img) and "pixels" not in vars(got)
 
     def test_side_one_is_identity(self, rng):
         img = random_gray(rng)
@@ -79,19 +84,19 @@ class TestMedianFilter:
 
     def test_even_side_rejected(self):
         with pytest.raises(ParameterError):
-            median_filter(GrayImage(np.zeros((4, 4))), 2)
+            median_filter(GrayImage.from_pixels(np.zeros((4, 4))), 2)
 
     @pytest.mark.parametrize("side", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_side_rejected(self, side):
         with pytest.raises(ParameterError, match="must be odd and positive"):
-            median_filter(GrayImage(np.zeros((4, 4))), side)
+            median_filter(GrayImage.from_pixels(np.zeros((4, 4))), side)
 
     def test_side_larger_than_image_rejected(self):
         with pytest.raises(ImageTooSmallError):
-            median_filter(GrayImage(np.zeros((3, 5))), 5)
+            median_filter(GrayImage.from_pixels(np.zeros((3, 5))), 5)
 
     def test_constant_region_untouched(self):
-        img = GrayImage(np.full((6, 6), 64 / 255))
+        img = GrayImage.from_pixels(np.full((6, 6), 64 / 255))
         assert np.array_equal(median_filter(img, 3).pixels, img.pixels)
 
 
@@ -138,22 +143,22 @@ class TestOtsu:
 
     def test_bimodal_split(self):
         px = np.concatenate([np.full(50, 0.1), np.full(50, 0.9)]).reshape(10, 10)
-        res = otsu_threshold(GrayImage(px))
+        res = otsu_threshold(GrayImage.from_pixels(px))
         assert 0.1 < res.theta < 0.9
 
     def test_tied_thresholds_averaged(self):
         # two populated bins: every threshold between them is equally good
         px = np.array([[0.0, 1.0]] * 2)
-        res = otsu_threshold(GrayImage(px))
-        ref, _ = otsu_oracle(GrayImage(px))
+        res = otsu_threshold(GrayImage.from_pixels(px))
+        ref, _ = otsu_oracle(GrayImage.from_pixels(px))
         assert res.theta == pytest.approx(ref)
 
     def test_single_valued_rejected(self):
         with pytest.raises(DegenerateHistogramError):
-            otsu_threshold(GrayImage(np.full((4, 4), 0.5)))
+            otsu_threshold(GrayImage.from_pixels(np.full((4, 4), 0.5)))
 
     def test_histogram_bins(self):
-        img = GrayImage(np.array([[0.0, 1.0, 0.5]]))
+        img = GrayImage.from_pixels(np.array([[0.0, 1.0, 0.5]]))
         hist = histogram256(img)
         assert hist[0] == 1 and hist[255] == 1 and hist[128] == 1
         assert hist.sum() == 3
@@ -161,7 +166,7 @@ class TestOtsu:
 
 class TestBinarize:
     def test_threshold_rule(self):
-        img = GrayImage(np.array([[51, 128, 204]]) / 255)
+        img = GrayImage.from_pixels(np.array([[51, 128, 204]]) / 255)
         out = binarize(img, 128 / 255)
         assert out.bits.tolist() == [[0, 0, 1]]  # h = 0 when g <= theta
 
@@ -171,7 +176,7 @@ class TestBinarize:
         px = np.full((4, 4), 101 / 255)
         px[0, :2] = 100 / 255
         px[2, 1] = 100.3 / 255
-        img = GrayImage(px)
+        img = GrayImage.from_pixels(px)
         theta = otsu_threshold(img).theta
         assert theta == 100 / 255 < px[2, 1]
         bits = binarize(img, theta).bits
@@ -179,7 +184,7 @@ class TestBinarize:
 
     def test_theta_range_checked(self):
         with pytest.raises(ParameterError):
-            binarize(GrayImage(np.zeros((2, 2))), 1.5)
+            binarize(GrayImage.from_pixels(np.zeros((2, 2))), 1.5)
 
 
 class TestLevels:
@@ -189,7 +194,7 @@ class TestLevels:
     def test_histogram_and_binarize_match_the_float_definitions(self, rng, magic):
         samples = rng.integers(0, 256, (9, 14), dtype=np.uint8)
         img = decoded(samples / 255.0, magic)
-        plain = GrayImage(img.pixels)
+        plain = GrayImage.from_pixels(img.pixels)
         assert np.array_equal(img.levels, samples) and np.array_equal(plain.levels, samples)
         hist = np.bincount(np.floor(img.pixels * 255.0 + 0.5).astype(int).ravel(), minlength=256)
         assert np.array_equal(histogram256(img), hist)
@@ -211,13 +216,13 @@ class TestLevels:
 
 class TestRandomWalker:
     def test_2x2_matches_dense_solve(self):
-        img = GrayImage(np.array([[0.1, 0.9], [0.2, 0.8]]))
+        img = GrayImage.from_pixels(np.array([[0.1, 0.9], [0.2, 0.8]]))
         seeds = [np.array([0]), np.array([3])]
         seg = random_walker_segment(img, seeds)
         assert np.abs(canvas_gamma(seg) - dense_gamma(img, seeds)).max() < 1e-8
 
     def test_3x3_matches_dense_solve(self):
-        img = GrayImage(np.array([[0.1, 0.9, 0.8], [0.2, 0.5, 0.9], [0.1, 0.2, 0.85]]))
+        img = GrayImage.from_pixels(np.array([[0.1, 0.9, 0.8], [0.2, 0.5, 0.9], [0.1, 0.2, 0.85]]))
         seeds = [np.array([0]), np.array([8])]
         seg = random_walker_segment(img, seeds)
         assert np.abs(canvas_gamma(seg) - dense_gamma(img, seeds)).max() < 1e-8
@@ -225,7 +230,7 @@ class TestRandomWalker:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0],
                              ids=["nan", "inf", "zero", "negative"])
     def test_sigma_must_be_finite_and_positive(self, sigma):
-        img = GrayImage(np.array([[0.1, 0.9], [0.2, 0.8]]))
+        img = GrayImage.from_pixels(np.array([[0.1, 0.9], [0.2, 0.8]]))
         with pytest.raises(ParameterError, match="not 0 < sigma < inf"):
             random_walker_segment(img, [np.array([0]), np.array([3])], sigma=sigma)
 
@@ -236,7 +241,7 @@ class TestRandomWalker:
         assert np.abs(canvas_gamma(seg).sum(axis=2) - 1.0).max() < 1e-6
 
     def test_seeded_pixels_exact(self):
-        img = GrayImage(np.linspace(0, 1, 16).reshape(4, 4))
+        img = GrayImage.from_pixels(np.linspace(0, 1, 16).reshape(4, 4))
         seeds = [np.array([0, 5]), np.array([15])]
         seg = random_walker_segment(img, seeds)
         flat = canvas_gamma(seg).reshape(16, 2)
@@ -254,39 +259,39 @@ class TestRandomWalker:
 
     def test_label_tie_goes_to_lower_index(self):
         # symmetric image, symmetric seeds: center column is an exact tie
-        img = GrayImage(np.full((3, 3), 0.5))
+        img = GrayImage.from_pixels(np.full((3, 3), 0.5))
         seeds = [np.array([0, 3, 6]), np.array([2, 5, 8])]
         seg = random_walker_segment(img, seeds)
         assert (seg.labels[:, 1] == 0).all()
 
     def test_overlapping_seeds_rejected(self):
-        img = GrayImage(np.zeros((2, 2)))
+        img = GrayImage.from_pixels(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
             random_walker_segment(img, [np.array([0]), np.array([0])])
 
     def test_empty_seed_set_rejected(self):
-        img = GrayImage(np.zeros((2, 2)))
+        img = GrayImage.from_pixels(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
             random_walker_segment(img, [np.array([0]), np.array([], dtype=int)])
 
     def test_single_seed_set_rejected(self):
-        img = GrayImage(np.zeros((2, 2)))
+        img = GrayImage.from_pixels(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
             random_walker_segment(img, [np.array([0])])
 
     def test_out_of_range_seed_rejected(self):
-        img = GrayImage(np.zeros((2, 2)))
+        img = GrayImage.from_pixels(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
             random_walker_segment(img, [np.array([0]), np.array([4])])
 
     def test_negative_seed_rejected(self):
         # -1 would index the last pixel if it were not range-checked first
-        img = GrayImage(np.zeros((2, 2)))
+        img = GrayImage.from_pixels(np.zeros((2, 2)))
         with pytest.raises(ParameterError, match="range"):
             random_walker_segment(img, [np.array([0]), np.array([-1])])
 
     def test_repeated_pixel_within_one_set_rejected(self):
-        img = GrayImage(np.zeros((2, 2)))
+        img = GrayImage.from_pixels(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
             random_walker_segment(img, [np.array([0, 0]), np.array([3])])
 
@@ -296,7 +301,7 @@ class TestRandomWalker:
         px = np.zeros((40, 40))
         px[20, 20] = 1.0
         with pytest.raises(SolverError):
-            random_walker_segment(GrayImage(px), [np.array([0]), np.array([1599])])
+            random_walker_segment(GrayImage.from_pixels(px), [np.array([0]), np.array([1599])])
 
     def test_regions_cut_off_by_underflowing_weights_are_solver_errors(self):
         # each block's edges to the zero canvas weigh exp(-400) or less, lost in
@@ -308,7 +313,7 @@ class TestRandomWalker:
             px = np.zeros((40, 40))
             px[20:20 + block[0], 20:20 + block[1]] = 1.0 - 0.01 * rng.random(block)
             with pytest.raises(SolverError):
-                random_walker_segment(GrayImage(px), [np.array([0]), np.array([1599])])
+                random_walker_segment(GrayImage.from_pixels(px), [np.array([0]), np.array([1599])])
 
     def _check_against_dense(self, img, seeds):
         seg = random_walker_segment(img, seeds)
@@ -329,7 +334,7 @@ class TestRandomWalker:
         px[3:6, 3:6] = 0.0   # a hole: background that reaches no border pixel
         px[9:13, 9:13] = 0.7
         px[11, 3] = 0.8
-        img = GrayImage(px)
+        img = GrayImage.from_pixels(px)
         seeds = derive_seeds(binarize(img, otsu_threshold(img).theta))
         assert len(seeds) == 4  # three shapes + background
         hole = np.arange(px.size).reshape(px.shape)[3:6, 3:6].ravel()
@@ -341,7 +346,7 @@ class TestRandomWalker:
     def test_labels_match_dense_solve_on_a_tie(self):
         # mirror-symmetric: the middle column is an exact tie in exact arithmetic
         grid = np.arange(35).reshape(5, 7)
-        seg, decided = self._check_against_dense(GrayImage(np.full((5, 7), 0.5)),
+        seg, decided = self._check_against_dense(GrayImage.from_pixels(np.full((5, 7), 0.5)),
                                                   [grid[:, 0], grid[:, -1]])
         assert not decided.reshape(5, 7)[:, 3].any()
         assert decided.reshape(5, 7)[:, [1, 2, 4, 5]].all()
@@ -365,14 +370,14 @@ class TestRandomWalker:
         # neighbours its edge pixels would have outside the image
         free_mask = np.zeros((9, 11), dtype=bool)
         free_mask[region] = True
-        _, decided = self._check_against_dense(GrayImage(rng.random((9, 11))),
+        _, decided = self._check_against_dense(GrayImage.from_pixels(rng.random((9, 11))),
                                                self._seeds_around(free_mask))
         assert decided.all()
 
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1)], ids=["row", "column"])
     def test_one_pixel_wide_image_matches_dense_solve(self, rng, shape):
         # two of the four border masks are empty: no pixel has a neighbour across the line
-        self._check_against_dense(GrayImage(rng.random(shape)),
+        self._check_against_dense(GrayImage.from_pixels(rng.random(shape)),
                                   [np.array([0]), np.array([4]), np.array([8])])
 
     def test_free_regions_touching_different_seed_sets_match_dense_solve(self, rng):
@@ -384,7 +389,8 @@ class TestRandomWalker:
         owner[9:11, 12:14] = -1
         owner[1, 14] = -1
         seeds = [np.flatnonzero(owner == j) for j in range(4)]
-        seg, decided = self._check_against_dense(GrayImage(rng.random((12, 16))), seeds)
+        img = GrayImage.from_pixels(rng.random((12, 16)))
+        seg, decided = self._check_against_dense(img, seeds)
         assert decided.all()
         assert seg.labels[1, 14] == 2 and canvas_gamma(seg)[1, 14].tolist() == [0.0, 0.0, 1.0, 0.0]
 
@@ -393,7 +399,7 @@ class TestRandomWalker:
         # images have two, each with its own right-hand column
         mask = rng.random((40, 40)) < 0.1
         mask[13:27, 13:27] = True
-        img = GrayImage(np.where(mask, 0.8, 0.1) + 0.05 * rng.random((40, 40)))
+        img = GrayImage.from_pixels(np.where(mask, 0.8, 0.1) + 0.05 * rng.random((40, 40)))
         seeds = derive_seeds(BinaryImage(mask.astype(np.uint8)))
         assert len(seeds) > 100
         self._check_against_dense(img, seeds)
@@ -404,7 +410,7 @@ class TestRandomWalker:
         yy, xx = np.mgrid[:30, :30]
         radius = np.hypot(yy - 14.5, xx - 14.5)
         ring = (radius < 13) & (radius >= 6)
-        img = GrayImage(np.where(ring, 0.8, 0.1) + 0.05 * rng.random((30, 30)))
+        img = GrayImage.from_pixels(np.where(ring, 0.8, 0.1) + 0.05 * rng.random((30, 30)))
         seeds = derive_seeds(BinaryImage(ring.astype(np.uint8)))
         assert len(seeds) == 2 and not np.isin(np.flatnonzero(radius < 6), seeds[1]).any()
         seg, decided = self._check_against_dense(img, seeds)
@@ -416,7 +422,7 @@ class TestRandomWalker:
         free_mask = np.zeros((9, 11), dtype=bool)
         free_mask[1:8:2, 1:10:2] = True
         free_mask[0, 0] = free_mask[8, 10] = True
-        _, decided = self._check_against_dense(GrayImage(rng.random((9, 11))),
+        _, decided = self._check_against_dense(GrayImage.from_pixels(rng.random((9, 11))),
                                                self._seeds_around(free_mask))
         assert decided.all()
 
@@ -425,7 +431,7 @@ class TestRandomWalker:
         free_mask[:3, :2] = True
         free_mask[-2:, -3:] = True
         free_mask[4:6, 3:5] = True
-        _, decided = self._check_against_dense(GrayImage(rng.random((10, 8))),
+        _, decided = self._check_against_dense(GrayImage.from_pixels(rng.random((10, 8))),
                                                self._seeds_around(free_mask))
         assert decided.all()
 
@@ -587,7 +593,7 @@ class TestCrops:
         labels[3, 4] = 2                       # a single pixel
         labels[0, 7] = labels[6, 0:2] = 3      # two pieces in opposite corners
         labels = np.rot90(labels, quarters)    # label 4, the background, is the rest
-        img = GrayImage(rng.random(labels.shape))
+        img = GrayImage.from_pixels(rng.random(labels.shape))
         seg = Segmentation(image=img, labels=labels, pixel_counts=np.bincount(labels.ravel()),
                            free=np.zeros(0, dtype=np.int64), gamma=np.zeros((5, 0)))
         crops = [seg.crop(j) for j in range(5)]
@@ -602,7 +608,7 @@ class TestCrops:
                                   "numpy-float", "str"])
     def test_label_must_be_one_of_the_labels(self, j):
         labels = np.array([[0, 1], [1, 1]])
-        seg = Segmentation(image=GrayImage(np.ones((2, 2))), labels=labels,
+        seg = Segmentation(image=GrayImage.from_pixels(np.ones((2, 2))), labels=labels,
                            pixel_counts=np.bincount(labels.ravel()),
                            free=np.zeros(0, dtype=np.int64), gamma=np.zeros((2, 0)))
         with pytest.raises(ParameterError, match="not a label"):
@@ -627,7 +633,7 @@ class TestSegmentImage:
         px = np.zeros((24, 24))
         px[3:9, 3:9] = 0.9
         px[14:21, 14:21] = 0.85
-        seg = segment_image(GrayImage(px))
+        seg = segment_image(GrayImage.from_pixels(px))
         assert seg.pixel_counts.size == 3  # two shapes + background
         counts = sorted(seg.crop(i).pixel_count for i in range(2))
         assert counts == [32, 45]  # the 3x3 median shaves each square's 4 corners
@@ -636,7 +642,7 @@ class TestSegmentImage:
         px = np.zeros((20, 20))
         px[2:6, 2:6] = 0.9
         px[12:17, 12:17] = 0.8
-        seg = segment_image(GrayImage(px))
+        seg = segment_image(GrayImage.from_pixels(px))
         for i in range(seg.pixel_counts.size - 1):
             crop = seg.crop(i)
             assert crop.image.pixels.max() > 0
@@ -854,12 +860,12 @@ class TestPixelGraph:
         assert np.abs(lap - lap.T).max() < 1e-12
 
     def test_sigma_floor_applied(self):
-        img = GrayImage(np.full((2, 3), 0.5))
+        img = GrayImage.from_pixels(np.full((2, 3), 0.5))
         assert build_pixel_graph(img).sigma == pytest.approx(1e-6)
 
     def test_single_pixel_rejected(self):
         with pytest.raises(ShapeError):
-            build_pixel_graph(GrayImage(np.zeros((1, 1))))
+            build_pixel_graph(GrayImage.from_pixels(np.zeros((1, 1))))
 
 
 @settings(max_examples=25, deadline=None)
@@ -867,5 +873,5 @@ class TestPixelGraph:
 def test_median_idempotent_on_binary(seed):
     rng = np.random.default_rng(seed)
     bits = (rng.random((9, 9)) > 0.5).astype(float)
-    once = median_filter(GrayImage(bits), 3)
+    once = median_filter(GrayImage.from_pixels(bits), 3)
     assert set(np.unique(once.pixels)) <= {0.0, 1.0}

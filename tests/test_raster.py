@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,12 @@ class TestDecode:
         a, b = decode_image(ascii_raw), decode_image(bin_raw)
         assert isinstance(a, RgbImage) and isinstance(b, RgbImage)
         assert np.array_equal(a.pixels, b.pixels)
+
+    @pytest.mark.parametrize("data", ["P2 1 1 255 0", None, [80, 50]], ids=["str", "none", "list"])
+    def test_input_must_be_bytes(self, data):
+        with pytest.raises(PnmDecodeError, match="input must be bytes") as e:
+            decode_image(data)
+        assert e.value.offset == 0
 
     def test_bad_magic_offset(self):
         with pytest.raises(PnmDecodeError) as e:
@@ -111,7 +119,7 @@ class TestAsciiPayload:
     def test_pgm_roundtrip_bit_identical(self, height, width, data):
         levels = data.draw(st.lists(st.integers(0, 255), min_size=height * width,
                                     max_size=height * width))
-        img = GrayImage(np.array(levels, dtype=np.float64).reshape(height, width) / 255.0)
+        img = GrayImage(np.array(levels, dtype=np.uint8).reshape(height, width))
         back = decode_image(encode_pgm(img))
         assert np.array_equal(back.pixels, img.pixels)
 
@@ -162,7 +170,7 @@ class TestAsciiPayload:
     @given(st.integers(0, 2**32 - 1))
     def test_truncated_pgm_names_end(self, seed):
         rng = np.random.default_rng(seed)
-        img = GrayImage(rng.integers(0, 256, (rng.integers(1, 8), rng.integers(1, 8))) / 255.0)
+        img = GrayImage(rng.integers(0, 256, (rng.integers(1, 8), rng.integers(1, 8)), np.uint8))
         raw = encode_pgm(img).rstrip()
         cut = raw[:max(raw.rindex(b" "), raw.rindex(b"\n"))]  # drop the last sample
         with pytest.raises(PnmDecodeError, match="truncated") as e:
@@ -172,7 +180,7 @@ class TestAsciiPayload:
 
 class TestEncode:
     def test_p2_format_and_rounding(self):
-        img = GrayImage(np.array([[0.0, 1.0, 0.5]]))
+        img = GrayImage.from_pixels(np.array([[0.0, 1.0, 0.5]]))
         raw = encode_pgm(img)
         assert raw.startswith(b"P2")
         tokens = raw.split()
@@ -180,7 +188,7 @@ class TestEncode:
         assert tokens[4:] == [b"0", b"255", b"128"]  # floor(f*255 + 0.5)
 
     def test_roundtrip_error_bound(self, rng):
-        img = GrayImage(rng.random((13, 9)))
+        img = GrayImage.from_pixels(rng.random((13, 9)))
         back = decode_image(encode_pgm(img))
         assert np.abs(back.pixels - img.pixels).max() <= 1 / 510 + 1e-12
 
@@ -188,7 +196,7 @@ class TestEncode:
     @given(st.integers(0, 2**32 - 1))
     def test_roundtrip_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        img = GrayImage(rng.random((rng.integers(1, 8), rng.integers(1, 8))))
+        img = GrayImage.from_pixels(rng.random((rng.integers(1, 8), rng.integers(1, 8))))
         once = decode_image(encode_pgm(img))
         twice = decode_image(encode_pgm(once))
         assert np.array_equal(once.pixels, twice.pixels)
@@ -207,20 +215,20 @@ class TestEncodeMatchesPerSampleOracle:
     def test_all_256_levels(self):
         levels = np.arange(256, dtype=np.float64) / 255.0
         for shape in ((16, 16), (1, 256), (256, 1)):
-            img = GrayImage(levels.reshape(shape))
+            img = GrayImage.from_pixels(levels.reshape(shape))
             raw = encode_pgm(img)
             assert raw == encode_pgm_per_sample(img)
             assert np.array_equal(decode_image(raw).pixels, img.pixels)
 
     def test_one_pixel(self):
         for value in (0.0, 0.5, 1.0):
-            img = GrayImage(np.array([[value]]))
+            img = GrayImage.from_pixels(np.array([[value]]))
             assert encode_pgm(img) == encode_pgm_per_sample(img)
 
     @pytest.mark.parametrize("h, w", [(1, 16), (1, 18), (2, 9), (3, 7), (5, 13), (96, 95)])
     def test_sizes_off_the_line_length(self, rng, h, w):
         assert (h * w) % 17 != 0
-        img = GrayImage(rng.random((h, w)))
+        img = GrayImage.from_pixels(rng.random((h, w)))
         raw = encode_pgm(img)
         assert raw == encode_pgm_per_sample(img)
         back = decode_image(raw)
@@ -232,7 +240,8 @@ class TestGrayscale:
         px = np.zeros((1, 1, 3), dtype=np.uint8)
         px[0, 0] = (255, 0, 0)
         g = to_grayscale(RgbImage(px))
-        assert g.pixels[0, 0] == pytest.approx(0.299)
+        assert g.levels[0, 0] == round(0.299 * 255) == 76
+        assert g.pixels[0, 0] == 76 / 255
 
     def test_coefficients_must_sum_to_one(self):
         with pytest.raises(ParameterError):
@@ -254,40 +263,80 @@ class TestLevels:
                    else " ".join(map(str, samples.ravel().tolist())).encode())
         img = decode_image(magic + b"\n9 6\n255\n" + payload)
         assert img.levels.dtype == np.uint8 and np.array_equal(img.levels, samples)
+        assert "pixels" not in vars(img)  # decoding builds no float canvas
         assert np.array_equal(img.pixels, img.levels / 255)  # exactly, not approximately
         with pytest.raises(ValueError):
             img.levels[0, 0] = 1
 
+    def test_levels_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(GrayImage)] == ["levels"]
+
     def test_built_from_pixels_rounds_them_once(self):
         px = np.random.default_rng(5).random((6, 9))
-        img = GrayImage(px)
+        img = GrayImage.from_pixels(px)
         assert img.levels.dtype == np.uint8
         assert np.array_equal(img.levels, raster.gray_levels(px))
-        assert img.levels is img.levels  # computed on the first read only
+        assert np.array_equal(img.pixels, img.levels / 255)
+        assert img.pixels is img.pixels  # computed on the first read only
         with pytest.raises(ValueError):
             img.levels[0, 0] = 1
 
+    def test_gray_levels_is_floor_of_scaled_plus_half(self, rng):
+        # every level, the half-way points between levels and the ulps around both
+        points = np.concatenate([np.arange(256), np.arange(255) + 0.5]) / 255.0
+        g = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                            rng.random(1000)])
+        assert np.array_equal(raster.gray_levels(g), np.floor(g * 255.0 + 0.5).astype(np.uint8))
+
+    def test_pixels_are_each_levels_intensity(self):
+        levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert np.array_equal(GrayImage(levels).pixels.ravel(), raster._LEVEL_VALUES)
+
+    def test_keeps_a_read_only_copy_of_the_callers_array(self):
+        levels = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        px = levels / 255
+        img = GrayImage(levels)
+        GrayImage.from_pixels(px)
+        assert levels.flags.writeable and px.flags.writeable
+        levels[0, 0] = 9
+        assert img.levels[0, 0] == 0 and not img.levels.flags.writeable
+
     @pytest.mark.parametrize("levels", [np.zeros((2, 2)), np.zeros(4, np.uint8),
-                                        np.zeros((0, 2), np.uint8)],
-                             ids=["float", "1-d", "empty"])
-    def test_from_levels_takes_a_2d_uint8_array(self, levels):
-        with pytest.raises(ShapeError):
-            GrayImage.from_levels(levels)
+                                        np.zeros((0, 2), np.uint8), [[0, 1]]],
+                             ids=["float", "1-d", "empty", "list"])
+    def test_takes_a_2d_uint8_array(self, levels):
+        with pytest.raises(ShapeError, match="non-empty 2-D uint8 array"):
+            GrayImage(levels)
 
 
 class TestContainers:
     def test_gray_rejects_out_of_range(self):
         with pytest.raises(ShapeError):
-            GrayImage(np.array([[1.5]]))
+            GrayImage.from_pixels(np.array([[1.5]]))
 
     def test_gray_rejects_empty(self):
         with pytest.raises(ShapeError):
-            GrayImage(np.empty((0, 3)))
+            GrayImage.from_pixels(np.empty((0, 3)))
 
     def test_pixels_frozen(self):
-        img = GrayImage(np.zeros((2, 2)))
+        img = GrayImage.from_pixels(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 4), (0, 2, 3)],
+                             ids=["2-d", "4-channel", "empty"])
+    def test_rgb_needs_a_non_empty_three_channel_grid(self, shape):
+        with pytest.raises(ShapeError, match="RgbImage requires a non-empty \\(h, w, 3\\) array"):
+            RgbImage(np.zeros(shape, np.uint8))
+
+    def test_rgb_rejects_channels_out_of_range(self):
+        with pytest.raises(ShapeError, match="RgbImage channels must lie in"):
+            RgbImage(np.full((1, 1, 3), 256))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 2), (0, 3)], ids=["1-d", "3-d", "empty"])
+    def test_binary_needs_a_non_empty_2d_array(self, shape):
+        with pytest.raises(ShapeError, match="BinaryImage requires a non-empty 2-D array"):
+            BinaryImage(np.zeros(shape, np.uint8))
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     def test_binary_rejects_values_other_than_0_and_1(self, bad):

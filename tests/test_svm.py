@@ -375,6 +375,13 @@ class TestInference:
             svm.confidence(model, np.zeros(3))
 
 
+class TestModel:
+    @pytest.mark.parametrize("weights", [np.zeros(3), np.zeros((2, 2, 2))], ids=["1-d", "3-d"])
+    def test_weights_must_be_a_matrix(self, weights):
+        with pytest.raises(ShapeError, match="weights must be a \\(p, k\\) matrix"):
+            svm.SvmModel(weights)
+
+
 class TestTwoPointLine:
     def test_worked_values(self):
         w, b = svm.two_point_line([1.0, 1.0], [2.0, 2.0])

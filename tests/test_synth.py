@@ -58,6 +58,11 @@ class TestGeometry:
         assert img.pixels.sum() == 1.0
         assert img.pixels[16, 16] == 1.0
 
+    @pytest.mark.parametrize("kind", sorted(SHAPE_CLASS))
+    def test_smallest_shape_draws_the_centre_pixel(self, kind):
+        img, _ = generate_synthetic(SyntheticShapeSpec(kind, int(kind != "disk"), canvas=8))
+        assert img.levels[4, 4] == 255
+
     def test_disk_mask_is_circle_equation(self):
         img, _ = generate_synthetic(SyntheticShapeSpec("disk", 9, canvas=48))
         ys, xs = np.mgrid[0:48, 0:48]
