@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledSet
-from .errors import ParameterError, ShapeError, TrainingDivergedError, is_integer
+from .errors import ParameterError, ShapeError, TrainingDivergedError, is_integer, readonly
 
 _CLAMP = 1e-12
 _INIT_SCALE = 0.5  # initial weights and biases are uniform on [-_INIT_SCALE, _INIT_SCALE]
@@ -45,12 +45,10 @@ class MlpModel:
             raise ShapeError("one weight matrix and bias vector per non-input layer")
         ws, bs = [], []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
+            w = readonly(w, np.float64)
+            b = readonly(b, np.float64)
             if w.shape != (self.layers[i + 1], self.layers[i]) or b.shape != (self.layers[i + 1],):
                 raise ShapeError(f"layer {i + 1} parameter shapes do not match layer sizes")
-            w.setflags(write=False)
-            b.setflags(write=False)
             ws.append(w)
             bs.append(b)
         object.__setattr__(self, "weights", tuple(ws))

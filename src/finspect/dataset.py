@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, readonly
 
 CLASS_CATALOG: tuple[str, ...] = ("mature_shark", "shark_school", "baby_shark", "other")
 
@@ -21,16 +21,14 @@ class LabeledSet:
     targets: np.ndarray  # (n, k) one-hot
 
     def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=np.float64)
-        y = np.asarray(self.targets, dtype=np.float64)
+        x = readonly(self.inputs, np.float64)
+        y = readonly(self.targets, np.float64)
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
             raise ShapeError("inputs (n, p) and targets (n, k) must share n >= 1")
         ones = np.isclose(y, 1.0)
         zeros = np.isclose(y, 0.0)
         if not ((ones | zeros).all() and (ones.sum(axis=1) == 1).all()):
             raise ShapeError("targets must be one-hot rows")
-        x.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
 

@@ -6,16 +6,28 @@ with two except clauses.
 
 A parameter is checked where it is defined: a frozen dataclass in
 ``__post_init__`` (so ``dataclasses.replace`` too), a function on entry.
+A value type keeps each array it is given as its own read-only copy
+(``readonly``), so the caller's array stays writable and a later write to
+it, or to the base of a view, cannot change the value.
 """
 
 from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 def is_integer(value) -> bool:
     """The type check of an integer parameter: a bool, a float or NaN fails it."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def readonly(values, dtype=None) -> np.ndarray:
+    """A read-only copy of ``values`` (cast to ``dtype`` if given) that no caller shares."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 class FinspectError(Exception):

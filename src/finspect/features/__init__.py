@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, readonly
 
 
 @dataclass(frozen=True)
@@ -19,12 +19,11 @@ class FeatureVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = readonly(self.values, np.float64)
         if vals.ndim != 1 or len(self.descriptor) != vals.size:
             raise ShapeError("descriptor labels and values must align")
         if not np.isfinite(vals).all():
             raise ShapeError("feature values must be finite")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "descriptor", tuple(self.descriptor))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError, is_integer
-from ..raster import GrayImage, as_pixels
+from ..raster import as_pixels
 from . import FeatureVector
 
 
@@ -54,7 +54,7 @@ def _cell_integrals(count: int, max_order: int) -> np.ndarray:
     return (2 * a + 1) / (2 * a + 2) * np.diff(anti, axis=1)
 
 
-def elm_features(img: GrayImage | np.ndarray, max_order: int = 5) -> FeatureVector:
+def elm_features(img: np.ndarray, max_order: int = 5) -> FeatureVector:
     """M_ab for 1 <= a, b <= max_order, row-major in (a, b)."""
     if not (is_integer(max_order) and max_order >= 1):
         raise ParameterError(f"max_order must be an integer >= 1, got {max_order!r}")

@@ -22,8 +22,8 @@ import functools
 import numpy as np
 import scipy.ndimage
 
-from ..errors import ParameterError, ZeroMassError, is_integer
-from ..raster import GrayImage, as_pixels
+from ..errors import ParameterError, ZeroMassError, is_integer, readonly
+from ..raster import as_pixels
 from . import FeatureVector
 from .moments import centroid
 
@@ -31,7 +31,7 @@ RADIAL_SAMPLES = 64
 ANGULAR_SAMPLES = 128
 
 
-def polar_samples(img: GrayImage | np.ndarray) -> np.ndarray:
+def polar_samples(img: np.ndarray) -> np.ndarray:
     """Bilinear polar resampling grid used by the descriptor. Zero outside the canvas."""
     g = as_pixels(img)
     if g.sum() <= 0.0:
@@ -54,14 +54,11 @@ def _phases(radial_count: int, angular_count: int) -> tuple[np.ndarray, np.ndarr
     t_idx = np.arange(ANGULAR_SAMPLES)
     rho = np.arange(radial_count)
     psi = np.arange(angular_count)
-    radial_phase = np.exp(-2j * np.pi * np.outer(rho, s_idx) / RADIAL_SAMPLES)
-    angular_phase = np.exp(-2j * np.pi * np.outer(psi, t_idx) / ANGULAR_SAMPLES)
-    radial_phase.setflags(write=False)
-    angular_phase.setflags(write=False)
-    return radial_phase, angular_phase
+    return (readonly(np.exp(-2j * np.pi * np.outer(rho, s_idx) / RADIAL_SAMPLES)),
+            readonly(np.exp(-2j * np.pi * np.outer(psi, t_idx) / ANGULAR_SAMPLES)))
 
 
-def gfd_features(img: GrayImage | np.ndarray, radial_count: int = 4, angular_count: int = 9) -> FeatureVector:
+def gfd_features(img: np.ndarray, radial_count: int = 4, angular_count: int = 9) -> FeatureVector:
     """|S(rho, psi)| / |S(0, 0)| for rho < radial_count, psi < angular_count."""
     if not all(is_integer(c) and c >= 1 for c in (radial_count, angular_count)):
         raise ParameterError(f"frequency counts must be at least 1, as ints: {radial_count!r}, "

@@ -32,7 +32,7 @@ from math import comb
 import numpy as np
 
 from ..errors import BasisError, ParameterError, ZeroMassError
-from ..raster import GrayImage, as_pixels
+from ..raster import as_pixels
 from . import FeatureVector
 
 
@@ -60,7 +60,7 @@ def _complex_from_table(mu: list, a: int, b: int) -> complex:
     return complex(sum(w * mu[m][n - m] for m, w in enumerate(_expansion(a, b))))
 
 
-def geometric_moment(img: GrayImage | np.ndarray, a: int, b: int, central: bool = False) -> float:
+def geometric_moment(img: np.ndarray, a: int, b: int, central: bool = False) -> float:
     """Discrete moment sum_xy x^a y^b g(x, y); x runs over columns, y over rows."""
     if a < 0 or b < 0:
         raise ParameterError("moment orders must be nonnegative")
@@ -69,7 +69,7 @@ def geometric_moment(img: GrayImage | np.ndarray, a: int, b: int, central: bool 
     return float(_moment_table(g, max(a, b), xc, yc)[b, a])
 
 
-def centroid(img: GrayImage | np.ndarray) -> tuple[float, float]:
+def centroid(img: np.ndarray) -> tuple[float, float]:
     """Intensity centroid (mu10/mu00, mu01/mu00), from the row and column sums."""
     g = as_pixels(img)
     mass = g.sum()
@@ -79,7 +79,7 @@ def centroid(img: GrayImage | np.ndarray) -> tuple[float, float]:
     return float(g.sum(axis=0) @ np.arange(w) / mass), float(g.sum(axis=1) @ np.arange(h) / mass)
 
 
-def complex_moment(img: GrayImage | np.ndarray, a: int, b: int) -> complex:
+def complex_moment(img: np.ndarray, a: int, b: int) -> complex:
     """Central complex moment C_ab of order a + b."""
     if a < 0 or b < 0:
         raise ParameterError("moment orders must be nonnegative")
@@ -123,7 +123,7 @@ DEFAULT_CMI_BASIS: tuple[MomentProductSpec, ...] = (
 )
 
 
-def cmi_features(img: GrayImage | np.ndarray, basis: tuple[MomentProductSpec, ...] | None = None) -> FeatureVector:
+def cmi_features(img: np.ndarray, basis: tuple[MomentProductSpec, ...] | None = None) -> FeatureVector:
     """Moduli of the normalized complex moment products over the basis."""
     if basis is None:
         basis = DEFAULT_CMI_BASIS

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBeliefError, ParameterError, ShapeError
+from .errors import DegenerateBeliefError, ParameterError, ShapeError, readonly
 
 _ROW_SUM_TOL = 1e-6
 _DENOM_FLOOR = 1e-12
@@ -42,14 +42,12 @@ class DecisionTemplates:
     counts: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=np.float64)
-        c = np.asarray(self.counts, dtype=np.int64)
+        m = readonly(self.matrices, np.float64)
+        c = readonly(self.counts, np.int64)
         if m.ndim != 3 or c.shape != (m.shape[0],):
             raise ShapeError("templates are (n_classes, l, k) with one count per class")
         if (c < 1).any():
             raise ParameterError("every class needs at least one training profile")
-        m.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "matrices", m)
         object.__setattr__(self, "counts", c)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledSet
-from .errors import DegeneratePopulationError, ParameterError, ShapeError, is_integer
+from .errors import DegeneratePopulationError, ParameterError, ShapeError, is_integer, readonly
 
 _RIDGE = 1e-6
 
@@ -59,9 +59,7 @@ class MahalanobisContext:
 
     def __post_init__(self):
         for name in ("covariance", "inverse"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(getattr(self, name), np.float64))
 
 
 def build_context(inputs: np.ndarray) -> MahalanobisContext:

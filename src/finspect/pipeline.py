@@ -499,6 +499,7 @@ def load_models(directory: str | Path) -> PipelineModels:
             families[ext] = Family(mean, std, fitted, templates)
     except OSError as exc:
         raise DataError(f"{path}: cannot read model file ({exc.strerror})") from exc
-    except (AttributeError, KeyError, TypeError, ValueError, ParameterError, ShapeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, DataError, ParameterError,
+            ShapeError) as exc:
         raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
     return PipelineModels(class_names, config, seed, families, stage2)

@@ -190,7 +190,7 @@ def otsu_threshold(img: GrayImage) -> OtsuResult:
             "single-valued image: no threshold separates background from foreground"
         )
     p = counts.astype(np.float64) / counts.sum()
-    v = np.arange(256, dtype=np.float64) / 255.0
+    v = _LEVEL_VALUES
     mu = float(p @ v)
 
     w_b = np.cumsum(p)

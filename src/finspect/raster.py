@@ -23,32 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PnmDecodeError, ShapeError
+from .errors import ParameterError, PnmDecodeError, ShapeError, readonly
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _DIGITS = b"0123456789"
-_LEVEL_VALUES = np.arange(256) / 255.0  # each 8-bit level's intensity, as ``pixels`` gives it
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+_LEVEL_VALUES = readonly(np.arange(256) / 255.0)  # each level's intensity, as in ``pixels``
 
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Row-major grid of 8-bit levels, a non-empty 2-D uint8 array.
-
-    The image keeps a read-only copy, so the caller's array stays its own.
-    """
+    """Row-major grid of 8-bit levels, a non-empty 2-D uint8 array."""
 
     levels: np.ndarray
 
     def __post_init__(self):
-        levels = np.array(self.levels)  # a copy
+        levels = readonly(self.levels)
         if levels.dtype != np.uint8 or levels.ndim != 2 or levels.size == 0:
             raise ShapeError("GrayImage levels must be a non-empty 2-D uint8 array")
-        object.__setattr__(self, "levels", _freeze(levels))
+        object.__setattr__(self, "levels", levels)
 
     @classmethod
     def from_pixels(cls, pixels) -> GrayImage:
@@ -65,7 +57,7 @@ class GrayImage:
     @functools.cached_property
     def pixels(self) -> np.ndarray:
         """Each pixel's intensity, level / 255, computed on first read."""
-        return _freeze(self.levels / 255.0)
+        return readonly(self.levels / 255.0)
 
     @property
     def height(self) -> int:
@@ -77,9 +69,7 @@ class GrayImage:
 
 
 def as_pixels(img) -> np.ndarray:
-    """Accept a GrayImage or a bare 2-D array of intensities."""
-    if isinstance(img, GrayImage):
-        return img.pixels
+    """A feature extractor's input, a 2-D array of intensities, as floats."""
     px = np.asarray(img, dtype=np.float64)
     if px.ndim != 2 or px.size == 0:
         raise ShapeError("expected a non-empty 2-D intensity array")
@@ -98,7 +88,7 @@ class RgbImage:
             raise ShapeError("RgbImage requires a non-empty (h, w, 3) array")
         if px.min() < 0 or px.max() > 255:
             raise ShapeError("RgbImage channels must lie in [0, 255]")
-        object.__setattr__(self, "pixels", _freeze(px.astype(np.uint8)))
+        object.__setattr__(self, "pixels", readonly(px, np.uint8))
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,7 @@ class BinaryImage:
             raise ShapeError("BinaryImage requires a non-empty 2-D array")
         if not ((b == 0) | (b == 1)).all():
             raise ShapeError("BinaryImage bits must be 0 or 1")
-        object.__setattr__(self, "bits", _freeze(b.astype(np.uint8)))
+        object.__setattr__(self, "bits", readonly(b, np.uint8))
 
 
 @dataclass(frozen=True)

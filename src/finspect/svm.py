@@ -40,7 +40,7 @@ from operator import mul, sub
 import numpy as np
 
 from .dataset import LabeledSet
-from .errors import DataError, ParameterError, ShapeError, is_integer
+from .errors import DataError, ParameterError, ShapeError, is_integer, readonly
 
 
 def kernel_linear(x1, x2) -> float:
@@ -57,12 +57,11 @@ class SvmModel:
     converged: bool = True
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = readonly(self.weights, np.float64)
         if weights.ndim != 2:
             raise ShapeError("weights must be a (p, k) matrix")
         if not np.isfinite(weights).all():
             raise DataError("weights must be finite")
-        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
 

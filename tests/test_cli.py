@@ -281,6 +281,8 @@ class TestTrainClassifyEval:
         (edited(lambda d: d.update(seed=str(d["seed"]))), "seed must be an integer"),
         (edited(lambda d: d.update(seed=-1)), "seed must be an integer >= 0"),
         (edited(lambda d: record(d, "elm")["models"].pop("svm")), "KeyError: 'svm'"),
+        (edited(lambda d: record(d, "gfd", "svm")["weights"][0].__setitem__(0, float("nan"))),
+         "DataError: weights must be finite"),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-families",
             "pipeline-families-not-object", "pipeline-families-missing-extractor",
             "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
@@ -289,7 +291,7 @@ class TestTrainClassifyEval:
             "pipeline-gknn-targets-classes", "pipeline-stage1-template-rows",
             "pipeline-stage2-template-classes", "pipeline-seed-not-integer",
             "pipeline-seed-negative",
-            "configured-classifier-missing"])
+            "configured-classifier-missing", "svm-weight-nan"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, tamper, detail):
         tampered = tmp_path / "models"
@@ -360,6 +362,7 @@ class TestTrainClassifyEval:
         ("{", "config.json: config is not valid JSON"),
         ({"extractors": 5}, "config key 'extractors' has a value of the wrong type"),
         ({"cmi": {"basis": [[["2", 0, 1]]]}}, "config key 'cmi.basis' has a value of the wrong"),
+        ({"cmi": {"basis": [[[-1, 1, 1]]]}}, "moment orders must be nonnegative, got (-1, 1)"),
         ({"median_window": 3.7}, "config key 'median_window' has a value of the wrong type"),
         ({"svm": {"max_iter": 2.9}}, "config key 'svm.max_iter' has a value of the wrong type"),
         ({"ann": {"epochs": True}}, "config key 'ann.epochs' has a value of the wrong type"),
@@ -369,7 +372,7 @@ class TestTrainClassifyEval:
          "config key 'grayscale.alpha' has a value of the wrong type"),
         ({"classifiers": ["ann", "ann"]}, "classifiers must be a nonempty subset"),
     ], ids=["even-median-window", "zero-gfd-radial", "unknown-key", "value-not-a-number",
-            "not-json", "extractors-not-a-list", "basis-order-not-a-number",
+            "not-json", "extractors-not-a-list", "basis-order-not-a-number", "basis-order-negative",
             "integer-key-fractional", "nested-integer-key-fractional", "integer-key-boolean",
             "integer-key-string", "float-key-string", "float-key-boolean",
             "classifier-repeated"])

@@ -135,6 +135,12 @@ class TestBasisValidation:
         with pytest.raises(BasisError):
             MomentProductSpec(())
 
+    @pytest.mark.parametrize("a, b", [(-1, 1), (1, -1)])
+    def test_negative_order_in_a_factor_rejected(self, a, b):
+        message = f"moment orders must be nonnegative, got \\({a}, {b}\\)"
+        with pytest.raises(BasisError, match=message):
+            MomentProductSpec(((a, b, 1.0),))
+
     def test_bad_feature_basis_raises_at_construction(self):
         with pytest.raises(BasisError):
             MomentProductSpec(((2, 1, 1.0),))

@@ -381,6 +381,11 @@ class TestModel:
         with pytest.raises(ShapeError, match="weights must be a \\(p, k\\) matrix"):
             svm.SvmModel(weights)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(DataError, match="weights must be finite"):
+            svm.SvmModel(np.array([[0.5, -0.5], [bad, 0.0]]))
+
 
 class TestTwoPointLine:
     def test_worked_values(self):
