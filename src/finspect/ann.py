@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledSet
-from .errors import ParameterError, ShapeError, TrainingDivergedError, is_integer, readonly
+from .errors import (DataError, ParameterError, ShapeError, TrainingDivergedError, is_integer,
+                     readonly)
 
 _CLAMP = 1e-12
 _INIT_SCALE = 0.5  # initial weights and biases are uniform on [-_INIT_SCALE, _INIT_SCALE]
@@ -31,7 +32,7 @@ def sigmoid(z):
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Layer sizes (p, ..., k) with W_l of shape (n_l, n_{l-1})."""
+    """Layer sizes (p, ..., k) with W_l of shape (n_l, n_{l-1}); weights and biases finite."""
 
     layers: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
@@ -49,6 +50,8 @@ class MlpModel:
             b = readonly(b, np.float64)
             if w.shape != (self.layers[i + 1], self.layers[i]) or b.shape != (self.layers[i + 1],):
                 raise ShapeError(f"layer {i + 1} parameter shapes do not match layer sizes")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise DataError(f"layer {i + 1} weights and biases must be finite")
             ws.append(w)
             bs.append(b)
         object.__setattr__(self, "weights", tuple(ws))
@@ -131,11 +134,13 @@ def train(data: LabeledSet, hidden: int = 16, learning_rate: float = 0.5, epochs
     acts = feedforward(model, data.inputs)
     for epoch in range(epochs):
         grads_w, grads_b = _gradients(model, acts, data.targets)
-        model = sgd_step(model, grads_w, grads_b, learning_rate)
+        try:
+            model = sgd_step(model, grads_w, grads_b, learning_rate)
+        except DataError:  # the step made a weight or bias non-finite
+            raise TrainingDivergedError(epoch) from None
         acts = feedforward(model, data.inputs)
         loss = cross_entropy(acts[-1], data.targets)
-        params_ok = all(np.isfinite(p).all() for p in model.weights + model.biases)
-        if not np.isfinite(loss) or not params_ok:
+        if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         trace.append(loss)
     return MlpModel(model.layers, model.weights, model.biases, tuple(trace))

@@ -113,7 +113,7 @@ def _cmd_fuse(args) -> int:
         raise DataError(f"{path}: malformed input file ({type(exc).__name__}: {exc})") from exc
     try:
         templates = DecisionTemplates(matrices, counts)
-    except (ParameterError, ShapeError, TypeError, ValueError) as exc:
+    except (DataError, ParameterError, ShapeError, TypeError, ValueError) as exc:
         raise DataError(f"{args.templates}: unusable templates ({exc})") from exc
     try:
         check_profile(profile)

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, readonly
+from .errors import DataError, ParameterError, ShapeError, readonly
 
 CLASS_CATALOG: tuple[str, ...] = ("mature_shark", "shark_school", "baby_shark", "other")
 
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature rows with one-hot targets."""
+    """Finite feature rows with one-hot targets."""
 
     inputs: np.ndarray   # (n, p)
     targets: np.ndarray  # (n, k) one-hot
@@ -29,6 +29,8 @@ class LabeledSet:
         zeros = np.isclose(y, 0.0)
         if not ((ones | zeros).all() and (ones.sum(axis=1) == 1).all()):
             raise ShapeError("targets must be one-hot rows")
+        if not np.isfinite(x).all():
+            raise DataError("inputs must be finite")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBeliefError, ParameterError, ShapeError, readonly
+from .errors import DataError, DegenerateBeliefError, ParameterError, ShapeError, readonly
 
 _ROW_SUM_TOL = 1e-6
 _DENOM_FLOOR = 1e-12
@@ -36,7 +36,7 @@ def check_profile(profile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecisionTemplates:
-    """Per-class mean profiles, stacked as (n_classes, l, k)."""
+    """Per-class mean profiles, stacked as (n_classes, l, k); every entry finite."""
 
     matrices: np.ndarray
     counts: np.ndarray
@@ -48,6 +48,8 @@ class DecisionTemplates:
             raise ShapeError("templates are (n_classes, l, k) with one count per class")
         if (c < 1).any():
             raise ParameterError("every class needs at least one training profile")
+        if not np.isfinite(m).all():
+            raise DataError("template matrices must be finite")
         object.__setattr__(self, "matrices", m)
         object.__setattr__(self, "counts", c)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import ann as ann_mod
 from . import gknn as gknn_mod
 from . import svm as svm_mod
 from .dataset import CLASS_CATALOG, LabeledSet, load_manifest, one_hot
-from .errors import DataError, ParameterError, ShapeError, is_integer
+from .errors import DataError, ParameterError, ShapeError, is_integer, readonly
 from .features import FeatureVector, MomentProductSpec, cmi_features, elm_features, gfd_features
 from .fusion import ClassSupport, DecisionTemplates, compute_templates, fuse
 from .preprocess import segment_image
@@ -177,13 +177,21 @@ class Family:
 
     ``models`` maps each configured classifier, in config order, to an
     MlpModel (ann), an SvmModel (svm) or, for gknn, the standardised training
-    set and its MahalanobisContext.
+    set and its MahalanobisContext. ``mean`` and ``std`` are kept as read-only
+    copies and must be finite, with every std positive.
     """
 
     mean: np.ndarray
     std: np.ndarray
     models: dict
-    templates: DecisionTemplates | None
+    templates: DecisionTemplates
+
+    def __post_init__(self):
+        mean, std = readonly(self.mean, np.float64), readonly(self.std, np.float64)
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise DataError("mean and std must be finite, with every std > 0")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
 
 
 @dataclass(frozen=True)
@@ -192,61 +200,44 @@ class PipelineModels:
     config: PipelineConfig
     seed: int
     families: dict  # extractor -> Family, in config order
-    stage2_templates: DecisionTemplates | None
+    stage2_templates: DecisionTemplates
 
 
-def _standardize(rows: np.ndarray):
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
-    std = np.where(std < _STD_FLOOR, 1.0, std)
-    return (rows - mean) / std, mean, std
+def _profile(fitted: dict, x: np.ndarray, gknn_k: int, rng_seed: int) -> np.ndarray:
+    """One extractor's profile: a support row per classifier, in config order, on
+    the standardised feature vector x."""
+    rows = []
+    for clf, model in fitted.items():
+        if clf == "ann":
+            rows.append(ann_mod.predict_proba(model, x)[0])
+        elif clf == "gknn":
+            data, context = model
+            rows.append(gknn_mod.gknn_classify(x, data, gknn_k, rng_seed=rng_seed,
+                                               context=context))
+        else:
+            rows.append(svm_mod.predict_proba(model, x))
+    return np.stack(rows)
 
 
-def _profiles(models: PipelineModels, features: dict, digest: int) -> list[np.ndarray]:
-    """One profile per extractor (rows in config order): a support row per classifier
-    on the extractor's standardised feature vector."""
-    profiles = []
-    for ext, fam in models.families.items():
-        x = (features[ext] - fam.mean) / fam.std
-        rows = []
-        for clf, model in fam.models.items():
-            if clf == "ann":
-                rows.append(ann_mod.predict_proba(model, x)[0])
-            elif clf == "gknn":
-                data, context = model
-                rows.append(gknn_mod.gknn_classify(x, data, models.config.gknn_k,
-                                                   rng_seed=models.seed ^ digest,
-                                                   context=context))
-            else:
-                rows.append(svm_mod.predict_proba(model, x))
-        profiles.append(np.stack(rows))
-    return profiles
-
-
-def _stage1(models: PipelineModels, profiles: list[np.ndarray]) -> list[ClassSupport]:
+def _stage1(families: dict, profiles) -> list[ClassSupport]:
     """Fuse each extractor's classifier rows against its stage-1 templates."""
-    return [fuse(profile, models.families[ext].templates)
-            for ext, profile in zip(models.config.extractors, profiles)]
+    return [fuse(profile, fam.templates) for fam, profile in zip(families.values(), profiles)]
 
 
-def _decide(models: PipelineModels, profiles: list[np.ndarray], stage1: list[ClassSupport]):
+def _decide(models: PipelineModels, profiles, stage1: list[ClassSupport]):
     """Stage-2 fusion of one image's stage-1 supports: (final, stage1, per-pair argmax)."""
-    per_pair = {}
-    for ext, profile in zip(models.config.extractors, profiles):
-        for row, clf in zip(profile, models.config.classifiers):
-            per_pair[(ext, clf)] = int(np.argmax(row))
-    final = fuse(np.stack([s.support for s in stage1]), models.stage2_templates)
-    return final, stage1, per_pair
+    per_pair = {(ext, clf): int(np.argmax(row))
+                for ext, profile in zip(models.config.extractors, profiles)
+                for row, clf in zip(profile, models.config.classifiers)}
+    return fuse(np.stack([s.support for s in stage1]), models.stage2_templates), stage1, per_pair
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Entry:
     path: str
     label: str
     digest: int
-    features: dict | None = None
-    profiles: list | None = None
-    stage1: list | None = None
+    features: dict  # extractor -> raw feature values
 
 
 def _prepare_entries(entries, config, base_dir, failures):
@@ -258,15 +249,13 @@ def _prepare_entries(entries, config, base_dir, failures):
         except OSError as exc:
             failures.append({"path": item["path"], "stage": "read", "error": str(exc)})
             continue
-        ent = _Entry(item["path"], item["label"], content_digest(raw))
         try:
             crop = largest_shape(load_gray(raw, config), config)
-            ent.features = {ext: extract_one(crop, ext, config).values
-                            for ext in config.extractors}
+            features = {ext: extract_one(crop, ext, config).values for ext in config.extractors}
         except (DataError, ShapeError) as exc:
             failures.append({"path": item["path"], "stage": "preprocess", "error": str(exc)})
             continue
-        prepared.append(ent)
+        prepared.append(_Entry(item["path"], item["label"], content_digest(raw), features))
     prepared.sort(key=lambda e: (e.label, e.digest, e.path))
     failures.sort(key=lambda f: f["path"])
     return prepared
@@ -276,7 +265,9 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
                  base_dir: str | Path | None = None):
     """Fit the configured classifiers on each feature family, then both template stages.
 
-    Returns (PipelineModels, prepared entries, failures).
+    Each family scores its standardised training rows with classify_image's profile
+    code; those profiles give its stage-1 templates, their fused supports stage 2's.
+    Returns (PipelineModels, [(entry, profiles, stage-1 supports)], failures).
     """
     if not (is_integer(seed) and seed >= 0):
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
@@ -290,13 +281,16 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
             raise ParameterError(f"label {ent.label!r} not in catalog")
     if len(class_names) < 2:
         raise ParameterError("training needs at least 2 classes present")
+    k = len(class_names)
     labels = np.array([class_names.index(e.label) for e in prepared])
-    targets = one_hot(labels, len(class_names))
+    targets = one_hot(labels, k)
 
-    families = {}
+    families, columns = {}, []
     for ext in config.extractors:
-        scaled, mean, std = _standardize(np.stack([e.features[ext] for e in prepared]))
-        data = LabeledSet(scaled, targets)
+        rows = np.stack([e.features[ext] for e in prepared])
+        mean, std = rows.mean(axis=0), rows.std(axis=0)
+        std = np.where(std < _STD_FLOOR, 1.0, std)
+        data = LabeledSet((rows - mean) / std, targets)
         fitted = {}
         for clf in config.classifiers:
             if clf == "ann":
@@ -308,23 +302,15 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
             else:
                 fitted[clf] = svm_mod.train_svm(data, regularization=config.svm_a,
                                                 tol=config.svm_tol, max_iter=config.svm_max_iter)
-        families[ext] = Family(mean, std, fitted, None)
-    models = PipelineModels(class_names, config, seed, families, None)
-
-    # profiles and stage-1 supports of the standardised training rows feed
-    # both template stages and eval
-    for ent in prepared:
-        ent.profiles = _profiles(models, ent.features, ent.digest)
-    models = replace(models, families={
-        ext: replace(fam, templates=compute_templates([e.profiles[j] for e in prepared],
-                                                      labels, len(class_names)))
-        for j, (ext, fam) in enumerate(families.items())})
-    for ent in prepared:
-        ent.stage1 = _stage1(models, ent.profiles)
-    stage2_profiles = [np.stack([s.support for s in e.stage1]) for e in prepared]
-    models = replace(models, stage2_templates=compute_templates(stage2_profiles, labels,
-                                                                len(class_names)))
-    return models, prepared, failures
+        column = [_profile(fitted, x, config.gknn_k, seed ^ e.digest)
+                  for x, e in zip(data.inputs, prepared)]
+        families[ext] = Family(mean, std, fitted, compute_templates(column, labels, k))
+        columns.append(column)
+    profiles = list(zip(*columns))
+    stage1 = [_stage1(families, p) for p in profiles]
+    stage2 = compute_templates([np.stack([s.support for s in sup]) for sup in stage1], labels, k)
+    models = PipelineModels(class_names, config, seed, families, stage2)
+    return models, list(zip(prepared, profiles, stage1)), failures
 
 
 def classify_image(models: PipelineModels, img: GrayImage, digest: int):
@@ -332,10 +318,10 @@ def classify_image(models: PipelineModels, img: GrayImage, digest: int):
 
     Returns (final ClassSupport, stage1 supports, per-pair argmax dict).
     """
-    features = {ext: extract_one(img, ext, models.config).values
-                for ext in models.config.extractors}
-    profiles = _profiles(models, features, digest)
-    return _decide(models, profiles, _stage1(models, profiles))
+    profiles = [_profile(fam.models, (extract_one(img, ext, models.config).values - fam.mean)
+                         / fam.std, models.config.gknn_k, models.seed ^ digest)
+                for ext, fam in models.families.items()]
+    return _decide(models, profiles, _stage1(models.families, profiles))
 
 
 def classify_segments(models: PipelineModels, img: GrayImage, digest: int) -> list[dict]:
@@ -352,56 +338,51 @@ def classify_segments(models: PipelineModels, img: GrayImage, digest: int) -> li
     return out
 
 
+def _confusion(truth: np.ndarray, predicted, k: int) -> np.ndarray:
+    """(k, k) counts of images by true class (row) and predicted class (column)."""
+    return np.bincount(truth * k + np.asarray(predicted), minlength=k * k).reshape(k, k)
+
+
 def run_pipeline(manifest_entries, config: PipelineConfig | None = None, seed: int = 0,
                  base_dir: str | Path | None = None):
     """Train on the manifest and evaluate by resubstitution.
 
+    Every count in the report comes from one list of per-image decisions.
     Returns (PipelineModels, report dict).
     """
     config = config or PipelineConfig()
-    models, prepared, failures = train_models(manifest_entries, config, seed, base_dir)
-    k = len(models.class_names)
+    models, scored, failures = train_models(manifest_entries, config, seed, base_dir)
+    names, k, n = models.class_names, len(models.class_names), len(scored)
     exts, clfs = config.extractors, config.classifiers
+    truth = np.array([names.index(ent.label) for ent, _, _ in scored])
+    decisions = [_decide(models, profiles, stage1) for _, profiles, stage1 in scored]
 
-    pair_confusion = {ext: {clf: np.zeros((k, k), dtype=int) for clf in clfs} for ext in exts}
-    stage1_hits = {ext: 0 for ext in exts}
-    final_confusion = np.zeros((k, k), dtype=int)
-    predictions = []
-    for ent in prepared:
-        truth = models.class_names.index(ent.label)
-        final, stage1, per_pair = _decide(models, ent.profiles, ent.stage1)
-        for (ext, clf), pred in per_pair.items():
-            pair_confusion[ext][clf][truth, pred] += 1
-        for ext, sup in zip(exts, stage1):
-            stage1_hits[ext] += int(sup.predicted == truth)
-        final_confusion[truth, final.predicted] += 1
-        predictions.append({"path": ent.path, "label": ent.label,
-                            "predicted": models.class_names[final.predicted],
-                            "support": final.support.tolist()})
-
-    n = len(prepared)
+    final_confusion = _confusion(truth, [final.predicted for final, _, _ in decisions], k)
+    stage1_confusion = [_confusion(truth, [s[j].predicted for _, s, _ in decisions], k)
+                        for j in range(len(exts))]
     per_class = {}
-    for j, name in enumerate(models.class_names):
-        count = int(final_confusion[j].sum())
-        fn = count - int(final_confusion[j, j])
-        fp = int(final_confusion[:, j].sum()) - int(final_confusion[j, j])
-        per_class[name] = {
-            "false_negative_rate": fn / count if count else 0.0,
-            "false_positive_rate": fp / (n - count) if n - count else 0.0,
-        }
+    for j, name in enumerate(names):
+        count, hit = int(final_confusion[j].sum()), int(final_confusion[j, j])
+        false_pos = int(final_confusion[:, j].sum()) - hit
+        per_class[name] = {"false_negative_rate": (count - hit) / count if count else 0.0,
+                           "false_positive_rate": false_pos / (n - count) if n - count else 0.0}
     report = {
-        "class_names": list(models.class_names),
+        "class_names": list(names),
         "n_images": n,
         "failures": failures,
-        "per_pair_confusion": {ext: {clf: pair_confusion[ext][clf].tolist() for clf in clfs}
-                               for ext in exts},
-        "per_extractor_fused_accuracy": {ext: stage1_hits[ext] / n for ext in exts},
-        "final_accuracy": float(np.trace(final_confusion)) / n,
+        "per_pair_confusion": {
+            ext: {clf: _confusion(truth, [p[(ext, clf)] for _, _, p in decisions], k).tolist()
+                  for clf in clfs} for ext in exts},
+        "per_extractor_fused_accuracy": {ext: int(np.trace(c)) / n
+                                         for ext, c in zip(exts, stage1_confusion)},
+        "final_accuracy": int(np.trace(final_confusion)) / n,
         "final_confusion": final_confusion.tolist(),
         "per_class_rates": per_class,
         "svm_converged": {ext: fam.models["svm"].converged
                           for ext, fam in models.families.items() if "svm" in fam.models},
-        "predictions": predictions,
+        "predictions": [{"path": ent.path, "label": ent.label,
+                         "predicted": names[final.predicted], "support": final.support.tolist()}
+                        for (ent, _, _), (final, _, _) in zip(scored, decisions)],
         "seed": seed,
         "config": config.to_dict(),
     }
@@ -471,8 +452,7 @@ def load_models(directory: str | Path) -> PipelineModels:
         families = {}
         for ext in exts:
             doc = meta["families"][ext]
-            mean = np.asarray(doc["mean"], dtype=np.float64)
-            std = np.asarray(doc["std"], dtype=np.float64)
+            mean, std = (np.asarray(doc[key], dtype=np.float64) for key in ("mean", "std"))
             dim = mean.size
             _expect_shape(f"families[{ext}].mean", mean.shape, (dim,))
             _expect_shape(f"families[{ext}].std", std.shape, (dim,))

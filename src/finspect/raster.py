@@ -86,7 +86,7 @@ class RgbImage:
         px = np.asarray(self.pixels)
         if px.ndim != 3 or px.shape[2] != 3 or px.size == 0:
             raise ShapeError("RgbImage requires a non-empty (h, w, 3) array")
-        if px.min() < 0 or px.max() > 255:
+        if not (px.min() >= 0 and px.max() <= 255):  # NaN fails both
             raise ShapeError("RgbImage channels must lie in [0, 255]")
         object.__setattr__(self, "pixels", readonly(px, np.uint8))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from finspect import LabeledSet, ParameterError, ShapeError, TrainingDivergedError, one_hot
+from finspect import (DataError, LabeledSet, ParameterError, ShapeError, TrainingDivergedError,
+                      one_hot)
 from finspect import ann
 
 
@@ -119,12 +120,31 @@ class TestTraining:
         with pytest.raises(ParameterError):
             ann.train(LabeledSet(x, x), **bad)
 
-    def test_non_finite_loss_reports_epoch(self):
-        # a nan feature poisons the first forward pass
-        x = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        data = LabeledSet(x, np.eye(2))
+    def test_non_finite_feature_rejected(self):
+        with pytest.raises(DataError, match="inputs must be finite"):
+            LabeledSet(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("epoch", [0, 3])
+    def test_non_finite_step_reports_epoch(self, monkeypatch, epoch):
+        # the step of epoch `epoch` makes every weight NaN; MlpModel refuses it
+        gradients, calls = ann._gradients, []
+
+        def poisoned(model, acts, y):
+            grads_w, grads_b = gradients(model, acts, y)
+            calls.append(None)
+            if len(calls) > epoch:
+                grads_w = [np.full_like(g, np.nan) for g in grads_w]
+            return grads_w, grads_b
+
+        monkeypatch.setattr(ann, "_gradients", poisoned)
         with pytest.raises(TrainingDivergedError) as e:
-            ann.train(data, hidden=4, epochs=50, rng_seed=0)
+            ann.train(LabeledSet(np.eye(2), np.eye(2)), hidden=4, epochs=50, rng_seed=0)
+        assert e.value.epoch == epoch
+
+    def test_non_finite_loss_reports_epoch(self, monkeypatch):
+        monkeypatch.setattr(ann, "cross_entropy", lambda outputs, targets: float("nan"))
+        with pytest.raises(TrainingDivergedError) as e:
+            ann.train(LabeledSet(np.eye(2), np.eye(2)), hidden=4, epochs=50, rng_seed=0)
         assert e.value.epoch == 0
 
 

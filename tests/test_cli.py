@@ -283,6 +283,22 @@ class TestTrainClassifyEval:
         (edited(lambda d: record(d, "elm")["models"].pop("svm")), "KeyError: 'svm'"),
         (edited(lambda d: record(d, "gfd", "svm")["weights"][0].__setitem__(0, float("nan"))),
          "DataError: weights must be finite"),
+        (edited(lambda d: record(d, "cmi", "ann")["weights"][0][0].__setitem__(0, float("nan"))),
+         "DataError: layer 1 weights and biases must be finite"),
+        (edited(lambda d: record(d, "gfd", "ann")["biases"][1].__setitem__(0, float("inf"))),
+         "DataError: layer 2 weights and biases must be finite"),
+        (edited(lambda d: record(d, "elm", "gknn")["inputs"][0].__setitem__(0, float("nan"))),
+         "DataError: inputs must be finite"),
+        (edited(lambda d: record(d, "cmi")["templates"]["matrices"][0][0].__setitem__(
+            0, float("nan"))), "DataError: template matrices must be finite"),
+        (edited(lambda d: d["stage2_templates"]["matrices"][1][0].__setitem__(1, float("nan"))),
+         "DataError: template matrices must be finite"),
+        (edited(lambda d: record(d, "gfd")["mean"].__setitem__(0, float("nan"))),
+         "DataError: mean and std must be finite, with every std > 0"),
+        (edited(lambda d: record(d, "elm")["std"].__setitem__(0, float("nan"))),
+         "DataError: mean and std must be finite, with every std > 0"),
+        (edited(lambda d: record(d, "cmi")["std"].__setitem__(0, 0.0)),
+         "DataError: mean and std must be finite, with every std > 0"),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-families",
             "pipeline-families-not-object", "pipeline-families-missing-extractor",
             "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
@@ -291,7 +307,9 @@ class TestTrainClassifyEval:
             "pipeline-gknn-targets-classes", "pipeline-stage1-template-rows",
             "pipeline-stage2-template-classes", "pipeline-seed-not-integer",
             "pipeline-seed-negative",
-            "configured-classifier-missing", "svm-weight-nan"])
+            "configured-classifier-missing", "svm-weight-nan", "ann-weight-nan",
+            "ann-bias-inf", "gknn-row-nan", "stage1-template-nan", "stage2-template-nan",
+            "family-mean-nan", "family-std-nan", "family-std-zero"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, tamper, detail):
         tampered = tmp_path / "models"
@@ -615,8 +633,10 @@ class TestFuse:
          ("profile",)),
         ("[[0.2, 0.3, 0.5]]", {"matrices": [[[1.0, 0.0]], [[0.0, 1.0]]], "counts": [1, 1]},
          ("profile", "templates")),
+        ("[[1.0, 0.0]]", {"matrices": [[[1.0, 0.0]], [[0.0, float("nan")]]], "counts": [1, 1]},
+         ("templates",)),
     ], ids=["templates-without-counts", "profile-not-json", "templates-2d", "profile-row-sum",
-            "profile-row-sum-off-by-9e-6", "profile-3-columns-vs-2-classes"])
+            "profile-row-sum-off-by-9e-6", "profile-3-columns-vs-2-classes", "templates-nan"])
     def test_malformed_input_file_is_data_error(self, tmp_path, capsys, profile, templates,
                                                 bad):
         paths = {"profile": tmp_path / "profile.json", "templates": tmp_path / "templates.json"}

@@ -220,9 +220,10 @@ def two_stage(profiles, stage1_templates, stage2_templates, classifiers):
     """The pipeline's two fusion stages, one extractor per profile."""
     exts = pipeline.EXTRACTORS[:len(profiles)]
     config = pipeline.PipelineConfig(extractors=exts, classifiers=classifiers)
-    families = {ext: pipeline.Family(None, None, {}, t) for ext, t in zip(exts, stage1_templates)}
+    families = {ext: pipeline.Family(np.zeros(1), np.ones(1), {}, t)
+                for ext, t in zip(exts, stage1_templates)}
     models = pipeline.PipelineModels(("a", "b"), config, 0, families, stage2_templates)
-    final, stage1, _ = pipeline._decide(models, profiles, pipeline._stage1(models, profiles))
+    final, stage1, _ = pipeline._decide(models, profiles, pipeline._stage1(families, profiles))
     return final, stage1
 
 

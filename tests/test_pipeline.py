@@ -28,6 +28,9 @@ from finspect.raster import GrayImage, GrayscaleCoefficients, encode_pgm
 from finspect.synth import SyntheticShapeSpec, generate_synthetic
 
 FAST = PipelineConfig(ann_epochs=60, ann_hidden=8)
+# trains its networks for two epochs only, so its reports count misclassified images
+WEAK = replace(FAST, ann_epochs=2, ann_hidden=2, extractors=("cmi", "elm"),
+               classifiers=("ann", "gknn"))
 
 
 def build_corpus(directory, per_class=6, canvas=96, seed=5):
@@ -180,14 +183,50 @@ class TestOnePassPerImage:
                          "context": len(FAST.extractors), "fuse": expected + n}
 
     def test_report_matches_classifying_each_file_again(self, corpus):
+        """Every prediction and every count of the report, recounted from classify_image."""
         directory, entries = corpus
-        models, report = run_pipeline(entries, FAST, seed=0, base_dir=directory)
-        for pred in report["predictions"]:
-            raw = (directory / pred["path"]).read_bytes()
-            crop = largest_shape(load_gray(raw, models.config), models.config)
-            final, _, _ = classify_image(models, crop, content_digest(raw))
-            assert pred["predicted"] == models.class_names[final.predicted]
-            assert pred["support"] == final.support.tolist()
+        for config in (FAST, WEAK):
+            models, report = run_pipeline(entries, config, seed=0, base_dir=directory)
+            assert report == recount(models, report, directory)
+
+
+def recount(models, report, directory):
+    """The report with its predictions and counts redone, one classify_image per file."""
+    config, names = models.config, models.class_names
+    k, n = len(names), report["n_images"]
+    final_confusion = [[0] * k for _ in range(k)]
+    pair_confusion = {(ext, clf): [[0] * k for _ in range(k)]
+                      for ext in config.extractors for clf in config.classifiers}
+    stage1_hits = dict.fromkeys(config.extractors, 0)
+    predictions = []
+    for pred in report["predictions"]:
+        raw = (directory / pred["path"]).read_bytes()
+        crop = largest_shape(load_gray(raw, config), config)
+        final, stage1, per_pair = classify_image(models, crop, content_digest(raw))
+        predictions.append({**pred, "predicted": names[final.predicted],
+                            "support": final.support.tolist()})
+        truth = names.index(pred["label"])
+        final_confusion[truth][final.predicted] += 1
+        for pair, predicted in per_pair.items():
+            pair_confusion[pair][truth][predicted] += 1
+        for ext, support in zip(config.extractors, stage1):
+            stage1_hits[ext] += support.predicted == truth
+    if config is WEAK:  # the recount must see misclassified images
+        assert all(final_confusion[j][i] for j in range(k) for i in range(k))
+    rates = {}
+    for j, name in enumerate(names):
+        count, hits = sum(final_confusion[j]), final_confusion[j][j]
+        rates[name] = {"false_negative_rate": (count - hits) / count,
+                       "false_positive_rate": (sum(row[j] for row in final_confusion) - hits)
+                       / (n - count)}
+    return {**report, "predictions": predictions,
+            "final_confusion": final_confusion,
+            "per_pair_confusion": {ext: {clf: pair_confusion[ext, clf]
+                                         for clf in config.classifiers}
+                                   for ext in config.extractors},
+            "per_extractor_fused_accuracy": {ext: hits / n for ext, hits in stage1_hits.items()},
+            "final_accuracy": sum(final_confusion[j][j] for j in range(k)) / n,
+            "per_class_rates": rates}
 
 
 class TestClassification:

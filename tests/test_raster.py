@@ -329,6 +329,14 @@ class TestContainers:
         with pytest.raises(ShapeError, match="RgbImage channels must lie in"):
             RgbImage(np.full((1, 1, 3), 256))
 
+    @pytest.mark.parametrize("nan_channels", [[0, 1, 2], [1]], ids=["all", "one"])
+    def test_rgb_rejects_nan_channels(self, nan_channels):
+        px = np.full((2, 2, 3), 7.0)
+        px[1, 0, nan_channels] = np.nan
+        # a NaN that reached the uint8 cast would warn, an error under this suite's settings
+        with pytest.raises(ShapeError, match="RgbImage channels must lie in"):
+            RgbImage(px)
+
     @pytest.mark.parametrize("shape", [(4,), (1, 2, 2), (0, 3)], ids=["1-d", "3-d", "empty"])
     def test_binary_needs_a_non_empty_2d_array(self, shape):
         with pytest.raises(ShapeError, match="BinaryImage requires a non-empty 2-D array"):

@@ -340,9 +340,10 @@ class TestTraining:
             svm.train_svm(single)
 
     def test_non_finite_kernel_rejected(self):
-        x = np.array([[1.0, np.inf], [0.0, 1.0]])
+        # a finite row whose squared norm overflows (a non-finite row is no LabeledSet)
+        x = np.array([[1e200, 1e200], [0.0, 1.0]])
         data = LabeledSet(x, one_hot([0, 1], 2))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="non-finite kernel values"):
             svm.train_svm(data)
 
 

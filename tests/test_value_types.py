@@ -10,6 +10,7 @@ import pytest
 import finspect
 from finspect import (BinaryImage, DecisionTemplates, FeatureVector, GrayImage, LabeledSet,
                       MahalanobisContext, MlpModel, RgbImage, SvmModel, one_hot)
+from finspect.pipeline import Family
 
 _GRID = np.arange(12, dtype=np.uint8).reshape(3, 4)
 _FLOATS = np.linspace(0.1, 0.9, 12).reshape(4, 3)
@@ -33,6 +34,10 @@ CASES = {
                       lambda v: [v.values]),
     "MahalanobisContext": ([_FLOATS[:2, :2], _FLOATS[2:, 1:]], MahalanobisContext,
                            lambda v: [v.covariance, v.inverse]),
+    "Family": ([_FLOATS[:, 0], _FLOATS[:, 1]],
+               lambda mean, std: Family(mean, std, {}, DecisionTemplates(
+                   np.full((2, 1, 2), 0.5), np.array([1, 1]))),
+               lambda v: [v.mean, v.std]),
 }
 
 
