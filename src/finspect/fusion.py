@@ -21,22 +21,31 @@ _ROW_SUM_TOL = 1e-6
 _DENOM_FLOOR = 1e-12
 
 
+def _check_rows(p: np.ndarray, what: str) -> None:
+    """Every row (last axis) of ``p`` in [0, 1] and summing to 1, within _ROW_SUM_TOL."""
+    if (p < -_ROW_SUM_TOL).any() or (p > 1 + _ROW_SUM_TOL).any():
+        raise ParameterError(f"{what} entries must lie in [0, 1]")
+    # not np.allclose, whose default rtol adds 1e-5 to the tolerance; a NaN sum fails <=
+    if not (np.abs(p.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL).all():
+        raise ParameterError(f"every {what} row must sum to 1")
+
+
 def check_profile(profile) -> np.ndarray:
     """The profile as floats, checked to be 2-D with rows in [0, 1] that sum to 1."""
     p = np.asarray(profile, dtype=np.float64)
     if p.ndim != 2:
         raise ShapeError("decision profile must be 2-D (classifiers x classes)")
-    if (p < -_ROW_SUM_TOL).any() or (p > 1 + _ROW_SUM_TOL).any():
-        raise ParameterError("profile entries must lie in [0, 1]")
-    # not np.allclose, whose default rtol adds 1e-5 to the tolerance; a NaN sum fails <=
-    if not (np.abs(p.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
-        raise ParameterError("every profile row must sum to 1")
+    _check_rows(p, "profile")
     return p
 
 
 @dataclass(frozen=True)
 class DecisionTemplates:
-    """Per-class mean profiles, stacked as (n_classes, l, k); every entry finite."""
+    """Per-class mean profiles, stacked as (n_classes, l, k).
+
+    Every entry is finite, and every row lies in [0, 1] and sums to 1, as the
+    profile rows it is a mean of do (``check_profile``).
+    """
 
     matrices: np.ndarray
     counts: np.ndarray
@@ -50,6 +59,7 @@ class DecisionTemplates:
             raise ParameterError("every class needs at least one training profile")
         if not np.isfinite(m).all():
             raise DataError("template matrices must be finite")
+        _check_rows(m, "template")
         object.__setattr__(self, "matrices", m)
         object.__setattr__(self, "counts", c)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +30,47 @@ from .preprocess import segment_image
 from .raster import GrayImage, GrayscaleCoefficients, decode_image, to_grayscale
 
 EXTRACTORS = ("cmi", "gfd", "elm")
-CLASSIFIERS = ("ann", "gknn", "svm")
+
+
+@dataclass(frozen=True)
+class _Classifier:
+    """One classifier's functions; each calls its module's by attribute, so patches apply."""
+
+    fit: Callable        # (LabeledSet, PipelineConfig, seed) -> model
+    score: Callable      # (model, standardised x, PipelineConfig, seed) -> support row
+    to_dict: Callable    # model -> its record in pipeline.json
+    from_dict: Callable  # record -> model
+    sizes: Callable      # model -> (input dimension, class count)
+
+
+_CLASSIFIERS = {
+    "ann": _Classifier(
+        fit=lambda data, config, seed: ann_mod.train(
+            data, hidden=config.ann_hidden, learning_rate=config.ann_beta,
+            epochs=config.ann_epochs, rng_seed=seed),
+        score=lambda model, x, config, seed: ann_mod.predict_proba(model, x)[0],
+        to_dict=lambda m: {"layers": list(m.layers), "weights": [w.tolist() for w in m.weights],
+                           "biases": [b.tolist() for b in m.biases],
+                           "loss_trace": list(m.loss_trace)},
+        from_dict=lambda r: ann_mod.MlpModel(tuple(r["layers"]), tuple(r["weights"]),
+                                             tuple(r["biases"]), tuple(r["loss_trace"])),
+        sizes=lambda m: (m.layers[0], m.layers[-1])),
+    "gknn": _Classifier(  # the standardised training set and its MahalanobisContext
+        fit=lambda data, *_: (data, gknn_mod.build_context(data.inputs)),
+        score=lambda model, x, config, seed: gknn_mod.gknn_classify(
+            x, model[0], config.gknn_k, rng_seed=seed, context=model[1]),
+        to_dict=lambda m: {"inputs": m[0].inputs.tolist(), "targets": m[0].targets.tolist()},
+        from_dict=lambda r: _CLASSIFIERS["gknn"].fit(LabeledSet(r["inputs"], r["targets"])),
+        sizes=lambda m: (m[0].inputs.shape[1], m[0].n_classes)),
+    "svm": _Classifier(
+        fit=lambda data, config, seed: svm_mod.train_svm(
+            data, regularization=config.svm_a, tol=config.svm_tol, max_iter=config.svm_max_iter),
+        score=lambda model, x, config, seed: svm_mod.predict_proba(model, x),
+        to_dict=lambda m: {"weights": m.weights.tolist(), "converged": m.converged},
+        from_dict=lambda r: svm_mod.SvmModel(r["weights"], r["converged"]),
+        sizes=lambda m: m.weights.shape),
+}
+CLASSIFIERS = tuple(_CLASSIFIERS)
 
 _STD_FLOOR = 1e-12
 
@@ -175,10 +216,9 @@ def extract_one(img: GrayImage, extractor: str, config: PipelineConfig) -> Featu
 class Family:
     """One extractor's standardiser, classifiers and stage-1 templates.
 
-    ``models`` maps each configured classifier, in config order, to an
-    MlpModel (ann), an SvmModel (svm) or, for gknn, the standardised training
-    set and its MahalanobisContext. ``mean`` and ``std`` are kept as read-only
-    copies and must be finite, with every std positive.
+    ``models`` maps each configured classifier, in config order, to the model that
+    its ``_CLASSIFIERS`` record fits, scores, saves, loads and sizes. ``mean`` and
+    ``std`` are read-only copies and must be finite, with every std positive.
     """
 
     mean: np.ndarray
@@ -203,20 +243,11 @@ class PipelineModels:
     stage2_templates: DecisionTemplates
 
 
-def _profile(fitted: dict, x: np.ndarray, gknn_k: int, rng_seed: int) -> np.ndarray:
+def _profile(fitted: dict, x: np.ndarray, config: PipelineConfig, seed: int) -> np.ndarray:
     """One extractor's profile: a support row per classifier, in config order, on
     the standardised feature vector x."""
-    rows = []
-    for clf, model in fitted.items():
-        if clf == "ann":
-            rows.append(ann_mod.predict_proba(model, x)[0])
-        elif clf == "gknn":
-            data, context = model
-            rows.append(gknn_mod.gknn_classify(x, data, gknn_k, rng_seed=rng_seed,
-                                               context=context))
-        else:
-            rows.append(svm_mod.predict_proba(model, x))
-    return np.stack(rows)
+    return np.stack([_CLASSIFIERS[clf].score(model, x, config, seed)
+                     for clf, model in fitted.items()])
 
 
 def _stage1(families: dict, profiles) -> list[ClassSupport]:
@@ -291,18 +322,8 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
         mean, std = rows.mean(axis=0), rows.std(axis=0)
         std = np.where(std < _STD_FLOOR, 1.0, std)
         data = LabeledSet((rows - mean) / std, targets)
-        fitted = {}
-        for clf in config.classifiers:
-            if clf == "ann":
-                fitted[clf] = ann_mod.train(data, hidden=config.ann_hidden,
-                                            learning_rate=config.ann_beta,
-                                            epochs=config.ann_epochs, rng_seed=seed)
-            elif clf == "gknn":
-                fitted[clf] = (data, gknn_mod.build_context(data.inputs))
-            else:
-                fitted[clf] = svm_mod.train_svm(data, regularization=config.svm_a,
-                                                tol=config.svm_tol, max_iter=config.svm_max_iter)
-        column = [_profile(fitted, x, config.gknn_k, seed ^ e.digest)
+        fitted = {clf: _CLASSIFIERS[clf].fit(data, config, seed) for clf in config.classifiers}
+        column = [_profile(fitted, x, config, seed ^ e.digest)
                   for x, e in zip(data.inputs, prepared)]
         families[ext] = Family(mean, std, fitted, compute_templates(column, labels, k))
         columns.append(column)
@@ -319,7 +340,7 @@ def classify_image(models: PipelineModels, img: GrayImage, digest: int):
     Returns (final ClassSupport, stage1 supports, per-pair argmax dict).
     """
     profiles = [_profile(fam.models, (extract_one(img, ext, models.config).values - fam.mean)
-                         / fam.std, models.config.gknn_k, models.seed ^ digest)
+                         / fam.std, models.config, models.seed ^ digest)
                 for ext, fam in models.families.items()]
     return _decide(models, profiles, _stage1(models.families, profiles))
 
@@ -398,15 +419,6 @@ def _templates_to_dict(t: DecisionTemplates) -> dict:
     return {"matrices": t.matrices.tolist(), "counts": t.counts.tolist()}
 
 
-def _model_to_dict(clf: str, model) -> dict:
-    if clf == "ann":
-        return {"layers": list(model.layers), "weights": [w.tolist() for w in model.weights],
-                "biases": [b.tolist() for b in model.biases], "loss_trace": list(model.loss_trace)}
-    if clf == "gknn":
-        return {"inputs": model[0].inputs.tolist(), "targets": model[0].targets.tolist()}
-    return {"weights": model.weights.tolist(), "converged": model.converged}
-
-
 def save_models(models: PipelineModels, directory: str | Path) -> None:
     """Write the whole model to pipeline.json: config, class names, seed, stage-2
     templates, and per family its mean, std, stage-1 templates and classifiers."""
@@ -418,7 +430,7 @@ def save_models(models: PipelineModels, directory: str | Path) -> None:
         "config": models.config.to_dict(),
         "families": {ext: {"mean": fam.mean.tolist(), "std": fam.std.tolist(),
                            "templates": _templates_to_dict(fam.templates),
-                           "models": {clf: _model_to_dict(clf, model)
+                           "models": {clf: _CLASSIFIERS[clf].to_dict(model)
                                       for clf, model in fam.models.items()}}
                      for ext, fam in models.families.items()},
         "stage2_templates": _templates_to_dict(models.stage2_templates),
@@ -434,9 +446,9 @@ def _expect_shape(what: str, actual: tuple, expected: tuple) -> None:
 def load_models(directory: str | Path) -> PipelineModels:
     """Read the pipeline.json that save_models wrote; a malformed one is a DataError.
 
-    Only the configured classifiers' records are read. Each model's input
-    dimension and class count must agree with its family's mean and the class
-    names, so a mismatched record fails here, named, not at the first query.
+    Only the configured classifiers' records are read, each by its ``_CLASSIFIERS``
+    entry, whose ``sizes`` must equal (the family's mean size, the class count); so
+    a mismatched record fails here, named, not at the first query.
     """
     path = Path(directory) / "pipeline.json"
     try:
@@ -461,21 +473,9 @@ def load_models(directory: str | Path) -> PipelineModels:
                           (k, len(config.classifiers), k))
             fitted = {}
             for clf in config.classifiers:
-                record, what = doc["models"][clf], f"families[{ext}].models[{clf}]"
-                if clf == "ann":
-                    ann = fitted[clf] = ann_mod.MlpModel(
-                        tuple(record["layers"]), tuple(record["weights"]),
-                        tuple(record["biases"]), tuple(record["loss_trace"]))
-                    _expect_shape(f"{what} layers (input, output)",
-                                  (ann.layers[0], ann.layers[-1]), (dim, k))
-                elif clf == "gknn":
-                    data = LabeledSet(record["inputs"], record["targets"])
-                    _expect_shape(f"{what}.inputs", data.inputs.shape, (data.n, dim))
-                    _expect_shape(f"{what}.targets", data.targets.shape, (data.n, k))
-                    fitted[clf] = (data, gknn_mod.build_context(data.inputs))
-                else:
-                    svm = fitted[clf] = svm_mod.SvmModel(record["weights"], record["converged"])
-                    _expect_shape(f"{what}.weights", svm.weights.shape, (dim, k))
+                fitted[clf] = model = _CLASSIFIERS[clf].from_dict(doc["models"][clf])
+                _expect_shape(f"families[{ext}].models[{clf}] (input dimension, class count)",
+                              _CLASSIFIERS[clf].sizes(model), (dim, k))
             families[ext] = Family(mean, std, fitted, templates)
     except OSError as exc:
         raise DataError(f"{path}: cannot read model file ({exc.strerror})") from exc

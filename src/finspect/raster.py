@@ -6,8 +6,9 @@ binary) with maxval 255. Headers are whitespace tolerant and may contain
 levels, ``GrayImage.levels``; its intensities in [0, 1], ``pixels``, are
 level / 255, derived on first read. A decoded PGM keeps its samples, and
 floats enter through ``GrayImage.from_pixels``, which rounds them
-(``gray_levels``). Color images keep their 8-bit channels. Segmentation
-and the encoder read only the levels.
+(``gray_levels``). Color images keep their 8-bit channels; an RgbImage
+built from non-integer channels rounds them the same way. Segmentation and
+the encoder read only the levels.
 
 RGB reduction follows f = (alpha*i + beta*j + gamma*k) / 255 with the luma
 defaults alpha=0.299, beta=0.587, gamma=0.114, and rounds f to its level.
@@ -78,7 +79,8 @@ def as_pixels(img) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RgbImage:
-    """Row-major grid of (i, j, k) channel triples, each in [0, 255]."""
+    """Row-major grid of (i, j, k) channel triples, each in [0, 255], kept as uint8;
+    a non-integer channel c is rounded to floor(c + 0.5)."""
 
     pixels: np.ndarray
 
@@ -88,6 +90,8 @@ class RgbImage:
             raise ShapeError("RgbImage requires a non-empty (h, w, 3) array")
         if not (px.min() >= 0 and px.max() <= 255):  # NaN fails both
             raise ShapeError("RgbImage channels must lie in [0, 255]")
+        if not np.issubdtype(px.dtype, np.integer):
+            px = np.floor(px + 0.5)  # round to the nearest level, half up, as gray_levels
         object.__setattr__(self, "pixels", readonly(px, np.uint8))
 
 

@@ -263,17 +263,17 @@ class TestTrainClassifyEval:
          "KeyError: 'weights'"),
         (edited(lambda d: record(d, "cmi", "svm")["weights"].append(
             [0.0] * len(record(d, "cmi", "svm")["weights"][0]))),
-         "families[cmi].models[svm].weights has shape"),
+         "families[cmi].models[svm] (input dimension, class count)"),
         (edited(lambda d: [row.append(0.0) for row in record(d, "gfd", "svm")["weights"]]),
-         "families[gfd].models[svm].weights has shape"),
-        (edited(drop_ann_input), "families[elm].models[ann] layers (input, output)"),
+         "families[gfd].models[svm] (input dimension, class count)"),
+        (edited(drop_ann_input), "families[elm].models[ann] (input dimension, class count)"),
         (edited(lambda d: record(d, "gfd")["std"].pop()), "families[gfd].std has shape"),
         (edited(lambda d: record(d, "elm").update(mean=[record(d, "elm")["mean"]])),
          "families[elm].mean has shape"),
         (edited(lambda d: [row.append(0.0) for row in record(d, "cmi", "gknn")["inputs"]]),
-         "families[cmi].models[gknn].inputs has shape"),
+         "families[cmi].models[gknn] (input dimension, class count)"),
         (edited(lambda d: [row.append(0.0) for row in record(d, "gfd", "gknn")["targets"]]),
-         "families[gfd].models[gknn].targets has shape"),
+         "families[gfd].models[gknn] (input dimension, class count)"),
         (edited(lambda d: [m.pop() for m in record(d, "elm")["templates"]["matrices"]]),
          "families[elm].templates has shape"),
         (edited(lambda d: [t.pop() for t in d["stage2_templates"].values()]),
@@ -293,6 +293,8 @@ class TestTrainClassifyEval:
             0, float("nan"))), "DataError: template matrices must be finite"),
         (edited(lambda d: d["stage2_templates"]["matrices"][1][0].__setitem__(1, float("nan"))),
          "DataError: template matrices must be finite"),
+        (edited(lambda d: record(d, "cmi")["templates"]["matrices"][0].__setitem__(
+            0, [5.0, -4.0])), "template entries must lie in [0, 1]"),
         (edited(lambda d: record(d, "gfd")["mean"].__setitem__(0, float("nan"))),
          "DataError: mean and std must be finite, with every std > 0"),
         (edited(lambda d: record(d, "elm")["std"].__setitem__(0, float("nan"))),
@@ -309,6 +311,7 @@ class TestTrainClassifyEval:
             "pipeline-seed-negative",
             "configured-classifier-missing", "svm-weight-nan", "ann-weight-nan",
             "ann-bias-inf", "gknn-row-nan", "stage1-template-nan", "stage2-template-nan",
+            "stage1-template-row-out-of-range",
             "family-mean-nan", "family-std-nan", "family-std-zero"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, tamper, detail):
@@ -635,8 +638,11 @@ class TestFuse:
          ("profile", "templates")),
         ("[[1.0, 0.0]]", {"matrices": [[[1.0, 0.0]], [[0.0, float("nan")]]], "counts": [1, 1]},
          ("templates",)),
+        ("[[1.0, 0.0]]", {"matrices": [[[5.0, -4.0]], [[0.0, 1.0]]], "counts": [1, 1]},
+         ("templates",)),
     ], ids=["templates-without-counts", "profile-not-json", "templates-2d", "profile-row-sum",
-            "profile-row-sum-off-by-9e-6", "profile-3-columns-vs-2-classes", "templates-nan"])
+            "profile-row-sum-off-by-9e-6", "profile-3-columns-vs-2-classes", "templates-nan",
+            "templates-row-out-of-range"])
     def test_malformed_input_file_is_data_error(self, tmp_path, capsys, profile, templates,
                                                 bad):
         paths = {"profile": tmp_path / "profile.json", "templates": tmp_path / "templates.json"}

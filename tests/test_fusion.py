@@ -121,6 +121,17 @@ class TestTemplates:
         with pytest.raises(ParameterError):
             fusion.DecisionTemplates(np.zeros((1, 2, 2)), np.array([0]))
 
+    @pytest.mark.parametrize("row, message", [
+        ([5.0, -4.0], r"template entries must lie in \[0, 1\]"),
+        ([0.5, 0.4], "every template row must sum to 1"),
+    ], ids=["out-of-range", "row-sum"])
+    def test_rows_are_membership_rows(self, row, message):
+        # a template row is a mean of profile rows, so check_profile's rule holds for it
+        mats = np.stack([TEMPLATE_0, TEMPLATE_1])
+        mats[1, 2] = row
+        with pytest.raises(ParameterError, match=message):
+            fusion.DecisionTemplates(mats, np.array([1, 1]))
+
 
 class TestProximity:
     def test_normalized_and_ordered(self):

@@ -1,6 +1,8 @@
+import ast
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,3 +448,24 @@ def test_bad_parameter_rejected_on_construction(build, valid, changes, error):
         replace(valid, **changes)
     assert str(built.value) == str(replaced.value)
     assert not hasattr(valid, "validate")
+
+
+def classifier_comparisons(source: str) -> list[int]:
+    """The line of each ``==`` or ``!=`` comparison with a classifier's name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                  and any(isinstance(side, ast.Constant) and side.value in pipeline_mod.CLASSIFIERS
+                          for side in (node.left, *node.comparators)))
+
+
+def test_classifier_comparisons_are_found():
+    source = ('if clf == "ann":\n    pass\nelif "gknn" != clf:\n    pass\n'
+              'ok = kind == "cmi" or clf in ("svm",)\nsvm = clf == "svm"\n')
+    assert classifier_comparisons(source) == [1, 3, 6]
+
+
+def test_pipeline_dispatches_classifiers_only_through_their_table():
+    # each classifier's fit, score, record and size check live in pipeline._CLASSIFIERS
+    source = Path(pipeline_mod.__file__).read_text()
+    assert classifier_comparisons(source) == []

@@ -329,6 +329,13 @@ class TestContainers:
         with pytest.raises(ShapeError, match="RgbImage channels must lie in"):
             RgbImage(np.full((1, 1, 3), 256))
 
+    def test_rgb_rounds_channels_to_the_nearest_level(self):
+        px = np.array([[[12.7, 12.5, 12.49], [0.4, 254.5, 255.0]]])
+        assert RgbImage(px).pixels.tolist() == [[[13, 13, 12], [0, 255, 255]]]
+        # decoded samples are integers and stay as they are
+        decoded = decode_image(b"P6 256 1 255\n" + bytes(range(256)) * 3)
+        assert decoded.pixels.ravel().tolist() == list(range(256)) * 3
+
     @pytest.mark.parametrize("nan_channels", [[0, 1, 2], [1]], ids=["all", "one"])
     def test_rgb_rejects_nan_channels(self, nan_channels):
         px = np.full((2, 2, 3), 7.0)

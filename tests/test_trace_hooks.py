@@ -4,9 +4,10 @@ perfbench/tracing.py wraps finspect's functions by module and attribute name
 and reads their arguments and results. A renamed function, or a changed
 argument or result, leaves a layer metric empty without failing the
 benchmark, so this runs one small eval, a save, a load and a classify under
-every hook and checks that each metric has a value.
+every hook and checks that each hook was called and each metric has a value.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -38,10 +39,11 @@ def test_every_hook_is_found_and_every_layer_metric_has_a_value(corpus, tmp_path
     directory, entries = corpus
     config = pipeline.PipelineConfig(ann_hidden=4, ann_epochs=5)
     query = (directory / entries[0]["path"]).read_bytes()
+    (directory / "manifest.json").write_text(json.dumps(entries))
     tracer = Tracer(HOOKS)
     tracer.install()
     try:
-        models, _ = pipeline.run_pipeline(entries, config, seed=0, base_dir=directory)
+        models, _ = pipeline.run_pipeline_from_manifest(directory / "manifest.json", config)
         pipeline.save_models(models, tmp_path / "models")
         loaded = pipeline.load_models(tmp_path / "models")
         crop = pipeline.largest_shape(pipeline.load_gray(query, config), config)
@@ -52,6 +54,12 @@ def test_every_hook_is_found_and_every_layer_metric_has_a_value(corpus, tmp_path
     assert tracer.broken == set()
     values = layer_values(tracer)
     assert [name for name, value in values.items() if value is None] == []
+    # a function held outside every module namespace (a default argument, a record's
+    # field) escapes its hook: its counter then reads 0, not None
+    _, calls = tracer.totals()
+    assert [hook.name for hook in HOOKS if calls[hook.name] == 0] == []
+    for name in ("svm.predict_calls", "ann.predict_calls", "gknn.classify_calls"):
+        assert values[name] > 0, name
 
     segmented = [(directory / e["path"]).read_bytes() for e in entries] + [query]
     free = [segment_image(pipeline.load_gray(raw, config), median_side=config.median_window)
@@ -60,6 +68,5 @@ def test_every_hook_is_found_and_every_layer_metric_has_a_value(corpus, tmp_path
     assert values["preprocess.random_walker_unknowns"] == sum(free) > 0
     # a stage that segment_image bypasses, or calls by a name bound elsewhere, would
     # leave its layer's time at 0
-    _, calls = tracer.totals()
     for stage in ("median", "otsu", "seeds", "random_walker"):
         assert calls[f"preprocess.{stage}"] == values["preprocess.segment_calls"]

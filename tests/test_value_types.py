@@ -24,7 +24,8 @@ CASES = {
     "BinaryImage": ([_GRID % 2], BinaryImage, lambda v: [v.bits]),
     "LabeledSet": ([_FLOATS, one_hot([0, 1, 1, 0], 2)], LabeledSet,
                    lambda v: [v.inputs, v.targets]),
-    "DecisionTemplates": ([_FLOATS.reshape(2, 2, 3), np.array([1, 2])], DecisionTemplates,
+    "DecisionTemplates": ([(_FLOATS / _FLOATS.sum(axis=1, keepdims=True)).reshape(2, 2, 3),
+                           np.array([1, 2])], DecisionTemplates,
                           lambda v: [v.matrices, v.counts]),
     "SvmModel": ([_FLOATS], SvmModel, lambda v: [v.weights]),
     "MlpModel": ([_FLOATS.T, _FLOATS[:3, 0], _FLOATS[:2, :3], _FLOATS[:2, 1]],
