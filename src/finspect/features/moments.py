@@ -26,12 +26,13 @@ rotation moment invariants", Pattern Recognition 2000):
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
-from ..errors import BasisError, ParameterError, ZeroMassError
+from ..errors import BasisError, ParameterError, ZeroMassError, is_integer
 from ..raster import as_pixels
 from . import FeatureVector
 
@@ -89,7 +90,12 @@ def complex_moment(img: np.ndarray, a: int, b: int) -> complex:
 
 @dataclass(frozen=True)
 class MomentProductSpec:
-    """Factors (a, b, c): moment orders a, b and the exponent c of that factor."""
+    """Factors (a, b, c): moment orders a, b and the exponent c of that factor.
+
+    Each order is a nonnegative integer (``is_integer``) and each exponent a finite
+    real number, not a bool; a factor that breaks this is a BasisError, as is a
+    product that is empty or not rotation invariant.
+    """
 
     factors: tuple[tuple[int, int, float], ...]
 
@@ -98,8 +104,12 @@ class MomentProductSpec:
             raise BasisError("a moment product needs at least one factor")
         balance = 0.0
         for a, b, c in self.factors:
+            if not (is_integer(a) and is_integer(b)):
+                raise BasisError(f"moment orders must be integers, got ({a!r}, {b!r})")
             if a < 0 or b < 0:
                 raise BasisError(f"moment orders must be nonnegative, got ({a}, {b})")
+            if isinstance(c, bool) or not (isinstance(c, numbers.Real) and isfinite(c)):
+                raise BasisError(f"moment exponents must be finite numbers, got {c!r}")
             balance += c * (a - b)
         if abs(balance) > 1e-12:
             raise BasisError(

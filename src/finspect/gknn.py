@@ -71,11 +71,20 @@ def build_context(inputs: np.ndarray) -> MahalanobisContext:
     return MahalanobisContext(cov, inv)
 
 
-def mahalanobis(x_q, x_j, ctx: MahalanobisContext) -> float:
-    d = np.asarray(x_q, dtype=np.float64) - np.asarray(x_j, dtype=np.float64)
-    if d.shape != (ctx.inverse.shape[0],):
+def mahalanobis(x_q, x_j, ctx: MahalanobisContext):
+    """Distance sqrt(d^T S^-1 d), d = x_q - x_j, with S^-1 = ctx.inverse.
+
+    Each side is one (p,) point or an (n, p) stack of rows; two points give a
+    float, a stack an (n,) array of row distances.
+    """
+    a, b = (np.asarray(x, dtype=np.float64) for x in (x_q, x_j))
+    p = ctx.inverse.shape[0]
+    if (any(x.ndim not in (1, 2) or x.shape[-1] != p for x in (a, b))
+            or a.ndim == b.ndim == 2 and a.shape != b.shape):
         raise ShapeError("query/training dimension does not match the covariance")
-    return float(np.sqrt(d @ ctx.inverse @ d))
+    d = a - b
+    dist = np.sqrt(((d @ ctx.inverse) * d).sum(axis=-1))
+    return float(dist) if d.ndim == 1 else dist
 
 
 def _k_best(candidates, fitness, k) -> list[int]:
@@ -120,8 +129,7 @@ def gknn_classify(x_q, training: LabeledSet, k: int, rng_seed: int = 0,
     if training.n == 1:
         return training.targets[0].copy()
     ctx = build_context(training.inputs) if context is None else context
-    diff = training.inputs - np.asarray(x_q, dtype=np.float64)
-    dists = np.sqrt(((diff @ ctx.inverse) * diff).sum(axis=1))
+    dists = mahalanobis(training.inputs, x_q, ctx)
     final = evolve(1.0 / (1.0 + dists), k, np.random.default_rng(rng_seed))
     votes = np.bincount(training.labels[list(final)], minlength=training.n_classes)
     return votes / k

@@ -103,52 +103,19 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
-        """Config from a to_dict-shaped document: absent keys keep their defaults,
-        and an unknown key is a ParameterError, so a typo cannot train silently;
-        so is a value of the wrong type, named by its key. Integer keys take only
-        JSON integers and float keys only JSON numbers; booleans are neither."""
-        if not isinstance(doc, dict):
-            raise ParameterError("config must be a JSON object")
-        merged = PipelineConfig().to_dict()
-        for key, value in doc.items():
-            if key not in merged:
-                raise ParameterError(f"unknown config key {key!r}")
-            if not isinstance(merged[key], dict):
-                merged[key] = value
-                continue
-            if not isinstance(value, dict):
-                raise ParameterError(f"config key {key!r} must be an object")
-            for name in value:
-                if name not in merged[key]:
-                    raise ParameterError(f"unknown config key {key + '.' + name!r}")
-            merged[key].update(value)
-
-        def typed(kind, key):
-            section, _, name = key.partition(".")
-            value = merged[section][name] if name else merged[section]
-            exact = {int: int, float: (int, float)}.get(kind, object)
-            try:
-                if isinstance(value, bool) or not isinstance(value, exact):
-                    raise TypeError
-                return kind(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ParameterError(
-                    f"config key {key!r} has a value of the wrong type: {value!r}") from None
-
+        """Config from a to_dict-shaped document; absent keys keep their defaults. Each
+        key takes the JSON type of its default in to_dict: an integer a JSON integer, a
+        float any JSON number, a list an array, an object an object read the same way,
+        and cmi.basis (null) null or what _cmi_basis reads; no boolean passes. An unknown
+        key or a wrong type is a ParameterError naming its key, so a typo cannot train."""
+        c = _read_like(PipelineConfig().to_dict(), doc)
         return PipelineConfig(
-            grayscale=GrayscaleCoefficients(
-                typed(float, "grayscale.alpha"), typed(float, "grayscale.beta"),
-                typed(float, "grayscale.gamma")),
-            median_window=typed(int, "median_window"),
-            gfd_radial=typed(int, "gfd.radial"), gfd_angular=typed(int, "gfd.angular"),
-            elm_max_order=typed(int, "elm.max_order"),
-            cmi_basis=typed(_cmi_basis, "cmi.basis"),
-            ann_hidden=typed(int, "ann.hidden"), ann_beta=typed(float, "ann.beta"),
-            ann_epochs=typed(int, "ann.epochs"),
-            gknn_k=typed(int, "gknn.k"),
-            svm_a=typed(float, "svm.A"), svm_tol=typed(float, "svm.tol"),
-            svm_max_iter=typed(int, "svm.max_iter"),
-            extractors=typed(tuple, "extractors"), classifiers=typed(tuple, "classifiers"))
+            grayscale=GrayscaleCoefficients(**c["grayscale"]), median_window=c["median_window"],
+            gfd_radial=c["gfd"]["radial"], gfd_angular=c["gfd"]["angular"],
+            elm_max_order=c["elm"]["max_order"], cmi_basis=c["cmi"]["basis"], gknn_k=c["gknn"]["k"],
+            ann_hidden=c["ann"]["hidden"], ann_beta=c["ann"]["beta"], ann_epochs=c["ann"]["epochs"],
+            svm_a=c["svm"]["A"], svm_tol=c["svm"]["tol"], svm_max_iter=c["svm"]["max_iter"],
+            extractors=tuple(c["extractors"]), classifiers=tuple(c["classifiers"]))
 
     def to_dict(self) -> dict:
         return {
@@ -177,10 +144,39 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     return PipelineConfig.from_dict(doc)
 
 
+def _read_like(default, value, key: str = ""):
+    """value read as the JSON type of default, by the rule from_dict states; key is
+    its dotted name in the config, empty for the whole document."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ParameterError(f"config key {key!r} must be an object" if key
+                                 else "config must be a JSON object")
+        out = dict(default)
+        for name, item in value.items():
+            path = f"{key}.{name}" if key else name
+            if name not in default:
+                raise ParameterError(f"unknown config key {path!r}")
+            out[name] = _read_like(default[name], item, path)
+        return out
+    kind = (int, float) if isinstance(default, float) else type(default)
+    try:
+        if isinstance(value, bool) or not (default is None or isinstance(value, kind)):
+            raise TypeError
+        return _cmi_basis(value) if default is None else type(default)(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(
+            f"config key {key!r} has a value of the wrong type: {value!r}") from None
+
+
 def _cmi_basis(doc) -> tuple | None:
-    """A config's cmi.basis as moment products; None keeps the default."""
+    """A config's cmi.basis as moment products; None keeps the default. A factor that
+    is not an array of three numbers is a TypeError; MomentProductSpec checks the rest."""
     if doc is None:
         return None
+    for f in (f for spec in doc for f in spec):
+        if not (isinstance(f, list) and len(f) == 3
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in f)):
+            raise TypeError
     return tuple(MomentProductSpec(tuple(tuple(f) for f in spec)) for spec in doc)
 
 
@@ -454,13 +450,16 @@ def load_models(directory: str | Path) -> PipelineModels:
     try:
         meta = json.loads(path.read_text())
         config = PipelineConfig.from_dict(meta["config"])
-        class_names, exts = tuple(meta["class_names"]), config.extractors
+        class_names, seed, exts = meta["class_names"], meta["seed"], config.extractors
+        if not (isinstance(class_names, list) and len(class_names) >= 2
+                and class_names == [c for c in CLASS_CATALOG if c in class_names]):
+            raise DataError("class_names must be 2 or more distinct catalog names, in catalog "
+                            f"order, got {class_names!r}")
+        if not (is_integer(seed) and seed >= 0):
+            raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
         k = len(class_names)
         stage2 = DecisionTemplates(**meta["stage2_templates"])
         _expect_shape("stage2_templates", stage2.matrices.shape, (k, len(exts), k))
-        seed = meta["seed"]
-        if not (is_integer(seed) and seed >= 0):
-            raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
         families = {}
         for ext in exts:
             doc = meta["families"][ext]
@@ -482,4 +481,4 @@ def load_models(directory: str | Path) -> PipelineModels:
     except (AttributeError, KeyError, TypeError, ValueError, DataError, ParameterError,
             ShapeError) as exc:
         raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
-    return PipelineModels(class_names, config, seed, families, stage2)
+    return PipelineModels(tuple(class_names), config, seed, families, stage2)

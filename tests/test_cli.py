@@ -190,6 +190,9 @@ def edited(change):
     return tamper
 
 
+CLASS_NAMES_RULE = "class_names must be 2 or more distinct catalog names, in catalog order"
+
+
 def record(doc, ext, clf=None):
     """A family's record in a parsed pipeline.json, or one of its classifiers' records."""
     family = doc["families"][ext]
@@ -301,6 +304,14 @@ class TestTrainClassifyEval:
          "DataError: mean and std must be finite, with every std > 0"),
         (edited(lambda d: record(d, "cmi")["std"].__setitem__(0, 0.0)),
          "DataError: mean and std must be finite, with every std > 0"),
+        (edited(lambda d: d["config"].update(extractors={"cmi": 0})),
+         "config key 'extractors' has a value of the wrong type"),
+        (edited(lambda d: d.update(class_names="abcd")), CLASS_NAMES_RULE),
+        (edited(lambda d: d.update(class_names=["x", "y", "z", "w"])), CLASS_NAMES_RULE),
+        (edited(lambda d: d.update(
+            class_names=["baby_shark", "baby_shark", "other", "shark_school"])), CLASS_NAMES_RULE),
+        (edited(lambda d: d.update(class_names=d["class_names"][1::-1] + d["class_names"][2:])),
+         CLASS_NAMES_RULE),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-families",
             "pipeline-families-not-object", "pipeline-families-missing-extractor",
             "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
@@ -312,7 +323,9 @@ class TestTrainClassifyEval:
             "configured-classifier-missing", "svm-weight-nan", "ann-weight-nan",
             "ann-bias-inf", "gknn-row-nan", "stage1-template-nan", "stage2-template-nan",
             "stage1-template-row-out-of-range",
-            "family-mean-nan", "family-std-nan", "family-std-zero"])
+            "family-mean-nan", "family-std-nan", "family-std-zero",
+            "pipeline-config-extractors-an-object", "class-names-a-string",
+            "class-names-not-in-catalog", "class-names-repeated", "class-names-swapped"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, tamper, detail):
         tampered = tmp_path / "models"
@@ -392,11 +405,22 @@ class TestTrainClassifyEval:
         ({"grayscale": {"alpha": True}},
          "config key 'grayscale.alpha' has a value of the wrong type"),
         ({"classifiers": ["ann", "ann"]}, "classifiers must be a nonempty subset"),
+        ({"extractors": {"cmi": 0}}, "config key 'extractors' has a value of the wrong type"),
+        ({"classifiers": "svm"}, "config key 'classifiers' has a value of the wrong type"),
+        ({"svm": {"A": 10**400}}, "config key 'svm.A' has a value of the wrong type"),
+        ({"cmi": {"basis": [[[1.5, 1.5, 1]]]}, "extractors": ["cmi"]},
+         "moment orders must be integers, got (1.5, 1.5)"),
+        ({"cmi": {"basis": [[[2, 0, True], [0, 2, True]]]}},
+         "config key 'cmi.basis' has a value of the wrong type"),
+        ({"cmi": {"basis": [[[1, 1, float("inf")]]]}},
+         "moment exponents must be finite numbers, got inf"),
     ], ids=["even-median-window", "zero-gfd-radial", "unknown-key", "value-not-a-number",
             "not-json", "extractors-not-a-list", "basis-order-not-a-number", "basis-order-negative",
             "integer-key-fractional", "nested-integer-key-fractional", "integer-key-boolean",
             "integer-key-string", "float-key-string", "float-key-boolean",
-            "classifier-repeated"])
+            "classifier-repeated", "extractors-an-object", "classifiers-a-string",
+            "svm-A-overflows", "basis-order-fractional", "basis-exponent-boolean",
+            "basis-exponent-infinite"])
     def test_bad_config_is_usage_error_with_its_own_message(self, corpus_dir, tmp_path, capsys,
                                                             doc, message):
         config = tmp_path / "config.json"

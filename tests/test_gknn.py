@@ -101,6 +101,29 @@ class TestMahalanobis:
         with pytest.raises(ShapeError):
             gknn.mahalanobis(np.zeros(3), np.zeros(3), ctx)
 
+    @pytest.mark.parametrize("x_q, x_j", [
+        (np.zeros((3, 2)), np.zeros(3)), (np.zeros((3, 2)), np.zeros((2, 2))),
+        (np.zeros((1, 3, 2)), np.zeros(2)), (np.float64(0.0), np.zeros(2)),
+    ], ids=["row-width", "row-count", "three-dimensional", "scalar"])
+    def test_row_stack_shape_mismatch(self, x_q, x_j):
+        ctx = gknn.MahalanobisContext(np.eye(2), np.eye(2))
+        with pytest.raises(ShapeError):
+            gknn.mahalanobis(x_q, x_j, ctx)
+
+    def test_row_stack_gives_each_rows_distance(self, rng):
+        x, query = rng.normal(size=(6, 3)), rng.normal(size=3)
+        ctx = gknn.build_context(x)
+        rows = gknn.mahalanobis(x, query, ctx)
+        assert rows.shape == (6,)
+        assert np.allclose(rows, [gknn.mahalanobis(row, query, ctx) for row in x],
+                           rtol=1e-12, atol=0)
+        assert np.array_equal(gknn.mahalanobis(query, x, ctx), rows)
+
+    def test_query_of_the_wrong_width_is_shape_error(self):
+        training = LabeledSet(np.eye(3), one_hot([0, 1, 1], 2))
+        with pytest.raises(ShapeError, match="dimension does not match"):
+            gknn.gknn_classify(np.zeros(2), training, 1)
+
 
 class TestEvolve:
     def test_k_bounds(self, rng):

@@ -141,6 +141,23 @@ class TestBasisValidation:
         with pytest.raises(BasisError, match=message):
             MomentProductSpec(((a, b, 1.0),))
 
+    @pytest.mark.parametrize("factor, message", [
+        ((1.5, 1.5, 1.0), r"moment orders must be integers, got \(1.5, 1.5\)"),
+        (("2", 0, 1.0), "moment orders must be integers"),
+        ((True, 1, 1.0), "moment orders must be integers"),
+        ((2, 0, True), "moment exponents must be finite numbers, got True"),
+        ((1, 1, float("inf")), "moment exponents must be finite numbers, got inf"),
+        ((1, 1, float("nan")), "moment exponents must be finite numbers, got nan"),
+        ((1, 1, "1"), "moment exponents must be finite numbers"),
+    ])
+    def test_factor_of_the_wrong_type_rejected(self, factor, message):
+        with pytest.raises(BasisError, match=message):
+            MomentProductSpec((factor,))
+
+    def test_numpy_integer_orders_accepted(self):
+        spec = MomentProductSpec(((np.int64(1), np.int64(1), 2),))
+        assert spec == MomentProductSpec(((1, 1, 2.0),))
+
     def test_bad_feature_basis_raises_at_construction(self):
         with pytest.raises(BasisError):
             MomentProductSpec(((2, 1, 1.0),))

@@ -416,6 +416,43 @@ class TestPersistence:
         with pytest.raises(ParameterError, match="JSON object"):
             PipelineConfig.from_dict([])
 
+    @pytest.mark.parametrize("doc, field, expected", [
+        ({"svm": {"A": 2}}, "svm_a", 2.0),
+        ({"grayscale": {"alpha": 0, "beta": 1, "gamma": 0}}, "grayscale",
+         GrayscaleCoefficients(0.0, 1.0, 0.0)),
+        ({"gknn": {"k": 5}}, "gknn_k", 5),
+        ({"extractors": ["gfd"]}, "extractors", ("gfd",)),
+        ({"cmi": {"basis": None}}, "cmi_basis", None),
+        ({"cmi": {"basis": [[[1, 1, 2]]]}}, "cmi_basis", (MomentProductSpec(((1, 1, 2),)),)),
+        ({"ann": {}}, "ann_hidden", 16),
+    ])
+    def test_config_key_takes_its_defaults_json_type(self, doc, field, expected):
+        value = getattr(PipelineConfig.from_dict(doc), field)
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"extractors": ("cmi",)}, "extractors"),
+        ({"extractors": {"cmi": 0}}, "extractors"),
+        ({"classifiers": "svm"}, "classifiers"),
+        ({"median_window": 3.0}, "median_window"),
+        ({"svm": {"tol": None}}, "svm.tol"),
+        ({"svm": {"A": 10**400}}, "svm.A"),
+        ({"gknn": {"k": np.int64(3)}}, "gknn.k"),
+        ({"cmi": {"basis": True}}, "cmi.basis"),
+        ({"cmi": {"basis": [[[1, 1]]]}}, "cmi.basis"),
+        ({"cmi": {"basis": [[[1, 1, None]]]}}, "cmi.basis"),
+        ({"cmi": {"basis": ["abc"]}}, "cmi.basis"),
+    ])
+    def test_config_key_refuses_another_type(self, doc, key):
+        with pytest.raises(ParameterError, match=f"config key '{key}' has a value of the wrong"):
+            PipelineConfig.from_dict(doc)
+
+    def test_readme_lists_every_config_key_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Configuration"):]
+        listing = section[section.index("```json") + len("```json"):]
+        assert json.loads(listing[:listing.index("```")]) == PipelineConfig().to_dict()
+
     def test_default_config_dict_roundtrip(self):
         doc = PipelineConfig().to_dict()
         assert PipelineConfig.from_dict(doc) == PipelineConfig()
