@@ -100,6 +100,9 @@ class PipelineConfig:
                     or len(set(names)) != len(names)):
                 raise ParameterError(f"{key} must be a nonempty subset of {allowed}, "
                                      f"each name once")
+        if self.cmi_basis is not None and not self.cmi_basis:
+            raise ParameterError("cmi.basis must hold at least one moment product, "
+                                 "or be null for the default basis")
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
@@ -333,11 +336,17 @@ def train_models(manifest_entries, config: PipelineConfig, seed: int = 0,
 def classify_image(models: PipelineModels, img: GrayImage, digest: int):
     """Two-stage fused decision for one already-cropped shape image.
 
-    Returns (final ClassSupport, stage1 supports, per-pair argmax dict).
+    Returns (final ClassSupport, stage1 supports, per-pair argmax dict). A family
+    whose config gives a feature vector of another length than its mean is a DataError.
     """
-    profiles = [_profile(fam.models, (extract_one(img, ext, models.config).values - fam.mean)
-                         / fam.std, models.config, models.seed ^ digest)
-                for ext, fam in models.families.items()]
+    profiles = []
+    for ext, fam in models.families.items():
+        values = extract_one(img, ext, models.config).values
+        if values.shape != fam.mean.shape:
+            raise DataError(f"families[{ext}] holds {fam.mean.size} features, but the model's "
+                            f"config gives {ext} {values.size}")
+        profiles.append(_profile(fam.models, (values - fam.mean) / fam.std, models.config,
+                                 models.seed ^ digest))
     return _decide(models, profiles, _stage1(models.families, profiles))
 
 

@@ -15,11 +15,12 @@ The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
 on, applied to shifted views of the edge-padded image. Every image is
 filtered, counted and thresholded on its 8-bit ``levels``, the one array a
-``GrayImage`` stores. Only the median filter and Otsu's histogram see the
-whole canvas:
-``segment_image`` binarizes, seeds and walks in the foreground's bounding
-box grown by one pixel, which holds every free pixel and their neighbours
-(``_window``). The random walker assembles
+``GrayImage`` stores. Only the median filter, Otsu's histogram and
+``binarize`` see the whole canvas: ``segment_image`` seeds and walks in a
+window, the box of the foreground bits grown by one pixel. Every pixel
+outside that box is background joined to the canvas border through the
+ring, so the window gets the canvas's seeds, and it holds every free pixel
+and its neighbours, so the walk is the canvas's. The random walker assembles
 its reduced system from each free pixel's own in-image 4-neighbours, so
 its cost follows the free band rather than the canvas. Each degree is
 summed in the order the pixel's neighbours are gathered, not in the
@@ -449,43 +450,31 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     return seeds
 
 
-def _window(levels: np.ndarray, theta: float) -> tuple[int, int, int, int]:
-    """Where ``segment_image`` segments: (y0, y1, x0, x1).
-
-    The window is the box of the foreground (the pixels ``binarize`` sets,
-    levels l with l / 255 > theta) grown by one pixel, the ring, clipped to
-    the canvas. Every pixel outside the box is background 4-connected to
-    the canvas border, so a background component of the window touches the
-    window's edge exactly when its canvas component touches the canvas
-    border, and ``derive_seeds`` seeds the same outer background on both.
-    """
-    h, w = levels.shape
-    # Otsu's threshold lies below the top populated bin, so neither is empty
-    rows = np.flatnonzero(_LEVEL_VALUES[levels.max(axis=1)] > theta)
-    cols = np.flatnonzero(_LEVEL_VALUES[levels.max(axis=0)] > theta)
-    return (max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, h),
-            max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, w))
-
-
 def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
     """Full preprocessing chain on the median-filtered image.
 
     Labels 0 .. s - 2 are the foreground shapes and s - 1 the background.
-    Binarizing, seeding and the walk run on ``_window``'s part of the
-    filtered canvas, which gets the whole canvas's seeds. Every free pixel
-    lies in the foreground's box, and its 4-neighbours in the window, so
-    the reduced system is the whole canvas's; every pixel outside the
-    window is background. The walk weighs by the whole canvas's variance
-    as Otsu's histogram, which holds every level, gives it.
+    The filtered canvas is binarized once, and seeding and the walk are cut
+    to the window: the box of the foreground bits grown by one pixel and
+    clipped to the canvas. Every pixel outside the box is background joined
+    to the border through that ring, so ``derive_seeds`` finds the canvas's
+    cores and outer background in the window; every free pixel and its
+    4-neighbours lie in the window, so the reduced system is the canvas's.
+    The walk weighs by the whole canvas's variance, which Otsu's histogram
+    gives.
     """
     smoothed = median_filter(img, median_side)
     otsu = otsu_threshold(smoothed)
-    y0, y1, x0, x1 = _window(smoothed.levels, otsu.theta)
+    bits = binarize(smoothed, otsu.theta).bits
+    h, w = bits.shape
+    # Otsu's threshold lies below the top populated bin, so neither is empty
+    rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
+    y0, y1 = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, h)
+    x0, x1 = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, w)
     part = GrayImage(smoothed.levels[y0:y1, x0:x1])
-    seeds = derive_seeds(binarize(part, otsu.theta))
+    seeds = derive_seeds(BinaryImage(bits[y0:y1, x0:x1]))
     seg = random_walker_segment(part, seeds, sigma=otsu.variance)
 
-    h, w = smoothed.levels.shape
     labels = np.full((h, w), seg.pixel_counts.size - 1)
     labels[y0:y1, x0:x1] = seg.labels
     y, x = np.divmod(seg.free, x1 - x0)

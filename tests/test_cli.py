@@ -14,7 +14,7 @@ from finspect import preprocess as preprocess_mod
 from finspect.cli import main
 from finspect.dataset import load_manifest
 from finspect.errors import DataError
-from finspect.pipeline import load_models
+from finspect.pipeline import classify_image, largest_shape, load_gray, load_models
 from finspect.preprocess import (binarize, derive_seeds, median_filter, otsu_threshold,
                                  segment_image)
 from finspect.raster import GrayImage, decode_image, encode_pgm
@@ -312,6 +312,8 @@ class TestTrainClassifyEval:
             class_names=["baby_shark", "baby_shark", "other", "shark_school"])), CLASS_NAMES_RULE),
         (edited(lambda d: d.update(class_names=d["class_names"][1::-1] + d["class_names"][2:])),
          CLASS_NAMES_RULE),
+        (edited(lambda d: d["config"]["cmi"].update(basis=[])),
+         "cmi.basis must hold at least one moment product"),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-families",
             "pipeline-families-not-object", "pipeline-families-missing-extractor",
             "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
@@ -325,7 +327,8 @@ class TestTrainClassifyEval:
             "stage1-template-row-out-of-range",
             "family-mean-nan", "family-std-nan", "family-std-zero",
             "pipeline-config-extractors-an-object", "class-names-a-string",
-            "class-names-not-in-catalog", "class-names-repeated", "class-names-swapped"])
+            "class-names-not-in-catalog", "class-names-repeated", "class-names-swapped",
+            "pipeline-config-basis-empty"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, tamper, detail):
         tampered = tmp_path / "models"
@@ -342,6 +345,32 @@ class TestTrainClassifyEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "pipeline.json" in err and detail in err
         assert "Traceback" not in err
+        assert not (tmp_path / "decision.json").exists()
+
+    @pytest.mark.parametrize("tamper, detail", [
+        (edited(lambda d: d["config"]["cmi"].update(basis=[[[0, 2, 1], [2, 0, 1]]])),
+         "families[cmi] holds 6 features, but the model's config gives cmi 1"),
+        (edited(lambda d: d["config"]["gfd"].update(radial=2)),
+         "families[gfd] holds 36 features, but the model's config gives gfd 18"),
+    ], ids=["cmi-basis-shorter", "gfd-radial-smaller"])
+    def test_classify_config_of_another_feature_length_is_data_error(
+            self, corpus_dir, model_dir, tmp_path, capsys, tamper, detail):
+        # each record is consistent in itself, so the model loads; the first query fails
+        tampered = tmp_path / "models"
+        shutil.copytree(model_dir, tampered)
+        path = tampered / "pipeline.json"
+        path.write_text(tamper(path.read_text()))
+        models = load_models(tampered)
+        query = corpus_dir / "disk_001.pgm"
+        crop = largest_shape(load_gray(query.read_bytes(), models.config), models.config)
+        with pytest.raises(DataError) as caught:
+            classify_image(models, crop, 0)
+        assert detail in str(caught.value)
+        rc = main(["classify", "--model-dir", str(tampered), "--input", str(query),
+                   "--output", str(tmp_path / "decision.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and detail in err and "Traceback" not in err
         assert not (tmp_path / "decision.json").exists()
 
     def test_directory_without_a_model_file_is_data_error(self, corpus_dir, tmp_path, capsys):
@@ -414,13 +443,15 @@ class TestTrainClassifyEval:
          "config key 'cmi.basis' has a value of the wrong type"),
         ({"cmi": {"basis": [[[1, 1, float("inf")]]]}},
          "moment exponents must be finite numbers, got inf"),
+        ({"cmi": {"basis": []}, "extractors": ["cmi"]},
+         "cmi.basis must hold at least one moment product"),
     ], ids=["even-median-window", "zero-gfd-radial", "unknown-key", "value-not-a-number",
             "not-json", "extractors-not-a-list", "basis-order-not-a-number", "basis-order-negative",
             "integer-key-fractional", "nested-integer-key-fractional", "integer-key-boolean",
             "integer-key-string", "float-key-string", "float-key-boolean",
             "classifier-repeated", "extractors-an-object", "classifiers-a-string",
             "svm-A-overflows", "basis-order-fractional", "basis-exponent-boolean",
-            "basis-exponent-infinite"])
+            "basis-exponent-infinite", "basis-empty"])
     def test_bad_config_is_usage_error_with_its_own_message(self, corpus_dir, tmp_path, capsys,
                                                             doc, message):
         config = tmp_path / "config.json"

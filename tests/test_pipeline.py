@@ -477,7 +477,10 @@ class TestDigest:
      {"kind": "square"}, ParameterError),
     (lambda: PipelineConfig(classifiers=()), PipelineConfig(),
      {"classifiers": ()}, ParameterError),
-], ids=["GrayscaleCoefficients", "MomentProductSpec", "SyntheticShapeSpec", "PipelineConfig"])
+    (lambda: PipelineConfig(cmi_basis=()), PipelineConfig(),
+     {"cmi_basis": ()}, ParameterError),
+], ids=["GrayscaleCoefficients", "MomentProductSpec", "SyntheticShapeSpec", "PipelineConfig",
+        "PipelineConfig-empty-cmi-basis"])
 def test_bad_parameter_rejected_on_construction(build, valid, changes, error):
     with pytest.raises(error) as built:
         build()
