@@ -39,7 +39,7 @@ class _Classifier:
     fit: Callable        # (LabeledSet, PipelineConfig, seed) -> model
     score: Callable      # (model, standardised x, PipelineConfig, seed) -> support row
     to_dict: Callable    # model -> its record in pipeline.json
-    from_dict: Callable  # record -> model
+    from_dict: Callable  # (record, PipelineConfig, the record's name) -> model
     sizes: Callable      # model -> (input dimension, class count)
 
 
@@ -52,25 +52,34 @@ _CLASSIFIERS = {
         to_dict=lambda m: {"layers": list(m.layers), "weights": [w.tolist() for w in m.weights],
                            "biases": [b.tolist() for b in m.biases],
                            "loss_trace": list(m.loss_trace)},
-        from_dict=lambda r: ann_mod.MlpModel(tuple(r["layers"]), tuple(r["weights"]),
-                                             tuple(r["biases"]), tuple(r["loss_trace"])),
+        from_dict=lambda r, *_: ann_mod.MlpModel(tuple(r["layers"]), tuple(r["weights"]),
+                                                 tuple(r["biases"]), tuple(r["loss_trace"])),
         sizes=lambda m: (m.layers[0], m.layers[-1])),
     "gknn": _Classifier(  # the standardised training set and its MahalanobisContext
         fit=lambda data, *_: (data, gknn_mod.build_context(data.inputs)),
         score=lambda model, x, config, seed: gknn_mod.gknn_classify(
             x, model[0], config.gknn_k, rng_seed=seed, context=model[1]),
         to_dict=lambda m: {"inputs": m[0].inputs.tolist(), "targets": m[0].targets.tolist()},
-        from_dict=lambda r: _CLASSIFIERS["gknn"].fit(LabeledSet(r["inputs"], r["targets"])),
+        from_dict=lambda r, config, name: _gknn_from_dict(r, config.gknn_k, name),
         sizes=lambda m: (m[0].inputs.shape[1], m[0].n_classes)),
     "svm": _Classifier(
         fit=lambda data, config, seed: svm_mod.train_svm(
             data, regularization=config.svm_a, tol=config.svm_tol, max_iter=config.svm_max_iter),
         score=lambda model, x, config, seed: svm_mod.predict_proba(model, x),
         to_dict=lambda m: {"weights": m.weights.tolist(), "converged": m.converged},
-        from_dict=lambda r: svm_mod.SvmModel(r["weights"], r["converged"]),
+        from_dict=lambda r, *_: svm_mod.SvmModel(r["weights"], r["converged"]),
         sizes=lambda m: m.weights.shape),
 }
 CLASSIFIERS = tuple(_CLASSIFIERS)
+
+
+def _gknn_from_dict(record: dict, k: int, name: str):
+    """A gknn record's model; one of fewer rows than ``k`` is a DataError naming it."""
+    data = LabeledSet(record["inputs"], record["targets"])
+    if data.n < k:
+        raise DataError(f"{name} holds {data.n} rows, fewer than gknn.k = {k}")
+    return _CLASSIFIERS["gknn"].fit(data)
+
 
 _STD_FLOOR = 1e-12
 
@@ -100,6 +109,8 @@ class PipelineConfig:
                     or len(set(names)) != len(names)):
                 raise ParameterError(f"{key} must be a nonempty subset of {allowed}, "
                                      f"each name once")
+        if not (is_integer(self.gknn_k) and self.gknn_k >= 1):
+            raise ParameterError(f"gknn.k must be an integer >= 1, got {self.gknn_k!r}")
         if self.cmi_basis is not None and not self.cmi_basis:
             raise ParameterError("cmi.basis must hold at least one moment product, "
                                  "or be null for the default basis")
@@ -452,8 +463,9 @@ def load_models(directory: str | Path) -> PipelineModels:
     """Read the pipeline.json that save_models wrote; a malformed one is a DataError.
 
     Only the configured classifiers' records are read, each by its ``_CLASSIFIERS``
-    entry, whose ``sizes`` must equal (the family's mean size, the class count); so
-    a mismatched record fails here, named, not at the first query.
+    entry, whose ``sizes`` must equal (the family's mean size, the class count), and
+    a gknn record must hold at least ``gknn.k`` rows; so a mismatched record fails
+    here, named, not at the first query.
     """
     path = Path(directory) / "pipeline.json"
     try:
@@ -481,8 +493,9 @@ def load_models(directory: str | Path) -> PipelineModels:
                           (k, len(config.classifiers), k))
             fitted = {}
             for clf in config.classifiers:
-                fitted[clf] = model = _CLASSIFIERS[clf].from_dict(doc["models"][clf])
-                _expect_shape(f"families[{ext}].models[{clf}] (input dimension, class count)",
+                name = f"families[{ext}].models[{clf}]"
+                fitted[clf] = model = _CLASSIFIERS[clf].from_dict(doc["models"][clf], config, name)
+                _expect_shape(f"{name} (input dimension, class count)",
                               _CLASSIFIERS[clf].sizes(model), (dim, k))
             families[ext] = Family(mean, std, fitted, templates)
     except OSError as exc:

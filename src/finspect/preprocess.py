@@ -9,7 +9,8 @@ the component eroded by ``SEED_EROSION`` = 3 pixels, so that seeds lie on
 both sides of every boundary, as Grady's method assumes, and the walker
 decides only a thin band along each boundary (the automatic markers of
 marker-controlled watershed, Beucher & Meyer 1993). A speck that erosion
-empties keeps the one pixel nearest its centroid.
+empties keeps the one pixel nearest its centroid weighted by level, so a
+shape fused with a dim halo of noise keeps its seed on the shape.
 
 The median filter is an exact min/max selection network: Batcher's
 odd-even merge sort, pruned to the comparators the middle output depends
@@ -52,6 +53,7 @@ from .errors import (
     EmptyForegroundError,
     ImageTooSmallError,
     ParameterError,
+    ShapeError,
     SolverError,
     is_integer,
 )
@@ -393,8 +395,8 @@ def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
     return core[1:-1, 1:-1]
 
 
-def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
-    """Seed sets from a binary image.
+def derive_seeds(binary: BinaryImage, levels) -> list[np.ndarray]:
+    """Seed sets from a binary image and its 8-bit levels, an array of the bits' shape.
 
     One seed set per 4-connected foreground component: its core, the
     component eroded by ``SEED_EROSION`` pixels with the 4-connected cross,
@@ -402,14 +404,19 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
     ``SEED_EROSION`` pixels wide along each boundary is left to the walker,
     as with the markers of marker-controlled watershed. A component that
     erosion empties (a speck) keeps one seed, the pixel nearest its
-    centroid. The final set is the outer background: every background pixel
+    intensity centroid, sum(level * (y, x)) / sum(level), ties to the lowest
+    flat index; a speck whose levels are all 0 is weighed uniformly. So a
+    shape fused with a dim halo of noise is seeded on the shape, not in the
+    halo. The final set is the outer background: every background pixel
     4-connected to the image border, the "outside" of hole filling (Soille
     2003; ``scipy.ndimage.binary_fill_holes``); it is not eroded. Holes are
     left to the walker. Two 4-connected components never share a
     4-neighbour, so one erosion of the whole image erodes each component on
     its own.
     """
-    bits = binary.bits
+    bits, levels = binary.bits, np.asarray(levels)
+    if levels.shape != bits.shape:
+        raise ShapeError(f"levels have shape {levels.shape}, but the bits {bits.shape}")
     if not bits.any():
         raise EmptyForegroundError("binary image has no foreground pixels")
     fg_labels, fg_count = scipy.ndimage.label(bits, structure=_CROSS)
@@ -429,10 +436,12 @@ def derive_seeds(binary: BinaryImage) -> list[np.ndarray]:
         pixels = np.flatnonzero(is_speck[flat])
         label = flat[pixels]
         ys, xs = np.divmod(pixels, w)
-        # integer sums are exact in float64, so these equal ys.mean(), xs.mean()
-        area = np.bincount(label)[label]
-        cy = np.bincount(label, weights=ys)[label] / area
-        cx = np.bincount(label, weights=xs)[label] / area
+        weight = levels.ravel()[pixels].astype(np.float64)
+        weight[np.bincount(label, weights=weight)[label] == 0] = 1.0  # all 0: uniform
+        mass = np.bincount(label, weights=weight)[label]
+        # integer sums are exact in float64, so each centroid is one rounding of the ratio
+        cy = np.bincount(label, weights=weight * ys)[label] / mass
+        cx = np.bincount(label, weights=weight * xs)[label] / mass
         # each speck's nearest pixel first, ties to the lowest flat index (a stable sort)
         order = np.lexsort(((ys - cy) ** 2 + (xs - cx) ** 2, label))
         first = order[np.flatnonzero(np.diff(label[order], prepend=-1))]
@@ -472,7 +481,7 @@ def segment_image(img: GrayImage, median_side: int = 3) -> Segmentation:
     y0, y1 = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, h)
     x0, x1 = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, w)
     part = GrayImage(smoothed.levels[y0:y1, x0:x1])
-    seeds = derive_seeds(BinaryImage(bits[y0:y1, x0:x1]))
+    seeds = derive_seeds(BinaryImage(bits[y0:y1, x0:x1]), part.levels)
     seg = random_walker_segment(part, seeds, sigma=otsu.variance)
 
     labels = np.full((h, w), seg.pixel_counts.size - 1)

@@ -2,10 +2,12 @@
 
 Supported formats are PGM (P2 ASCII, P5 binary) and PPM (P3 ASCII, P6
 binary) with maxval 255. Headers are whitespace tolerant and may contain
-``#`` comments anywhere before the maxval token. A gray image is its 8-bit
-levels, ``GrayImage.levels``; its intensities in [0, 1], ``pixels``, are
-level / 255, derived on first read. A decoded PGM keeps its samples, and
-floats enter through ``GrayImage.from_pixels``, which rounds them
+``#`` comments anywhere before the maxval token. An ASCII payload is split
+in one array pass that sizes nothing from the header, so a header larger
+than its payload is a truncated payload. A gray image is its 8-bit levels,
+``GrayImage.levels``; its intensities in [0, 1], ``pixels``, are level /
+255, derived on first read. A decoded PGM keeps its samples, and floats
+enter through ``GrayImage.from_pixels``, which rounds them
 (``gray_levels``). Color images keep their 8-bit channels; an RgbImage
 built from non-integer channels rounds them the same way. Segmentation and
 the encoder read only the levels.
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import ParameterError, PnmDecodeError, ShapeError, readonly
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-_DIGITS = b"0123456789"
 _LEVEL_VALUES = readonly(np.arange(256) / 255.0)  # each level's intensity, as in ``pixels``
 
 
@@ -156,47 +157,45 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     return int(token), start, pos
 
 
-def _ascii_samples_by_token(data: bytes, pos: int, count: int) -> np.ndarray:
-    """Read ``count`` ASCII samples one token at a time, naming the offset of a bad one."""
-    samples = np.empty(count, dtype=np.uint8)
-    for idx in range(count):
-        try:
-            token, start, pos = _next_token(data, pos, allow_comments=False)
-        except PnmDecodeError:
-            raise PnmDecodeError(
-                f"truncated payload: expected {count} samples, got {idx}", len(data)
-            ) from None
-        if not token.isdigit():
-            raise PnmDecodeError(f"invalid sample token {token!r}", start)
-        value = int(token)
-        if value > 255:
-            raise PnmDecodeError(f"sample {value} out of range [0, 255]", start)
-        samples[idx] = value
-    return samples
-
-
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
-    """Parse the ASCII payload in one array pass; input it rejects goes token by token.
+    """The first ``count`` whitespace-separated samples of the ASCII payload.
 
-    The fast path takes payloads of digits and whitespace whose first
-    ``count`` tokens have at most 3 digits each and are at most 255. The
-    token walker decides every other payload, so it alone reports the
-    failing byte offset, and a valid payload gives the same samples either way.
+    One array pass finds each token's bounds and reads a token of at most 3
+    digits from its last three bytes. Only the tokens that pass cannot take
+    (longer than 3 bytes, over 255, or holding a byte other than a digit, as
+    ``0255``, ``256``, ``x2`` or ``#``) are read again as bytes, in order, so
+    the first bad one is named at its own offset. A payload of fewer than
+    ``count`` tokens is truncated; no array is sized from ``count``.
     """
-    payload = data[pos:]
-    if not payload.translate(None, _DIGITS + _WHITESPACE):
-        # each byte's digit value; every whitespace byte lies below b"0"
-        digits = np.frombuffer(payload, dtype=np.uint8).astype(np.int64) - ord("0")
-        edges = np.flatnonzero(np.diff(digits >= 0, prepend=False, append=False))
-        starts, ends = edges[0::2][:count], edges[1::2][:count]
-        length = ends - starts
-        if starts.size == count and length.max() <= 3:
-            # units, tens and hundreds, a place past the token's start adding 0
-            samples = sum(np.where(length > place, digits[ends - 1 - place], 0) * 10**place
-                          for place in range(3))
-            if samples.max() <= 255:
-                return samples.astype(np.uint8)
-    return _ascii_samples_by_token(data, pos, count)
+    # a space on each side, so each token starts and ends where the mask of
+    # _WHITESPACE (bytes 32 and 9-13) changes
+    codes = np.frombuffer(b" " + data[pos:] + b" ", dtype=np.uint8)
+    space = (codes == 32) | (np.subtract(codes, 9, dtype=np.uint8) < 5)
+    edges = np.flatnonzero(space[1:] != space[:-1]) + 1
+    starts, ends = edges[0::2][:count], edges[1::2][:count]
+    length = ends - starts
+    digits = np.empty((3, starts.size), dtype=np.int16)  # units, tens and hundreds
+    for place, row in enumerate(digits):
+        row[:] = codes[ends - 1 - place]
+    digits -= ord("0")
+    digits[1][length < 2] = 0  # a place before the token's start adds 0
+    digits[2][length < 3] = 0
+    samples = digits[0] + 10 * digits[1] + 100 * digits[2]
+    # a byte below b"0" wraps past 9 as unsigned
+    bad = (length > 3) | (digits.view(np.uint16) > 9).any(axis=0) | (samples > 255)
+    for idx in np.flatnonzero(bad).tolist():
+        start = pos + int(starts[idx]) - 1  # less the space put before the payload
+        token = data[start : start + int(length[idx])]
+        if not token.isdigit():  # int() would also take "+3", "1_0" and "-0"
+            raise PnmDecodeError(f"invalid sample token {token!r}", start)
+        value = token.lstrip(b"0") or b"0"  # int() refuses more than 4300 digits
+        if len(value) > 3 or int(value) > 255:
+            raise PnmDecodeError(f"sample {value.decode()} out of range [0, 255]", start)
+        samples[idx] = int(value)
+    if starts.size < count:
+        raise PnmDecodeError(
+            f"truncated payload: expected {count} samples, got {starts.size}", len(data))
+    return samples.astype(np.uint8)
 
 
 def decode_image(data: bytes) -> RgbImage | GrayImage:

@@ -99,14 +99,15 @@ def canvas_gamma(seg):
     return gamma.reshape(seg.labels.shape + (s,))
 
 
-def canvas_seeds(binary):
+def canvas_seeds(binary, levels):
     """Seed sets of the whole canvas, one component at a time.
 
     The reference for ``derive_seeds`` and for ``segment_image``'s window:
     each 4-connected foreground component's pixels in its erosion by
     ``SEED_EROSION`` (pixels outside counting as background), or, if that is
-    empty, its pixel nearest its centroid (ties to the lowest flat index);
-    then the outer background, the background pixels that
+    empty, its pixel nearest sum(level * (y, x)) / sum(level), the levels
+    weighed uniformly if all are 0 (ties to the lowest flat index); then the
+    outer background, the background pixels that
     ``scipy.ndimage.binary_fill_holes`` leaves unset.
     """
     bits = binary.bits
@@ -119,7 +120,11 @@ def canvas_seeds(binary):
         inner = np.flatnonzero(mask & core)
         if not inner.size:
             ys, xs = np.nonzero(mask)
-            nearest = np.argmin((ys - ys.mean()) ** 2 + (xs - xs.mean()) ** 2)
+            weight = levels[mask].astype(np.float64)
+            if not weight.sum():
+                weight[:] = 1.0
+            cy, cx = (weight * ys).sum() / weight.sum(), (weight * xs).sum() / weight.sum()
+            nearest = np.argmin((ys - cy) ** 2 + (xs - cx) ** 2)
             inner = np.array([ys[nearest] * bits.shape[1] + xs[nearest]])
         seeds.append(inner)
     seeds.append(np.flatnonzero(~scipy.ndimage.binary_fill_holes(bits, structure=CROSS)))
@@ -129,5 +134,5 @@ def canvas_seeds(binary):
 def canvas_segmentation(img, median_side=3):
     """``segment_image`` on the whole canvas: ``canvas_seeds``, then a walk over every pixel."""
     smoothed = median_filter(img, median_side)
-    seeds = canvas_seeds(binarize(smoothed, otsu_threshold(smoothed).theta))
+    seeds = canvas_seeds(binarize(smoothed, otsu_threshold(smoothed).theta), smoothed.levels)
     return random_walker_segment(smoothed, seeds)

@@ -132,7 +132,8 @@ class TestPreprocess:
         assert rc == 0
         img = decode_image(path.read_bytes())
         smoothed = median_filter(img, 3)
-        seed_count = len(derive_seeds(binarize(smoothed, otsu_threshold(smoothed).theta)))
+        seed_count = len(derive_seeds(binarize(smoothed, otsu_threshold(smoothed).theta),
+                                        smoothed.levels))
         records = json.loads((out_dir / "segments.json").read_text())["shapes"]
         assert [r["shape"] for r in records] == list(range(seed_count))  # background included
         oracle = nonzero_crops(smoothed, segment_image(img).labels, seed_count)
@@ -180,6 +181,18 @@ class TestExtract:
                    str(corpus_dir / "disk_000.pgm"), "--output", str(tmp_path / "x.json")])
         assert rc == 1
 
+
+    def test_header_larger_than_its_payload_is_data_error(self, tmp_path, capsys):
+        # a billion by a billion over three samples: refused as truncated, nothing allocated
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P2\n1000000000 1000000000\n255\n1 2 3\n")
+        out = tmp_path / "x.json"
+        rc = main(["extract", "--method", "cmi", "--input", str(path), "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: truncated payload: expected 1000000000000000000 samples, "
+                       "got 3 (byte 35)\n")
+        assert not out.exists()
 
 def edited(change):
     """A tamper function: parse pipeline.json, apply ``change`` in place, write it back."""
@@ -314,6 +327,9 @@ class TestTrainClassifyEval:
          CLASS_NAMES_RULE),
         (edited(lambda d: d["config"]["cmi"].update(basis=[])),
          "cmi.basis must hold at least one moment product"),
+        (edited(lambda d: d["config"]["gknn"].update(k=13)),
+         "families[cmi].models[gknn] holds 6 rows, fewer than gknn.k = 13"),
+        (edited(lambda d: d["config"]["gknn"].update(k=0)), "gknn.k must be an integer >= 1, got 0"),
     ], ids=["svm-missing-key", "ann-truncated", "pipeline-missing-families",
             "pipeline-families-not-object", "pipeline-families-missing-extractor",
             "pipeline-config-gfd-not-object", "svm-old-dual-form", "svm-extra-weight-row",
@@ -328,7 +344,8 @@ class TestTrainClassifyEval:
             "family-mean-nan", "family-std-nan", "family-std-zero",
             "pipeline-config-extractors-an-object", "class-names-a-string",
             "class-names-not-in-catalog", "class-names-repeated", "class-names-swapped",
-            "pipeline-config-basis-empty"])
+            "pipeline-config-basis-empty", "pipeline-config-gknn-k-above-the-rows",
+            "pipeline-config-gknn-k-zero"])
     def test_classify_malformed_model_file_is_data_error(self, corpus_dir, model_dir, tmp_path,
                                                          capsys, tamper, detail):
         tampered = tmp_path / "models"
@@ -445,13 +462,14 @@ class TestTrainClassifyEval:
          "moment exponents must be finite numbers, got inf"),
         ({"cmi": {"basis": []}, "extractors": ["cmi"]},
          "cmi.basis must hold at least one moment product"),
+        ({"gknn": {"k": 0}}, "gknn.k must be an integer >= 1, got 0"),
     ], ids=["even-median-window", "zero-gfd-radial", "unknown-key", "value-not-a-number",
             "not-json", "extractors-not-a-list", "basis-order-not-a-number", "basis-order-negative",
             "integer-key-fractional", "nested-integer-key-fractional", "integer-key-boolean",
             "integer-key-string", "float-key-string", "float-key-boolean",
             "classifier-repeated", "extractors-an-object", "classifiers-a-string",
             "svm-A-overflows", "basis-order-fractional", "basis-exponent-boolean",
-            "basis-exponent-infinite", "basis-empty"])
+            "basis-exponent-infinite", "basis-empty", "gknn-k-zero"])
     def test_bad_config_is_usage_error_with_its_own_message(self, corpus_dir, tmp_path, capsys,
                                                             doc, message):
         config = tmp_path / "config.json"

@@ -479,8 +479,9 @@ class TestDigest:
      {"classifiers": ()}, ParameterError),
     (lambda: PipelineConfig(cmi_basis=()), PipelineConfig(),
      {"cmi_basis": ()}, ParameterError),
+    (lambda: PipelineConfig(gknn_k=0), PipelineConfig(), {"gknn_k": 0}, ParameterError),
 ], ids=["GrayscaleCoefficients", "MomentProductSpec", "SyntheticShapeSpec", "PipelineConfig",
-        "PipelineConfig-empty-cmi-basis"])
+        "PipelineConfig-empty-cmi-basis", "PipelineConfig-gknn-k-zero"])
 def test_bad_parameter_rejected_on_construction(build, valid, changes, error):
     with pytest.raises(error) as built:
         build()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -13,8 +15,8 @@ from finspect import preprocess
 from finspect.preprocess import SEED_EROSION
 from finspect.raster import decode_image, gray_levels, to_grayscale
 
-from conftest import (CROSS, build_pixel_graph, canvas_gamma, canvas_segmentation, dense_gamma,
-                      random_gray, shape_image)
+from conftest import (CROSS, build_pixel_graph, canvas_gamma, canvas_seeds, canvas_segmentation,
+                      dense_gamma, random_gray, shape_image)
 
 
 def median_oracle(pixels, side):
@@ -335,7 +337,7 @@ class TestRandomWalker:
         px[9:13, 9:13] = 0.7
         px[11, 3] = 0.8
         img = GrayImage.from_pixels(px)
-        seeds = derive_seeds(binarize(img, otsu_threshold(img).theta))
+        seeds = derive_seeds(binarize(img, otsu_threshold(img).theta), img.levels)
         assert len(seeds) == 4  # three shapes + background
         hole = np.arange(px.size).reshape(px.shape)[3:6, 3:6].ravel()
         assert not np.isin(hole, np.concatenate(seeds)).any()
@@ -400,7 +402,7 @@ class TestRandomWalker:
         mask = rng.random((40, 40)) < 0.1
         mask[13:27, 13:27] = True
         img = GrayImage.from_pixels(np.where(mask, 0.8, 0.1) + 0.05 * rng.random((40, 40)))
-        seeds = derive_seeds(BinaryImage(mask.astype(np.uint8)))
+        seeds = derive_seeds(BinaryImage(mask.astype(np.uint8)), img.levels)
         assert len(seeds) > 100
         self._check_against_dense(img, seeds)
 
@@ -411,7 +413,7 @@ class TestRandomWalker:
         radius = np.hypot(yy - 14.5, xx - 14.5)
         ring = (radius < 13) & (radius >= 6)
         img = GrayImage.from_pixels(np.where(ring, 0.8, 0.1) + 0.05 * rng.random((30, 30)))
-        seeds = derive_seeds(BinaryImage(ring.astype(np.uint8)))
+        seeds = derive_seeds(BinaryImage(ring.astype(np.uint8)), img.levels)
         assert len(seeds) == 2 and not np.isin(np.flatnonzero(radius < 6), seeds[1]).any()
         seg, decided = self._check_against_dense(img, seeds)
         assert decided.all()
@@ -448,7 +450,7 @@ class TestDeriveSeeds:
         bits = np.zeros((8, 8), dtype=np.uint8)
         bits[1:3, 1:3] = 1
         bits[5:7, 5:7] = 1
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         assert len(seeds) == 3  # two shapes + background last
         assert seeds[0].size == 1 and seeds[1].size == 1
         assert seeds[2].size == (bits == 0).sum()
@@ -457,7 +459,7 @@ class TestDeriveSeeds:
         bits = np.zeros((6, 6), dtype=np.uint8)
         bits[2:5, 2:5] = 1
         assert not eroded_core(bits).size  # a speck: erosion empties it
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         flat = bits.ravel()
         assert seeds[0].size == 1 and flat[seeds[0][0]] == 1
         # nearest pixel to the centroid of a solid square is its middle
@@ -473,7 +475,7 @@ class TestDeriveSeeds:
             bits[:2, :2] = 1  # a 2 x 2 speck: all four pixels tie
             bits[2, :3] = bits[:3, 2] = 0
             labels, count = scipy.ndimage.label(bits, structure=cross)
-            seeds = derive_seeds(BinaryImage(bits))
+            seeds = derive_seeds(BinaryImage(bits), bits * 255)
             assert len(seeds) == count + 1
             core = eroded_core(bits)
             for comp in range(1, count + 1):
@@ -487,10 +489,38 @@ class TestDeriveSeeds:
             assert seeds[labels[0, 0] - 1][0] == 0
         assert ties >= 20
 
+    def test_speck_is_seeded_nearest_its_intensity_centroid(self):
+        # a bright head and a dim tail: the unweighted centroid, column 4, lies in the tail
+        bits = np.zeros((3, 9), dtype=np.uint8)
+        bits[1, 1:8] = 1
+        levels = bits * np.array([0, 255, 255, 255, 10, 10, 10, 10, 0], dtype=np.uint8)
+        # sum(level * x) / sum(level) = 1750 / 805, about 2.17
+        assert derive_seeds(BinaryImage(bits), levels)[0].tolist() == [1 * 9 + 2]
+        assert derive_seeds(BinaryImage(bits), bits * 255)[0].tolist() == [1 * 9 + 4]
+
+    def test_speck_seeds_match_the_canvas_oracle_under_random_levels(self, rng):
+        for _ in range(20):
+            bits = (rng.random((30, 40)) < rng.uniform(0.05, 0.3)).astype(np.uint8)
+            bits[:2, :2] = 1  # a 2 x 2 speck of level 0: weighed uniformly, all four tie
+            bits[2, :3] = bits[:3, 2] = 0
+            levels = rng.integers(1, 256, bits.shape) * bits
+            levels[:2, :2] = 0
+            seeds = derive_seeds(BinaryImage(bits), levels)
+            expected = canvas_seeds(BinaryImage(bits), levels)
+            assert len(seeds) == len(expected) and all(map(np.array_equal, seeds, expected))
+            labels, _ = scipy.ndimage.label(bits, structure=CROSS)
+            assert seeds[labels[0, 0] - 1].tolist() == [0]
+
+    def test_levels_of_another_shape_rejected(self):
+        bits = np.zeros((6, 6), dtype=np.uint8)
+        bits[2:4, 2:4] = 1
+        with pytest.raises(ShapeError, match=r"levels have shape \(6, 5\), but the bits \(6, 6\)"):
+            derive_seeds(BinaryImage(bits), np.zeros((6, 5), dtype=np.uint8))
+
     def test_large_component_seeds_its_eroded_core(self):
         yy, xx = np.mgrid[0:24, 0:24]
         bits = ((yy - 11) ** 2 + (xx - 12) ** 2 <= 64).astype(np.uint8)
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         core = eroded_core(bits)
         assert 0 < core.size < bits.sum()
         assert len(seeds) == 2 and np.array_equal(seeds[0], core)
@@ -498,7 +528,7 @@ class TestDeriveSeeds:
     def test_component_touching_border_is_eroded_there(self):
         bits = np.zeros((16, 16), dtype=np.uint8)
         bits[:10, :12] = 1
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         assert np.array_equal(seeds[0], eroded_core(bits))
         # pixels outside the image count as background, so the core keeps off row and column 0
         ys, xs = np.divmod(seeds[0], 16)
@@ -509,7 +539,7 @@ class TestDeriveSeeds:
         bits = np.zeros((16, 21), dtype=np.uint8)
         bits[2:14, 2:10] = 1
         bits[2:14, 11:19] = 1  # column 10 separates the two
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         assert len(seeds) == 3 and not np.intersect1d(seeds[0], seeds[1]).size
         for seed, cols in zip(seeds, (slice(2, 10), slice(11, 19))):
             alone = np.zeros_like(bits)
@@ -523,7 +553,7 @@ class TestDeriveSeeds:
         bits = np.ones((12, 12), dtype=np.uint8)
         bits[0, :5] = 0
         bits[3:9, 3:9] = 0
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         assert len(seeds) == 2 and np.array_equal(seeds[-1], np.arange(5))
         hole = np.arange(144).reshape(12, 12)[3:9, 3:9].ravel()
         assert not np.isin(hole, np.concatenate(seeds)).any()
@@ -533,29 +563,29 @@ class TestDeriveSeeds:
         # background cannot pass between them, yet the pocket touches the border
         bits = np.zeros((10, 10), dtype=np.uint8)
         bits[0:4, 4:6] = bits[4:6, 0:4] = 1
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         assert len(seeds) == 3 and np.array_equal(seeds[-1], np.flatnonzero(bits == 0))
 
     def test_diagonal_pixels_are_separate_components(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits[0, 0] = bits[1, 1] = 1
-        seeds = derive_seeds(BinaryImage(bits))
+        seeds = derive_seeds(BinaryImage(bits), bits * 255)
         assert len(seeds) == 3  # 4-connectivity keeps them apart
 
     def test_no_foreground_rejected(self):
         with pytest.raises(EmptyForegroundError):
-            derive_seeds(BinaryImage(np.zeros((3, 3), dtype=np.uint8)))
+            derive_seeds(BinaryImage(np.zeros((3, 3), dtype=np.uint8)), np.zeros((3, 3)))
 
     def test_no_background_rejected(self):
         with pytest.raises(EmptyBackgroundError):
-            derive_seeds(BinaryImage(np.ones((3, 3), dtype=np.uint8)))
+            derive_seeds(BinaryImage(np.ones((3, 3), dtype=np.uint8)), np.full((3, 3), 255))
 
     def test_frame_around_a_hole_rejected(self):
         # there is background, but none of it reaches the border
         bits = np.ones((8, 8), dtype=np.uint8)
         bits[2:6, 2:6] = 0
         with pytest.raises(EmptyBackgroundError, match="touches the image border"):
-            derive_seeds(BinaryImage(bits))
+            derive_seeds(BinaryImage(bits), bits * 255)
 
 
 @settings(max_examples=200, deadline=None)
@@ -567,12 +597,12 @@ def test_background_seed_is_what_hole_filling_leaves_unset(seed):
     outside = np.flatnonzero(~scipy.ndimage.binary_fill_holes(bits, structure=CROSS))
     if not bits.any():
         with pytest.raises(EmptyForegroundError):
-            derive_seeds(BinaryImage(bits))
+            derive_seeds(BinaryImage(bits), bits * 255)
     elif not outside.size:
         with pytest.raises(EmptyBackgroundError):
-            derive_seeds(BinaryImage(bits))
+            derive_seeds(BinaryImage(bits), bits * 255)
     else:
-        assert np.array_equal(derive_seeds(BinaryImage(bits))[-1], outside)
+        assert np.array_equal(derive_seeds(BinaryImage(bits), bits * 255)[-1], outside)
 
 
 def nonzero_crops(img, labels, shape_count):
@@ -658,6 +688,24 @@ class TestSegmentImage:
         seg = segment_image(img)
         assert seg.pixel_counts[:-1].max() >= 0.9 * otsu_count
 
+
+    @pytest.mark.parametrize("translate, size, quarters, seed, overlap, union", [
+        ((-10, 2), 7, 2, 3695779175, 68, 76),
+        ((-4, -5), 5, 1, 4094967909, 40, 43),
+        ((0, -12), 5, 3, 3275935626, 39, 43),
+    ], ids=["raised-solver-error", "crop-off-the-shape-quarter-1", "crop-off-the-shape-quarter-3"])
+    def test_shape_fused_with_a_dim_halo_keeps_its_seed(self, translate, size, quarters, seed,
+                                                        overlap, union):
+        # Otsu's cut is low, so the shape's component holds dim noise and erosion empties
+        # it; seeded nearest its unweighted centroid, the seed fell in the halo, and the
+        # walker gave the shape away or found a region cut off from every seed
+        spec = SyntheticShapeSpec("fin_polygon", size, canvas=96, translate=translate,
+                                  rotate_quarters=quarters, noise=0.3)
+        img, _ = generate_synthetic(spec, rng_seed=seed)
+        drawn = generate_synthetic(dataclasses.replace(spec, noise=0.0))[0].levels > 0
+        seg = segment_image(img)
+        mask = seg.labels == np.argmax(seg.pixel_counts[:-1])
+        assert ((mask & drawn).sum(), (mask | drawn).sum()) == (overlap, union)
 
 def decoded(pixels, magic=b"P5"):
     """The decode of intensities written as an 8-bit PGM, so the image keeps its levels."""
